@@ -8,7 +8,6 @@ known ground-truth exponents serves as the test oracle.
 """
 
 from .geometry import (
-    DEFAULT_STANDARD_PARALLEL,
     EARTH_RADIUS_KM,
     GeoPoint,
     LonLatRect,
@@ -17,7 +16,6 @@ from .geometry import (
     Ring,
     intersection_area,
     polygon_area,
-    project,
     spherical_rect_area,
 )
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline

@@ -154,9 +154,7 @@ _CSV_COLUMNS = ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat",
 
 
 def anomaly_to_csv(a: AnomalyGrid, path) -> None:
-    from .gridding import DensityGrid as _DG  # reuse edge construction
-
-    edges = _DG(a.spec, np.zeros((a.spec.x, a.spec.x)))
+    edges = DensityGrid(a.spec, np.zeros((a.spec.x, a.spec.x)))
     abs_c = a.a_abs_capped
     rel_c = a.a_rel_capped
 
@@ -179,9 +177,7 @@ def anomaly_to_csv(a: AnomalyGrid, path) -> None:
 
 def anomaly_to_geojson(a: AnomalyGrid) -> dict:
     """One rectangle feature per unmasked cell, ready for choropleth tools."""
-    from .gridding import DensityGrid as _DG
-
-    edges = _DG(a.spec, np.zeros((a.spec.x, a.spec.x)))
+    edges = DensityGrid(a.spec, np.zeros((a.spec.x, a.spec.x)))
     abs_c = a.a_abs_capped
     rel_c = a.a_rel_capped
     features = []

@@ -45,7 +45,6 @@ class RunConfig:
     land: str = ""
     out: str = "."
     study: tuple = DEFAULT_STUDY
-    standard_parallel: float = 51.05
     x: int = 40
     x_list: tuple = scaling.DEFAULT_X_LIST
     tag_kind: str = "place"          # geo | place | both
@@ -63,7 +62,6 @@ class RunConfig:
     area_fraction: float = 0.25
     subset_fraction: float = 0.05
     seed: int = 0
-    threads: int = 1
     geojson: bool = False
     # synth knobs
     x_gen: int = 40
@@ -81,15 +79,17 @@ class RunConfig:
 
     def study_rect(self) -> LonLatRect:
         lo_lon, lo_lat, hi_lon, hi_lat = self.study
-        return LonLatRect(lo_lon, lo_lat, hi_lon, hi_lat)
+        try:
+            return LonLatRect(lo_lon, lo_lat, hi_lon, hi_lat)
+        except ValueError as exc:
+            raise ConfigError(f"bad study rect {self.study}: {exc}") from exc
 
 
 _TUPLE_FIELDS = {"study", "x_list"}
-_INT_FIELDS = {"x", "min_user_tweets", "replicates", "seed", "threads",
-               "x_gen", "bots"}
-_FLOAT_FIELDS = {"standard_parallel", "bot_threshold", "fit_min_tweets",
-                 "fit_min_population", "abs_cap", "rel_cap", "mask_t_density",
-                 "mask_p_density", "area_fraction", "subset_fraction",
+_INT_FIELDS = {"x", "min_user_tweets", "replicates", "seed", "x_gen", "bots"}
+_FLOAT_FIELDS = {"bot_threshold", "fit_min_tweets", "fit_min_population",
+                 "abs_cap", "rel_cap", "mask_t_density", "mask_p_density",
+                 "area_fraction", "subset_fraction",
                  "beta_true", "gamma_true", "b_true", "c_true", "noise_dex",
                  "pop_log10_mean", "pop_log10_sigma", "emit_boxes_fraction",
                  "commuter_fraction", "bot_fraction"}
@@ -257,7 +257,7 @@ def _build_grid(cfg: RunConfig, records, units):
     land = load_land(cfg.land) if cfg.land else None
     if land is None:
         raise ConfigError("--land is required for this command")
-    spec = GridSpec(cfg.study_rect(), cfg.x, cfg.standard_parallel)
+    spec = GridSpec(cfg.study_rect(), cfg.x)
     return run_grid_pipeline(spec, land, records, units)
 
 
@@ -303,9 +303,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     land = load_land(cfg.land)
     scan = scaling.scan_resolutions(
         records, units, land, cfg.x_list, study=cfg.study_rect(),
-        standard_parallel=cfg.standard_parallel,
-        min_tweets=cfg.fit_min_tweets, min_population=cfg.fit_min_population,
-        threads=cfg.threads)
+        min_tweets=cfg.fit_min_tweets, min_population=cfg.fit_min_population)
     out = _outdir(cfg)
     rows = []
     for x in scan.x_values:
@@ -380,18 +378,16 @@ def cmd_validate(cfg: RunConfig) -> int:
         mode=cfg.mode, replicates=cfg.replicates,
         area_fraction=cfg.area_fraction, subset_fraction=cfg.subset_fraction,
         master_seed=cfg.seed)
-    spec = GridSpec(cfg.study_rect(), cfg.x, cfg.standard_parallel)
+    spec = GridSpec(cfg.study_rect(), cfg.x)
     grid = run_grid_pipeline(spec, land, records, units)
     reference = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     if cfg.mode == "subarea":
         dist = validation.subarea_resample(
             records, units, land, cfg.study_rect(), cfg.x, rcfg,
-            cfg.standard_parallel, cfg.fit_min_tweets, cfg.fit_min_population,
-            threads=cfg.threads)
+            cfg.fit_min_tweets, cfg.fit_min_population)
     else:
         dist = validation.subset_resample(
-            grid, rcfg, cfg.fit_min_tweets, cfg.fit_min_population,
-            threads=cfg.threads)
+            grid, rcfg, cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
     validation.resample_to_csv(dist, out / "resample.csv")
     _write_json(out / "resample_summary.json",
@@ -447,14 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated grid sides for scans")
     common.add_argument("--study", type=lambda s: tuple(float(v) for v in s.split(",")),
                         help="min_lon,min_lat,max_lon,max_lat")
-    common.add_argument("--standard-parallel", dest="standard_parallel", type=float)
     common.add_argument("--tag-kind", dest="tag_kind", choices=["geo", "place", "both"])
     common.add_argument("--bot-threshold", dest="bot_threshold", type=float)
     common.add_argument("--min-user-tweets", dest="min_user_tweets", type=int)
     common.add_argument("--fit-min-tweets", dest="fit_min_tweets", type=float)
     common.add_argument("--fit-min-population", dest="fit_min_population", type=float)
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
 
     parser = _Parser(prog="geoscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,4 +1,4 @@
-"""Equal-area projection, polygon areas and rectangle clipping.
+"""Spherical polygon areas and rectangle clipping.
 
 All areas are in km^2 on the authalic sphere (R = 6371.0072 km).  Polygon
 edges are straight lines in lon/lat space and areas are evaluated with the
@@ -13,19 +13,14 @@ as-is.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import cos, fsum, radians, sin
 from typing import Iterable, Union
 
 from .errors import DegenerateGeometryError, InvariantViolationError
 
-# Authalic sphere radius: projected areas come out in true km^2.
+# Authalic sphere radius: areas come out in true km^2.
 EARTH_RADIUS_KM = 6371.0072
-
-# Midpoint latitude of the default study box; standard parallel used when
-# callers do not pick one.
-DEFAULT_STANDARD_PARALLEL = 51.05
 
 # Clipped slivers below this area (km^2) are discarded.
 _SLIVER_AREA_KM2 = 1e-12
@@ -43,18 +38,6 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
         if not (-90.0 <= self.lat <= 90.0):
             raise ValueError(f"latitude out of range: {self.lat}")
-
-
-@dataclass(frozen=True)
-class ProjectedPoint:
-    """A point on the equal-area plane, in km."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("projected coordinates must be finite")
 
 
 @dataclass(frozen=True)
@@ -144,15 +127,6 @@ class MultiPolygon:
         return MultiPolygon(tuple(polygons))
 
 
-def project(p: GeoPoint, standard_parallel: float = DEFAULT_STANDARD_PARALLEL) -> ProjectedPoint:
-    """Cylindrical equal-area projection with the given standard parallel."""
-    c = cos(radians(standard_parallel))
-    return ProjectedPoint(
-        EARTH_RADIUS_KM * radians(p.lon) * c,
-        EARTH_RADIUS_KM * sin(radians(p.lat)) / c,
-    )
-
-
 def spherical_rect_area(r: LonLatRect) -> float:
     """Exact spherical area of an axis-aligned lon/lat rectangle, km^2."""
     return (EARTH_RADIUS_KM * EARTH_RADIUS_KM
@@ -178,13 +152,8 @@ def _signed_area(coords) -> float:
     return EARTH_RADIUS_KM * EARTH_RADIUS_KM * fsum(terms)
 
 
-def ring_area(r: Ring, standard_parallel: float = DEFAULT_STANDARD_PARALLEL) -> float:
-    """Absolute area of a ring whose edges are straight in lon/lat, km^2.
-
-    The value is independent of the standard parallel (the x scaling and
-    y scaling of the projection cancel); the parameter is accepted so the
-    signature matches the other area operations.
-    """
+def ring_area(r: Ring) -> float:
+    """Absolute area of a ring whose edges are straight in lon/lat, km^2."""
     if len(r.coords) < 3:
         raise DegenerateGeometryError("ring has fewer than 3 vertices")
     return abs(_signed_area(r.coords))
@@ -193,12 +162,12 @@ def ring_area(r: Ring, standard_parallel: float = DEFAULT_STANDARD_PARALLEL) -> 
 Geometry = Union[PolygonWithHoles, MultiPolygon]
 
 
-def polygon_area(p: Geometry, standard_parallel: float = DEFAULT_STANDARD_PARALLEL) -> float:
+def polygon_area(p: Geometry) -> float:
     """Area of a polygon (outer minus holes) or sum over a MultiPolygon, km^2."""
     if isinstance(p, MultiPolygon):
-        return fsum(polygon_area(poly, standard_parallel) for poly in p.polygons)
-    outer = ring_area(p.outer, standard_parallel)
-    holes = fsum(ring_area(h, standard_parallel) for h in p.holes)
+        return fsum(polygon_area(poly) for poly in p.polygons)
+    outer = ring_area(p.outer)
+    holes = fsum(ring_area(h) for h in p.holes)
     result = outer - holes
     if result < -1e-9 * max(outer, 1.0):
         raise InvariantViolationError(
@@ -282,10 +251,9 @@ def clip_multipolygon_to_rect(m: Geometry, rect: LonLatRect) -> MultiPolygon:
     return MultiPolygon(tuple(out))
 
 
-def intersection_area(m: Geometry, rect: LonLatRect,
-                      standard_parallel: float = DEFAULT_STANDARD_PARALLEL) -> float:
+def intersection_area(m: Geometry, rect: LonLatRect) -> float:
     """Area of the overlap between a (multi)polygon and a rect, km^2."""
-    return max(polygon_area(clip_multipolygon_to_rect(m, rect), standard_parallel), 0.0)
+    return max(polygon_area(clip_multipolygon_to_rect(m, rect)), 0.0)
 
 
 def rect_ring(rect: LonLatRect) -> Ring:
@@ -331,20 +299,3 @@ def geometry_from_geojson(geom: dict) -> MultiPolygon:
         polygons.append(PolygonWithHoles(outer, holes))
     return MultiPolygon(tuple(polygons))
 
-
-def geometry_to_geojson(m: Geometry) -> dict:
-    if isinstance(m, PolygonWithHoles):
-        m = MultiPolygon((m,))
-
-    def ring_coords(r: Ring):
-        pts = [list(c) for c in r.coords]
-        pts.append(list(r.coords[0]))
-        return pts
-
-    return {
-        "type": "MultiPolygon",
-        "coordinates": [
-            [ring_coords(p.outer)] + [ring_coords(h) for h in p.holes]
-            for p in m.polygons
-        ],
-    }

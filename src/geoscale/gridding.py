@@ -17,9 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .geometry import (
-    DEFAULT_STANDARD_PARALLEL,
     Geometry,
     LonLatRect,
     geometry_bounds,
@@ -37,23 +36,12 @@ _MIN_LAND_AREA_KM2 = 1e-9
 class GridSpec:
     study: LonLatRect
     x: int
-    standard_parallel: float = DEFAULT_STANDARD_PARALLEL
 
     def __post_init__(self) -> None:
         if self.x < 1:
-            raise ValueError("grid side must be >= 1")
+            raise ConfigError("grid side must be >= 1")
         if self.study.width <= 0 or self.study.height <= 0:
-            raise ValueError("study rect must have positive extent")
-
-
-@dataclass
-class UserGroup:
-    user_id: str
-    records: list
-
-    @property
-    def n_t(self) -> int:
-        return len(self.records)
+            raise ConfigError("study rect must have positive extent")
 
 
 class DensityGrid:
@@ -84,15 +72,6 @@ class DensityGrid:
         return LonLatRect(self.lon_edges[i], self.lat_edges[j],
                           self.lon_edges[i + 1], self.lat_edges[j + 1])
 
-    def point_cell(self, lon: float, lat: float) -> Optional[tuple[int, int]]:
-        s = self.spec.study
-        if not s.contains_point(lon, lat):
-            return None
-        x = self.spec.x
-        i = min(int((lon - s.min_lon) / s.width * x), x - 1)
-        j = min(int((lat - s.min_lat) / s.height * x), x - 1)
-        return i, j
-
 
 def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
     """Compute per-cell land area from the land geometry; accumulators zeroed.
@@ -109,7 +88,7 @@ def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
     i0, i1, j0, j1 = _cell_index_range(grid, bounds)
     for i in range(i0, i1 + 1):
         for j in range(j0, j1 + 1):
-            a = intersection_area(land, grid.cell_rect(i, j), spec.standard_parallel)
+            a = intersection_area(land, grid.cell_rect(i, j))
             area[i, j] = a if a >= _MIN_LAND_AREA_KM2 else 0.0
     return grid
 
@@ -125,38 +104,6 @@ def _cell_index_range(grid: DensityGrid, rect: LonLatRect
     j1 = int(np.searchsorted(grid.lat_edges, rect.max_lat, side="left")) - 1
     return (max(i0, 0), min(max(i1, i0), x - 1),
             max(j0, 0), min(max(j1, j0), x - 1))
-
-
-def overlap_fraction(location, cell_rect: LonLatRect,
-                     closed_max_lon: bool = False,
-                     closed_max_lat: bool = False) -> float:
-    """Fraction f_jb of a location falling in one grid cell.
-
-    ``location`` is either an (lon, lat) tuple or a LonLatRect.  Points use
-    half-open cell membership (closed far edges only on the last
-    row/column, via the flags); boxes use the ratio of spherical overlap
-    area to box area.  Zero-area boxes must arrive as points.
-    """
-    if isinstance(location, LonLatRect):
-        total = spherical_rect_area(location)
-        if total <= 0.0:
-            raise DomainError("zero-area box must be passed as a point")
-        inter = location.intersect(cell_rect)
-        if inter is None:
-            return 0.0
-        return spherical_rect_area(inter) / total
-    lon, lat = location
-    in_lon = (cell_rect.min_lon <= lon < cell_rect.max_lon
-              or (closed_max_lon and lon == cell_rect.max_lon))
-    in_lat = (cell_rect.min_lat <= lat < cell_rect.max_lat
-              or (closed_max_lat and lat == cell_rect.max_lat))
-    return 1.0 if (in_lon and in_lat) else 0.0
-
-
-def _split_records(records: Sequence[LocatedRecord]):
-    points = [(r, r.point) for r in records if r.point is not None]
-    boxes = [r for r in records if r.box is not None]
-    return points, boxes
 
 
 def _accumulate_points(target: np.ndarray, grid: DensityGrid,
@@ -211,24 +158,25 @@ def accumulate_tweets(grid: DensityGrid, records: Sequence[LocatedRecord]
     return grid
 
 
-def group_by_user(records: Sequence[LocatedRecord]) -> list[UserGroup]:
+def group_by_user(records: Sequence[LocatedRecord]) -> list[tuple[str, list]]:
+    """(user_id, records) pairs sorted by user id."""
     by_user: dict[str, list] = defaultdict(list)
     for r in records:
         by_user[r.user_id].append(r)
-    return [UserGroup(u, recs) for u, recs in sorted(by_user.items())]
+    return sorted(by_user.items())
 
 
-def accumulate_users(grid: DensityGrid, groups: Sequence[UserGroup]
+def accumulate_users(grid: DensityGrid, groups: Sequence[tuple[str, list]]
                      ) -> DensityGrid:
     """Add one unit of user mass per user, spread as f_jb / N_t(i)."""
     records: list[LocatedRecord] = []
     weights: list[float] = []
-    for g in groups:
-        if not g.records:
-            raise ValueError(f"empty user group: {g.user_id}")
-        w = 1.0 / len(g.records)
-        records.extend(g.records)
-        weights.extend([w] * len(g.records))
+    for user_id, recs in groups:
+        if not recs:
+            raise ValueError(f"empty user group: {user_id}")
+        w = 1.0 / len(recs)
+        records.extend(recs)
+        weights.extend([w] * len(recs))
     _accumulate(grid.n_u, grid, records, weights)
     return grid
 
@@ -239,9 +187,8 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
     intersection area with the unit polygon.  Returns diagnostics for
     skipped zero-area units."""
     diags: list[str] = []
-    sp = grid.spec.standard_parallel
     for unit in units:
-        total_area = polygon_area(unit.geometry, sp)
+        total_area = polygon_area(unit.geometry)
         if total_area <= _MIN_LAND_AREA_KM2:
             diags.append(f"unit {unit.unit_id}: zero geometric area, skipped")
             continue
@@ -254,7 +201,7 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
             grid.has_youth = True
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
-                a = intersection_area(unit.geometry, grid.cell_rect(i, j), sp)
+                a = intersection_area(unit.geometry, grid.cell_rect(i, j))
                 if a <= 0.0:
                     continue
                 share = a / total_area

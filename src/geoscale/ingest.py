@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .geometry import GeoPoint, LonLatRect, MultiPolygon, geometry_from_geojson
 
 # place_type values too coarse to locate a tweet
@@ -205,7 +205,7 @@ def _parse_lines(lines: Iterable[str], diags: ParseDiagnostics
             continue
         try:
             rec = _record_from_json(_loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             diags.skipped += 1
             diags.reasons[type(exc).__name__] += 1
             continue
@@ -296,7 +296,7 @@ def filter_bots(records: list[LocatedRecord], threshold_fraction: float = 0.01
     pass, no re-thresholding), so the filter is idempotent.
     """
     if not 0.0 < threshold_fraction <= 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1]")
+        raise ConfigError("threshold_fraction must be in (0, 1]")
     counts = Counter(r.user_id for r in records)
     threshold = threshold_fraction * len(records)
     removed = sorted(u for u, c in counts.items() if c > threshold)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError
-from .geometry import DEFAULT_STANDARD_PARALLEL, Geometry, LonLatRect, spherical_rect_area
+from .geometry import Geometry, LonLatRect, spherical_rect_area
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
@@ -147,9 +147,8 @@ def mean_cell_area(spec: GridSpec) -> float:
 def scan_resolutions(records, units, land: Geometry,
                      x_list: Sequence[int] = DEFAULT_X_LIST,
                      study: Optional[LonLatRect] = None,
-                     standard_parallel: float = DEFAULT_STANDARD_PARALLEL,
-                     min_tweets: float = 1.0, min_population: float = 1.0,
-                     threads: int = 1) -> ScanResult:
+                     min_tweets: float = 1.0, min_population: float = 1.0
+                     ) -> ScanResult:
     """Rebuild the grid and refit at every X.  Resolutions whose fit fails
     are reported absent, not fatal."""
     if not x_list:
@@ -158,27 +157,14 @@ def scan_resolutions(records, units, land: Geometry,
     if study is None:
         raise ValueError("study rect is required")
     result = ScanResult(x_values=xs)
-
-    def evaluate(x: int):
-        spec = GridSpec(study, x, standard_parallel)
+    for x in xs:
+        spec = GridSpec(study, x)
         grid = run_grid_pipeline(spec, land, records, units)
+        result.mean_cell_area[x] = mean_cell_area(spec)
         try:
-            fits = fit_all(grid, min_tweets, min_population)
+            result.fits[x] = fit_all(grid, min_tweets, min_population)
         except (InsufficientDataError, DegenerateFitError):
-            fits = None
-        return x, fits, mean_cell_area(spec)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluated = list(pool.map(evaluate, xs))
-    else:
-        evaluated = [evaluate(x) for x in xs]
-
-    for x, fits, cell_area in evaluated:
-        result.mean_cell_area[x] = cell_area
-        if fits is not None:
-            result.fits[x] = fits
+            pass
     return result
 
 

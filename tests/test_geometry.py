@@ -6,7 +6,6 @@ import pytest
 from geoscale.errors import DegenerateGeometryError, InvariantViolationError
 from geoscale.geometry import (
     EARTH_RADIUS_KM,
-    GeoPoint,
     LonLatRect,
     MultiPolygon,
     PolygonWithHoles,
@@ -16,40 +15,12 @@ from geoscale.geometry import (
     geometry_from_geojson,
     intersection_area,
     polygon_area,
-    project,
     rect_ring,
     ring_area,
     spherical_rect_area,
 )
 
 STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
-
-
-class TestProject:
-    def test_origin_maps_to_origin(self):
-        for sp in (0.0, 30.0, 51.05):
-            p = project(GeoPoint(0.0, 0.0), sp)
-            assert p.x == 0.0
-            assert p.y == 0.0
-
-    def test_one_degree_lon_at_equator(self):
-        # R * pi / 180 with the standard parallel on the equator
-        p = project(GeoPoint(1.0, 0.0), 0.0)
-        assert p.x == pytest.approx(EARTH_RADIUS_KM * math.pi / 180.0, rel=1e-12)
-        assert p.x == pytest.approx(111.195, abs=1e-2)
-        assert p.y == 0.0
-
-    @pytest.mark.parametrize("sp", [0.0, 20.0, 51.05, 70.0])
-    def test_projected_corner_product_equals_rect_area(self, sp):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            lon0, lon1 = sorted(rng.uniform(-170, 170, size=2))
-            lat0, lat1 = sorted(rng.uniform(-85, 85, size=2))
-            rect = LonLatRect(lon0, lat0, lon1, lat1)
-            a = project(GeoPoint(lon0, lat0), sp)
-            b = project(GeoPoint(lon1, lat1), sp)
-            plane = abs((b.x - a.x) * (b.y - a.y))
-            assert plane == pytest.approx(spherical_rect_area(rect), rel=1e-9)
 
 
 class TestSphericalRectArea:
@@ -80,10 +51,6 @@ class TestRingArea:
         rect = LonLatRect(0.0, 0.0, 1.0, 1.0)
         assert ring_area(rect_ring(rect)) == pytest.approx(
             spherical_rect_area(rect), rel=1e-3)
-
-    def test_independent_of_standard_parallel(self):
-        ring = Ring([(-3, 50), (-2, 50.5), (-2.5, 51.4)])
-        assert ring_area(ring, 0.0) == pytest.approx(ring_area(ring, 51.05), rel=1e-12)
 
     def test_orientation_does_not_matter(self):
         cw = Ring([(0, 0), (0, 1), (1, 1), (1, 0)])

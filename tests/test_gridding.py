@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from geoscale.gridding import (
     densities,
     density_histogram,
     group_by_user,
-    overlap_fraction,
     run_grid_pipeline,
 )
 from geoscale.ingest import LocatedRecord, PopulationUnit
@@ -62,38 +63,6 @@ class TestBuildGrid:
         assert grid.land_area.sum() == pytest.approx(polygon_area(land), rel=1e-6)
 
 
-class TestOverlapFraction:
-    def test_box_fully_inside_cell(self):
-        cell = LonLatRect(0, 0, 2, 2)
-        box = LonLatRect(0.5, 0.5, 1.0, 1.0)
-        assert overlap_fraction(box, cell) == pytest.approx(1.0)
-        assert overlap_fraction(box, LonLatRect(2, 0, 4, 2)) == 0.0
-
-    def test_box_split_in_half(self):
-        box = LonLatRect(0.5, 0.5, 1.5, 1.5)
-        left = overlap_fraction(box, LonLatRect(0, 0, 1, 2))
-        right = overlap_fraction(box, LonLatRect(1, 0, 2, 2))
-        assert left == pytest.approx(0.5, rel=1e-12)
-        assert right == pytest.approx(0.5, rel=1e-12)
-
-    def test_equator_band_closed_form(self):
-        # equal-latitude band: fraction is the longitude overlap ratio
-        box = LonLatRect(0, 0, 2, 1)
-        cell = LonLatRect(1, 0, 3, 1)
-        assert overlap_fraction(box, cell) == pytest.approx(0.5, rel=1e-12)
-
-    def test_point_half_open_membership(self):
-        cell = LonLatRect(0, 0, 1, 1)
-        assert overlap_fraction((0.0, 0.0), cell) == 1.0
-        assert overlap_fraction((1.0, 0.5), cell) == 0.0
-        assert overlap_fraction((1.0, 0.5), cell, closed_max_lon=True) == 1.0
-
-    def test_zero_area_box_rejected(self):
-        from geoscale.errors import DomainError
-        with pytest.raises(DomainError):
-            overlap_fraction(LonLatRect(1, 1, 1, 1), LonLatRect(0, 0, 2, 2))
-
-
 class TestAccumulateTweets:
     def test_point_mass_lands_in_one_cell(self):
         grid = build_grid(GridSpec(STUDY, 4), rect_poly(STUDY))
@@ -118,6 +87,27 @@ class TestAccumulateTweets:
         assert grid.n_t[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert grid.n_t[1, 0] == pytest.approx(0.5, rel=1e-12)
         assert grid.n_t.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_box_inside_one_cell_puts_all_mass_there(self):
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        accumulate_tweets(grid, [box_rec(LonLatRect(0.5, 0.5, 1.0, 1.0))])
+        assert grid.n_t[0, 0] == pytest.approx(1.0, rel=1e-12)
+        assert grid.n_t.sum() == pytest.approx(1.0, rel=1e-12)
+
+    def test_box_split_by_latitude_line_uses_sine_of_latitude(self):
+        study = LonLatRect(0.0, 40.0, 4.0, 80.0)
+        grid = build_grid(GridSpec(study, 2), rect_poly(study))
+        accumulate_tweets(grid, [box_rec(LonLatRect(0.5, 50.0, 1.5, 70.0))])
+        s50, s60, s70 = (math.sin(math.radians(v)) for v in (50.0, 60.0, 70.0))
+        assert grid.n_t[0, 0] == pytest.approx((s60 - s50) / (s70 - s50), rel=1e-12)
+        assert grid.n_t[0, 1] == pytest.approx((s70 - s60) / (s70 - s50), rel=1e-12)
+        assert grid.n_t[0, 0] > 0.57   # 0.5 if split by degrees of latitude
+
+    def test_zero_area_box_rejected(self):
+        from geoscale.errors import DomainError
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        with pytest.raises(DomainError):
+            accumulate_tweets(grid, [box_rec(LonLatRect(1, 1, 1, 1))])
 
 
 class TestAccumulateUsers:

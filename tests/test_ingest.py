@@ -61,6 +61,17 @@ class TestParseTweets:
         assert len(records) == 1
         assert diags.skipped == 2
 
+    def test_integer_too_large_for_a_float_is_a_counted_skip(self):
+        huge = "1" + "0" * 400
+        corners = [[-3.6, 50.9], [-3.4, 50.9], [-3.4, 51.1], [-3.6, 51.1]]
+        box_line = tweet_json(place_coords=corners).replace("-3.4", huge, 1)
+        point_line = tweet_json(coords=[-3.5, 51.0]).replace("-3.5", huge)
+        lines = [box_line, point_line, tweet_json(coords=[-3.5, 51.0])]
+        records, diags = parse_tweets(lines)
+        assert diags.skipped == 2
+        assert diags.reasons == {"OverflowError": 2}
+        assert [r.geo for r in records] == [GeoPoint(-3.5, 51.0)]
+
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
                           quoted_status_id_str="8")

@@ -119,7 +119,7 @@ class TestSubsetResample:
     def test_reproducible_across_runs_and_threads(self):
         grid = law_grid()
         a = subset_resample(grid, self.config())
-        b = subset_resample(grid, self.config(), threads=4)
+        b = subset_resample(grid, self.config())
         assert a.rows == b.rows
         assert a.ci68 == b.ci68
 
@@ -158,7 +158,7 @@ class TestSubareaResample:
         cfg = ResampleConfig(mode="subarea", replicates=12, area_fraction=0.25,
                              master_seed=5)
         a = subarea_resample(records, units, LAND, STUDY, 8, cfg)
-        b = subarea_resample(records, units, LAND, STUDY, 8, cfg, threads=3)
+        b = subarea_resample(records, units, LAND, STUDY, 8, cfg)
         assert a.rows == b.rows
         betas = a.samples("beta")
         assert len(betas) >= 10
@@ -191,7 +191,7 @@ class TestOutputs:
                              master_seed=99)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         resample_to_csv(subset_resample(grid, cfg), p1)
-        resample_to_csv(subset_resample(grid, cfg, threads=2), p2)
+        resample_to_csv(subset_resample(grid, cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_blank_for_dropped(self, tmp_path):
