@@ -162,15 +162,27 @@ def _load_json(path, what: str) -> dict:
 
 
 def load_land(path) -> MultiPolygon:
+    """Land polygons from a GeoJSON FeatureCollection, Feature or geometry.
+    A feature without a geometry object, or a geometry that does not make
+    polygons, is a DataError."""
     obj = _load_json(path, "land geometry")
-    if obj.get("type") == "FeatureCollection":
-        polys = []
-        for feat in obj.get("features", []):
-            polys.extend(geometry_from_geojson(feat["geometry"]).polygons)
-        return MultiPolygon(tuple(polys))
-    if obj.get("type") == "Feature":
-        return geometry_from_geojson(obj["geometry"])
-    return geometry_from_geojson(obj)
+    kind = obj.get("type") if isinstance(obj, dict) else None
+    if kind == "FeatureCollection":
+        geoms = [f.get("geometry") if isinstance(f, dict) else None
+                 for f in obj.get("features", [])]
+    elif kind == "Feature":
+        geoms = [obj.get("geometry")]
+    else:
+        geoms = [obj]
+    polys = []
+    for k, geom in enumerate(geoms):
+        if not isinstance(geom, dict):
+            raise DataError(f"land feature {k} in {path} has no geometry object")
+        try:
+            polys.extend(geometry_from_geojson(geom).polygons)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"bad land geometry {k} in {path}: {exc}") from exc
+    return MultiPolygon(tuple(polys))
 
 
 def load_population(path):
@@ -253,18 +265,24 @@ def cmd_stats(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _build_grid(cfg: RunConfig, records, units):
-    land = load_land(cfg.land) if cfg.land else None
-    if land is None:
+def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list]:
+    """Check the grid settings for each side in xs, then load the land and
+    population layers: everything that can fail before the corpus is read.
+    Returns the grid specs, the land and the population units."""
+    if not cfg.land:
         raise ConfigError("--land is required for this command")
-    spec = GridSpec(cfg.study_rect(), cfg.x)
-    return run_grid_pipeline(spec, land, records, units)
+    if not xs:
+        raise ConfigError("x_list must be non-empty")
+    specs = [GridSpec(cfg.study_rect(), x) for x in xs]
+    land = load_land(cfg.land)
+    units = load_population(cfg.population) if cfg.population else []
+    return specs, land, units
 
 
 def cmd_grid(cfg: RunConfig) -> int:
+    [spec], land, units = _grid_inputs(cfg, [cfg.x])
     _, records = load_records(cfg)
-    units = load_population(cfg.population) if cfg.population else []
-    grid = _build_grid(cfg, records, units)
+    grid = run_grid_pipeline(spec, land, records, units)
     out = _outdir(cfg)
     grid_to_csv(grid, out / "grid.csv")
     print(f"grid X={cfg.x}: {int((grid.land_area > 0).sum())} land cells, "
@@ -274,9 +292,9 @@ def cmd_grid(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
+    [spec], land, units = _grid_inputs(cfg, [cfg.x])
     _, records = load_records(cfg)
-    units = load_population(cfg.population) if cfg.population else []
-    grid = _build_grid(cfg, records, units)
+    grid = run_grid_pipeline(spec, land, records, units)
     fits = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
     _write_fits_csv(out / "fits.csv", [(cfg.x, fits[n]) for n in ("alpha", "beta", "gamma")])
@@ -298,9 +316,8 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
+    _, land, units = _grid_inputs(cfg, cfg.x_list)
     _, records = load_records(cfg)
-    units = load_population(cfg.population) if cfg.population else []
-    land = load_land(cfg.land)
     scan = scaling.scan_resolutions(
         records, units, land, cfg.x_list, study=cfg.study_rect(),
         min_tweets=cfg.fit_min_tweets, min_population=cfg.fit_min_population)
@@ -331,9 +348,9 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_anomaly(cfg: RunConfig) -> int:
+    [spec], land, units = _grid_inputs(cfg, [cfg.x])
     _, records = load_records(cfg)
-    units = load_population(cfg.population) if cfg.population else []
-    grid = _build_grid(cfg, records, units)
+    grid = run_grid_pipeline(spec, land, records, units)
     out = _outdir(cfg)
     made = {}
     if cfg.kind in ("tu", "both"):
@@ -371,14 +388,12 @@ def cmd_anomaly(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    _, records = load_records(cfg)
-    units = load_population(cfg.population) if cfg.population else []
-    land = load_land(cfg.land)
     rcfg = validation.ResampleConfig(
         mode=cfg.mode, replicates=cfg.replicates,
         area_fraction=cfg.area_fraction, subset_fraction=cfg.subset_fraction,
         master_seed=cfg.seed)
-    spec = GridSpec(cfg.study_rect(), cfg.x)
+    [spec], land, units = _grid_inputs(cfg, [cfg.x])
+    _, records = load_records(cfg)
     grid = run_grid_pipeline(spec, land, records, units)
     reference = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     if cfg.mode == "subarea":

@@ -61,9 +61,6 @@ class LonLatRect:
     def height(self) -> float:
         return self.max_lat - self.min_lat
 
-    def is_degenerate(self) -> bool:
-        return self.width == 0.0 and self.height == 0.0
-
     def contains_point(self, lon: float, lat: float) -> bool:
         return (self.min_lon <= lon <= self.max_lon
                 and self.min_lat <= lat <= self.max_lat)
@@ -166,8 +163,11 @@ def polygon_area(p: Geometry) -> float:
     """Area of a polygon (outer minus holes) or sum over a MultiPolygon, km^2."""
     if isinstance(p, MultiPolygon):
         return fsum(polygon_area(poly) for poly in p.polygons)
-    outer = ring_area(p.outer)
-    holes = fsum(ring_area(h) for h in p.holes)
+    return _net_area(ring_area(p.outer), fsum(ring_area(h) for h in p.holes))
+
+
+def _net_area(outer: float, holes: float) -> float:
+    """Outer-ring area less the summed hole areas, floored at zero."""
     result = outer - holes
     if result < -1e-9 * max(outer, 1.0):
         raise InvariantViolationError(
@@ -217,23 +217,37 @@ def _dedupe(coords):
     return out
 
 
+def _clip_to_column(coords, min_lon: float, max_lon: float) -> list:
+    """The part of an open coordinate list between two meridians: the
+    first two Sutherland-Hodgman steps of :func:`clip_ring_to_rect`."""
+    coords = _clip_half_plane(coords, 0, min_lon, keep_below=False)
+    return _clip_half_plane(coords, 0, max_lon, keep_below=True)
+
+
+def _clip_to_band(coords, min_lat: float, max_lat: float):
+    """Clip a column piece between two parallels: the last two steps of
+    :func:`clip_ring_to_rect`.  Returns (coords, absolute area), or None when
+    there is no overlap or the remainder is a sliver below 1e-12 km^2."""
+    coords = _clip_half_plane(coords, 1, min_lat, keep_below=False)
+    coords = _clip_half_plane(coords, 1, max_lat, keep_below=True)
+    coords = _dedupe(coords)
+    if len(set(coords)) < 3:
+        return None
+    area = abs(_signed_area(coords))
+    if area < _SLIVER_AREA_KM2:
+        return None
+    return coords, area
+
+
 def clip_ring_to_rect(r: Ring, rect: LonLatRect) -> Ring | None:
     """Sutherland-Hodgman clip of a ring against an axis-aligned rect.
 
     Returns None when there is no overlap or the clipped remainder is a
     sliver below 1e-12 km^2.
     """
-    coords = list(r.coords)
-    coords = _clip_half_plane(coords, 0, rect.min_lon, keep_below=False)
-    coords = _clip_half_plane(coords, 0, rect.max_lon, keep_below=True)
-    coords = _clip_half_plane(coords, 1, rect.min_lat, keep_below=False)
-    coords = _clip_half_plane(coords, 1, rect.max_lat, keep_below=True)
-    coords = _dedupe(coords)
-    if len(set(coords)) < 3:
-        return None
-    if abs(_signed_area(coords)) < _SLIVER_AREA_KM2:
-        return None
-    return Ring(coords)
+    piece = _clip_to_band(_clip_to_column(list(r.coords), rect.min_lon, rect.max_lon),
+                          rect.min_lat, rect.max_lat)
+    return None if piece is None else Ring(piece[0])
 
 
 def clip_multipolygon_to_rect(m: Geometry, rect: LonLatRect) -> MultiPolygon:
@@ -254,6 +268,47 @@ def clip_multipolygon_to_rect(m: Geometry, rect: LonLatRect) -> MultiPolygon:
 def intersection_area(m: Geometry, rect: LonLatRect) -> float:
     """Area of the overlap between a (multi)polygon and a rect, km^2."""
     return max(polygon_area(clip_multipolygon_to_rect(m, rect)), 0.0)
+
+
+def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
+                            ) -> list[list[float]]:
+    """``intersection_area`` of the (multi)polygon with every cell of the
+    grid given by its edges: ``areas[i][j]`` for the cell between
+    lon_edges[i:i+2] and lat_edges[j:j+2], km^2.
+
+    Each ring is clipped once per column against the column's meridians and
+    the piece once per cell against the cell's parallels, with the same
+    arithmetic as the per-cell clip, so every area equals
+    ``intersection_area`` exactly.
+    """
+    polys = m.polygons if isinstance(m, MultiPolygon) else (m,)
+    rings = [(list(p.outer.coords), [list(h.coords) for h in p.holes])
+             for p in polys]
+    bands = list(zip(lat_edges[:-1], lat_edges[1:]))
+    areas = []
+    for min_lon, max_lon in zip(lon_edges[:-1], lon_edges[1:]):
+        pieces = []
+        for outer, holes in rings:
+            piece = _clip_to_column(outer, min_lon, max_lon)
+            if piece:
+                pieces.append((piece, [h for h in (_clip_to_column(hole, min_lon, max_lon)
+                                                   for hole in holes) if h]))
+        if not pieces:
+            areas.append([0.0] * len(bands))
+            continue
+        column = []
+        for min_lat, max_lat in bands:
+            net = []
+            for piece, holes in pieces:
+                outer = _clip_to_band(piece, min_lat, max_lat)
+                if outer is None:
+                    continue
+                hole_areas = (_clip_to_band(h, min_lat, max_lat) for h in holes)
+                net.append(_net_area(outer[1], fsum(h[1] for h in hole_areas
+                                                    if h is not None)))
+            column.append(max(fsum(net), 0.0))
+        areas.append(column)
+    return areas
 
 
 def rect_ring(rect: LonLatRect) -> Ring:

@@ -22,14 +22,16 @@ from .geometry import (
     Geometry,
     LonLatRect,
     geometry_bounds,
-    intersection_area,
+    grid_intersection_areas,
     polygon_area,
-    spherical_rect_area,
 )
 from .ingest import LocatedRecord, PopulationUnit
 
 # Land slivers below this area (km^2) count as open water.
 _MIN_LAND_AREA_KM2 = 1e-9
+
+# Place boxes binned per batch: bounds the (batch, X) overlap arrays.
+_BOX_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,8 @@ def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
         bounds = geometry_bounds(land)
     except Exception:
         return grid
-    i0, i1, j0, j1 = _cell_index_range(grid, bounds)
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            a = intersection_area(land, grid.cell_rect(i, j))
-            area[i, j] = a if a >= _MIN_LAND_AREA_KM2 else 0.0
+    cells, a = _cell_areas(grid, land, bounds)
+    area[cells] = np.where(a >= _MIN_LAND_AREA_KM2, a, 0.0)
     return grid
 
 
@@ -106,6 +105,17 @@ def _cell_index_range(grid: DensityGrid, rect: LonLatRect
             max(j0, 0), min(max(j1, j0), x - 1))
 
 
+def _cell_areas(grid: DensityGrid, geom: Geometry, bounds: LonLatRect
+                ) -> tuple[tuple[slice, slice], np.ndarray]:
+    """Intersection areas of a geometry with the cells its bounds can
+    overlap: the cells as a pair of slices, and the areas over them."""
+    i0, i1, j0, j1 = _cell_index_range(grid, bounds)
+    areas = grid_intersection_areas(geom, grid.lon_edges[i0:i1 + 2].tolist(),
+                                    grid.lat_edges[j0:j1 + 2].tolist())
+    cells = (slice(i0, i1 + 1), slice(j0, j1 + 1))
+    return cells, np.array(areas).reshape(i1 + 1 - i0, j1 + 1 - j0)
+
+
 def _accumulate_points(target: np.ndarray, grid: DensityGrid,
                        lons: np.ndarray, lats: np.ndarray,
                        weights: np.ndarray) -> None:
@@ -119,33 +129,56 @@ def _accumulate_points(target: np.ndarray, grid: DensityGrid,
     np.add.at(target, (ii, jj), weights)
 
 
-def _accumulate_box(target: np.ndarray, grid: DensityGrid,
-                    box: LonLatRect, weight: float) -> None:
-    total = spherical_rect_area(box)
-    if total <= 0.0:
+def _sin_lat(lat: float) -> float:
+    return math.sin(math.radians(lat))
+
+
+def _overlaps(lo: np.ndarray, hi: np.ndarray, m_lo: np.ndarray,
+              m_hi: np.ndarray, edges: np.ndarray, m_edges: np.ndarray
+              ) -> np.ndarray:
+    """(boxes, X) overlap of each interval [lo, hi] with each grid interval,
+    measured in m (the coordinate itself, or sin(lat)): each end is the
+    box's own where it lies inside the cell and the cell edge otherwise."""
+    a = np.where(lo[:, None] >= edges[None, :-1], m_lo[:, None], m_edges[None, :-1])
+    b = np.where(hi[:, None] <= edges[None, 1:], m_hi[:, None], m_edges[None, 1:])
+    return np.maximum(b - a, 0.0)
+
+
+def _accumulate_boxes(target: np.ndarray, grid: DensityGrid,
+                      boxes: Sequence[LonLatRect], weights: np.ndarray) -> None:
+    """Add each box's weight spread by f_jb.  A box's share of a cell
+    factorises as f_lon(i) * f_lat(j), the overlap fractions of its
+    longitude extent and of its extent in sin(lat), so the cell masses are
+    F_lon^T diag(w) F_lat."""
+    c = np.array([(b.min_lon, b.max_lon, b.min_lat, b.max_lat,
+                   _sin_lat(b.min_lat), _sin_lat(b.max_lat)) for b in boxes])
+    lon0, lon1, lat0, lat1, s0, s1 = c.T
+    width, dsin = lon1 - lon0, s1 - s0
+    if not np.all((width > 0.0) & (dsin > 0.0)):
         raise DomainError("zero-area box must arrive as a point")
-    i0, i1, j0, j1 = _cell_index_range(grid, box)
-    for i in range(i0, i1 + 1):
-        for j in range(j0, j1 + 1):
-            inter = box.intersect(grid.cell_rect(i, j))
-            if inter is None:
-                continue
-            f = spherical_rect_area(inter) / total
-            if f > 0.0:
-                target[i, j] += weight * f
+    lon_edges, lat_edges = grid.lon_edges, grid.lat_edges
+    sin_edges = np.array([_sin_lat(e) for e in lat_edges])
+    f_lon = _overlaps(lon0, lon1, lon0, lon1, lon_edges, lon_edges) / width[:, None]
+    f_lat = _overlaps(lat0, lat1, s0, s1, lat_edges, sin_edges) / dsin[:, None]
+    target += (f_lon * weights[:, None]).T @ f_lat
 
 
 def _accumulate(target: np.ndarray, grid: DensityGrid,
                 records: Sequence[LocatedRecord],
                 weights: Sequence[float]) -> None:
     pts_lon, pts_lat, pts_w = [], [], []
+    boxes, box_w = [], []
     for r, w in zip(records, weights):
         if r.point is not None:
             pts_lon.append(r.point[0])
             pts_lat.append(r.point[1])
             pts_w.append(w)
         else:
-            _accumulate_box(target, grid, r.box, w)
+            boxes.append(r.box)
+            box_w.append(w)
+    for k in range(0, len(boxes), _BOX_BATCH):
+        _accumulate_boxes(target, grid, boxes[k:k + _BOX_BATCH],
+                          np.asarray(box_w[k:k + _BOX_BATCH], dtype=float))
     if pts_lon:
         _accumulate_points(target, grid, np.asarray(pts_lon), np.asarray(pts_lat),
                            np.asarray(pts_w))
@@ -195,19 +228,15 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
         bounds = geometry_bounds(unit.geometry)
         if bounds.intersect(grid.spec.study) is None:
             continue
-        i0, i1, j0, j1 = _cell_index_range(grid, bounds)
+        cells, a = _cell_areas(grid, unit.geometry, bounds)
         has_youth = unit.population_18_35 is not None
         if has_youth:
             grid.has_youth = True
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                a = intersection_area(unit.geometry, grid.cell_rect(i, j))
-                if a <= 0.0:
-                    continue
-                share = a / total_area
-                grid.n_p[i, j] += unit.population * share
-                if has_youth:
-                    grid.n_y[i, j] += unit.population_18_35 * share
+        hit = ~(a <= 0.0)   # a NaN area from a bad vertex still shows in n_p
+        share = a[hit] / total_area
+        grid.n_p[cells][hit] += unit.population * share
+        if has_youth:
+            grid.n_y[cells][hit] += unit.population_18_35 * share
     return diags
 
 

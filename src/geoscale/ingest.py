@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .errors import ConfigError, DataError
-from .geometry import GeoPoint, LonLatRect, MultiPolygon, geometry_from_geojson
+from .geometry import (
+    GeoPoint,
+    LonLatRect,
+    MultiPolygon,
+    geometry_from_geojson,
+    spherical_rect_area,
+)
 
 # place_type values too coarse to locate a tweet
 _IMPRECISE_PLACE_TYPES = {"admin", "country"}
@@ -228,10 +234,11 @@ def locate(t: TweetRecord, study: LonLatRect) -> tuple[Optional[LocatedRecord], 
 
     A geo tag inside the study rect wins over any place tag.  Place tags of
     type country/admin are too coarse and discarded; place boxes must be
-    fully contained in the study rect.  Zero-extent place boxes become
-    points.  Returns (record, reason); record is None when discarded and
-    the reason is one of located_geo / located_place /
-    insufficient_precision / outside / unlocatable.
+    fully contained in the study rect.  Zero-area place boxes (a point, or
+    a line of zero width or height) become points at their centre.
+    Returns (record, reason); record is None when discarded and the reason
+    is one of located_geo / located_place / insufficient_precision /
+    outside / unlocatable.
     """
     geo = t.geo
     if geo is not None and study.contains_point(geo.lon, geo.lat):
@@ -242,9 +249,10 @@ def locate(t: TweetRecord, study: LonLatRect) -> tuple[Optional[LocatedRecord], 
         if t.place_type in _IMPRECISE_PLACE_TYPES:
             return None, "insufficient_precision"
         if study.contains_rect(box):
-            if box.is_degenerate():
-                return (_located(t, (box.min_lon, box.min_lat), None, "place"),
-                        "located_place")
+            if spherical_rect_area(box) <= 0.0:
+                centre = (0.5 * (box.min_lon + box.max_lon),
+                          0.5 * (box.min_lat + box.max_lat))
+                return _located(t, centre, None, "place"), "located_place"
             return _located(t, None, box, "place"), "located_place"
         return None, "outside"
 

@@ -117,7 +117,7 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
             fits = fit_all(grid, min_tweets, min_population)
             return (k, fits["alpha"].exponent, fits["beta"].exponent,
                     fits["gamma"].exponent)
-        except (InsufficientDataError, DegenerateFitError, ValueError):
+        except (InsufficientDataError, DegenerateFitError):
             return (k, None, None, None)
 
     rows = [replicate(k) for k in range(config.replicates)]

@@ -114,6 +114,39 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("command, extra", [
+        ("fit", ["--x", "0"]),
+        ("validate", ["--replicates", "0"]),
+    ])
+    def test_bad_setting_is_reported_before_the_corpus_is_read(
+            self, tmp_path, corpus, monkeypatch, command, extra):
+        import geoscale.ingest as ingest
+        calls = []
+
+        def reading(*args, **kwargs):
+            calls.append(args)
+            raise RuntimeError("corpus read")
+
+        monkeypatch.setattr(ingest, "iter_tweets", reading)
+        assert run_cmd(corpus, tmp_path, command, *extra) == 1
+        assert calls == []
+
+    @pytest.mark.parametrize("land", [
+        {"type": "FeatureCollection",
+         "features": [{"type": "Feature", "properties": {}}]},
+        {"type": "Polygon", "coordinates": [[[-3, 50], [-2, 51], [-3, 50]]]},
+    ], ids=["feature_without_geometry", "ring_with_two_distinct_vertices"])
+    def test_bad_land_file_is_a_data_error(self, tmp_path, corpus, capsys, land):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("tweets.jsonl", "population.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        (inputs / "land.geojson").write_text(json.dumps(land))
+        assert run_cmd(inputs, tmp_path / "out", "fit", "--x", "6") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert err.count("\n") == 1
+
 
 class TestSynthCommand:
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):
@@ -176,6 +209,28 @@ class TestFitCommand:
         assert abs(consistency["z_score"]) < 3.0
         out = capsys.readouterr().out
         assert "gamma: exponent=" in out
+
+    def test_line_shaped_place_box_keeps_its_tweet(self, tmp_path, corpus):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("population.geojson", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        line = {"id_str": "line1", "user": {"id_str": "line_user"},
+                "place": {"place_type": "city", "bounding_box": {
+                    "type": "Polygon", "coordinates": [[
+                        [-2.5, 50.3], [-2.5, 50.3], [-2.5, 50.6], [-2.5, 50.6]]]}},
+                "source": "app"}
+        (inputs / "tweets.jsonl").write_text(
+            (corpus / "tweets.jsonl").read_text() + json.dumps(line) + "\n")
+        assert run_cmd(inputs, tmp_path / "fit", "fit", "--x", "6") == 0
+
+        def tweet_mass(src, out):
+            assert run_cmd(src, out, "grid", "--x", "6") == 0
+            rows = csv.DictReader((out / "grid.csv").open())
+            return sum(float(r["N_t"]) for r in rows)
+
+        assert tweet_mass(inputs, tmp_path / "grid") == pytest.approx(
+            tweet_mass(corpus, tmp_path / "grid0") + 1.0, rel=1e-12)
 
 
 class TestScanCommand:

@@ -13,6 +13,7 @@ from geoscale.geometry import (
     clip_multipolygon_to_rect,
     clip_ring_to_rect,
     geometry_from_geojson,
+    grid_intersection_areas,
     intersection_area,
     polygon_area,
     rect_ring,
@@ -160,6 +161,52 @@ class TestAreaConservation:
                         enclosing.min_lat + enclosing.height * (j + 1) / x)
                     total += intersection_area(m, cell)
             assert total == pytest.approx(polygon_area(m), rel=1e-6)
+
+
+def _star(cx, cy, r_out, r_in, n=7):
+    pts = []
+    for k in range(2 * n):
+        r = r_out if k % 2 == 0 else r_in
+        a = math.pi * k / n
+        pts.append((cx + r * math.cos(a), cy + r * math.sin(a)))
+    return Ring(pts)
+
+
+# Concave rings, holes, a MultiPolygon, and vertices on the grid lines of
+# the 4x4 and 8x8 grids over (0, 0)-(4, 4).
+SWEEP_GEOMETRIES = {
+    "concave_L_on_lines": PolygonWithHoles(Ring(
+        [(1, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3)])),
+    "star": PolygonWithHoles(_star(2.2, 1.9, 1.6, 0.55)),
+    "hole_on_lines": PolygonWithHoles(
+        rect_ring(LonLatRect(0.5, 0.5, 3.5, 3.5)),
+        (Ring([(2, 1), (3, 2), (2, 3), (1, 2)]),)),
+    "multipolygon": MultiPolygon.of(
+        PolygonWithHoles(_star(1.0, 3.0, 0.9, 0.3),
+                         (Ring([(0.9, 2.9), (1.1, 2.9), (1.0, 3.1)]),)),
+        PolygonWithHoles(Ring([(3.0, 0.25), (4.6, -0.4), (3.75, 1.5)])),
+        PolygonWithHoles(rect_ring(LonLatRect(2.5, 2.5, 3.5, 3.0)),
+                         (rect_ring(LonLatRect(2.75, 2.5, 3.0, 3.0)),))),
+}
+
+
+class TestGridIntersectionAreas:
+    """The column sweep returns exactly the per-cell intersection_area."""
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GEOMETRIES))
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (4, 4), (8, 8), (13, 7)])
+    def test_equals_per_cell_intersection_area(self, name, nx, ny):
+        m = SWEEP_GEOMETRIES[name]
+        lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
+        lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
+        areas = grid_intersection_areas(m, lon_edges, lat_edges)
+        assert len(areas) == nx
+        for i in range(nx):
+            assert len(areas[i]) == ny
+            for j in range(ny):
+                cell = LonLatRect(lon_edges[i], lat_edges[j],
+                                  lon_edges[i + 1], lat_edges[j + 1])
+                assert areas[i][j] == intersection_area(m, cell)
 
 
 class TestGeoJson:

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from geoscale.errors import DomainError
 from geoscale.geometry import (
     LonLatRect,
     MultiPolygon,
     PolygonWithHoles,
+    Ring,
+    intersection_area,
+    polygon_area,
     rect_ring,
     spherical_rect_area,
 )
@@ -104,10 +108,70 @@ class TestAccumulateTweets:
         assert grid.n_t[0, 0] > 0.57   # 0.5 if split by degrees of latitude
 
     def test_zero_area_box_rejected(self):
-        from geoscale.errors import DomainError
         grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
         with pytest.raises(DomainError):
             accumulate_tweets(grid, [box_rec(LonLatRect(1, 1, 1, 1))])
+
+    @pytest.mark.parametrize("box", [LonLatRect(1, 1, 1, 2), LonLatRect(1, 1, 2, 1)],
+                             ids=["zero_width", "zero_height"])
+    def test_line_shaped_box_rejected(self, box):
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        records = [box_rec(LonLatRect(0.5, 0.5, 1.5, 1.5)), box_rec(box)]
+        with pytest.raises(DomainError):
+            accumulate_tweets(grid, records)
+
+
+def per_cell_box_mass(grid, boxes, weights):
+    """Box mass by the per-cell definition f_jb = overlap area / box area."""
+    x = grid.spec.x
+    mass = np.zeros((x, x))
+    for box, w in zip(boxes, weights):
+        total = spherical_rect_area(box)
+        for i in range(x):
+            for j in range(x):
+                inter = box.intersect(grid.cell_rect(i, j))
+                if inter is not None:
+                    mass[i, j] += w * spherical_rect_area(inter) / total
+    return mass
+
+
+def sample_boxes(n, seed):
+    """Boxes over and around STUDY, a third of them with an edge snapped
+    to a line of the 4x4 grid, some partly outside the grid."""
+    rng = np.random.default_rng(seed)
+    boxes = []
+    for k in range(n):
+        lon0, lat0 = rng.uniform(-0.6, 4.2, size=2)
+        w, h = rng.uniform(0.01, 1.5, size=2)
+        if k % 3 == 0:
+            lon0 = float(rng.integers(0, 4))
+        if k % 3 == 1:
+            lat0 = float(rng.integers(1, 5)) - h
+        boxes.append(LonLatRect(lon0, lat0, lon0 + w, lat0 + h))
+    return boxes
+
+
+class TestBoxBinning:
+    """Array binning of boxes matches the per-cell overlap definition."""
+
+    @pytest.mark.parametrize("x", [1, 4, 7])
+    def test_tweet_mass_matches_per_cell_overlaps(self, x):
+        boxes = sample_boxes(1500, seed=x)   # more than one batch
+        grid = build_grid(GridSpec(STUDY, x), rect_poly(STUDY))
+        accumulate_tweets(grid, [box_rec(b, tid=str(k)) for k, b in enumerate(boxes)])
+        expected = per_cell_box_mass(grid, boxes, [1.0] * len(boxes))
+        np.testing.assert_allclose(grid.n_t, expected, rtol=1e-13, atol=0.0)
+
+    def test_user_mass_matches_per_cell_overlaps(self):
+        boxes = sample_boxes(300, seed=9)
+        records = [box_rec(b, user=f"u{k % 7}", tid=str(k))
+                   for k, b in enumerate(boxes)]
+        grid = build_grid(GridSpec(STUDY, 4), rect_poly(STUDY))
+        groups = group_by_user(records)
+        accumulate_users(grid, groups)
+        pairs = [(r.box, 1.0 / len(recs)) for _, recs in groups for r in recs]
+        expected = per_cell_box_mass(grid, *zip(*pairs))
+        np.testing.assert_allclose(grid.n_u, expected, rtol=1e-13, atol=0.0)
 
 
 class TestAccumulateUsers:
@@ -185,6 +249,59 @@ class TestApportionPopulation:
         apportion_population(grid, [unit])
         assert grid.has_youth
         assert grid.n_y[0, 0] == pytest.approx(150.0, rel=1e-9)
+
+
+# Land and census units with concave rings, holes, a MultiPolygon, parts
+# outside STUDY and vertices on the lines of the 4x4 and 8x8 grids.
+SWEEP_LAND = MultiPolygon.of(
+    PolygonWithHoles(
+        Ring([(0, 0), (4, 0), (4, 1), (2, 1.5), (4, 2), (4, 3), (3, 4), (0, 4)]),
+        (Ring([(1, 1), (2, 1), (2, 3), (1.5, 2), (1, 3)]),)),
+    PolygonWithHoles(Ring([(3.6, 3.8), (4.5, 3.2), (4.5, 4.5)])))
+SWEEP_UNITS = [
+    PopulationUnit("L", MultiPolygon.of(PolygonWithHoles(
+        Ring([(1, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3)]))), 1234.5, 321.0),
+    PopulationUnit("ring", MultiPolygon.of(PolygonWithHoles(
+        rect_ring(LonLatRect(0.25, 0.25, 3.75, 3.75)),
+        (Ring([(2, 0.5), (3.5, 2), (2, 3.5), (0.5, 2)]),))), 9876.0, 1000.5),
+    PopulationUnit("multi", MultiPolygon.of(
+        PolygonWithHoles(Ring([(0.1, 3.1), (0.9, 3.3), (0.5, 3.9)])),
+        PolygonWithHoles(Ring([(3.0, 0.25), (4.6, -0.4), (3.75, 1.5)]))), 777.0, 70.0),
+    PopulationUnit("outside", rect_poly(LonLatRect(5, 5, 6, 6)), 50.0, 5.0),
+]
+
+
+class TestColumnSweep:
+    """build_grid and apportion_population give exactly what a per-cell
+    intersection_area loop gives."""
+
+    @pytest.mark.parametrize("x", [1, 3, 4, 8, 11])
+    def test_land_area_equals_per_cell_reference(self, x):
+        grid = build_grid(GridSpec(STUDY, x), SWEEP_LAND)
+        expected = np.zeros((x, x))
+        for i in range(x):
+            for j in range(x):
+                a = intersection_area(SWEEP_LAND, grid.cell_rect(i, j))
+                expected[i, j] = a if a >= 1e-9 else 0.0
+        np.testing.assert_array_equal(grid.land_area, expected)
+        assert grid.land_area.sum() > 0.0
+
+    @pytest.mark.parametrize("x", [1, 3, 4, 8, 11])
+    def test_population_equals_per_cell_reference(self, x):
+        grid = build_grid(GridSpec(STUDY, x), SWEEP_LAND)
+        apportion_population(grid, SWEEP_UNITS)
+        n_p, n_y = np.zeros((x, x)), np.zeros((x, x))
+        for unit in SWEEP_UNITS:
+            total = polygon_area(unit.geometry)
+            for i in range(x):
+                for j in range(x):
+                    a = intersection_area(unit.geometry, grid.cell_rect(i, j))
+                    if a > 0.0:
+                        n_p[i, j] += unit.population * (a / total)
+                        n_y[i, j] += unit.population_18_35 * (a / total)
+        np.testing.assert_array_equal(grid.n_p, n_p)
+        np.testing.assert_array_equal(grid.n_y, n_y)
+        assert grid.n_p.sum() > 0.0
 
 
 class TestDensities:

@@ -117,6 +117,17 @@ class TestLocate:
         assert rec.box is None
         assert rec.tag_kind == "place"
 
+    @pytest.mark.parametrize("box, centre", [
+        (LonLatRect(-3.5, 50.9, -3.5, 51.1), (-3.5, 51.0)),
+        (LonLatRect(-3.6, 51.0, -3.4, 51.0), (-3.5, 51.0)),
+    ], ids=["zero_width", "zero_height"])
+    def test_line_shaped_box_becomes_point_at_its_centre(self, box, centre):
+        t = TweetRecord("1", "u", place_type="city", place_box=box)
+        rec, reason = locate(t, STUDY)
+        assert reason == "located_place"
+        assert rec.box is None
+        assert rec.point == pytest.approx(centre, abs=1e-12)
+
     def test_unknown_place_type_kept(self):
         t = TweetRecord("1", "u", place_type="weird_new_type",
                         place_box=LonLatRect(-3.6, 50.9, -3.4, 51.1))

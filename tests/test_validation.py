@@ -164,6 +164,19 @@ class TestSubareaResample:
         assert len(betas) >= 10
         assert np.median(betas) == pytest.approx(1.2, abs=0.25)
 
+    def test_defect_in_the_grid_pipeline_is_not_a_dropped_replicate(
+            self, monkeypatch):
+        import geoscale.validation as validation
+
+        def broken(*args, **kwargs):
+            raise ValueError("defect in binning")
+
+        monkeypatch.setattr(validation, "run_grid_pipeline", broken)
+        records, units = law_records_and_units()
+        cfg = ResampleConfig(mode="subarea", replicates=3, master_seed=0)
+        with pytest.raises(ValueError, match="defect in binning"):
+            subarea_resample(records, units, LAND, STUDY, 8, cfg)
+
     def test_subarea_side_keeps_cell_size(self):
         records, units = law_records_and_units()
         cfg = ResampleConfig(mode="subarea", replicates=1, master_seed=0)
