@@ -1,8 +1,9 @@
 """Command-line pipeline: stats | grid | fit | scan | anomaly | validate | synth.
 
-Settings resolve as defaults < config file < command-line flags.  The config
-file is flat ``key = value`` text using the same names as the long flags
-(with underscores).  All randomness flows from --seed; reruns with identical
+Settings resolve as defaults < config file < command-line flags.  Each
+setting is a RunConfig field; the config file is flat ``key = value`` text
+with the field names, and each flag is the field name with dashes, taking
+the same text.  All randomness flows from --seed; reruns with identical
 inputs and seed produce byte-identical output files.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import gc
 import json
 import sys
@@ -35,7 +37,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_INSUFFICIENT = 3
 
-DEFAULT_STUDY = (-5.8, 49.9, -1.2, 52.2)
+_SYNTH = synth.SynthConfig()
+_RESAMPLE = validation.ResampleConfig()
 
 
 @dataclass
@@ -44,10 +47,10 @@ class RunConfig:
     population: str = ""
     land: str = ""
     out: str = "."
-    study: tuple = DEFAULT_STUDY
+    study: tuple = dataclasses.astuple(synth.DEFAULT_STUDY)
     x: int = 40
     x_list: tuple = scaling.DEFAULT_X_LIST
-    tag_kind: str = "place"          # geo | place | both
+    tag_kind: str = "place"
     bot_threshold: float = 0.01
     min_user_tweets: int = 10
     fit_min_tweets: float = 1.0
@@ -56,24 +59,23 @@ class RunConfig:
     rel_cap: float = 2.0
     mask_t_density: float = 1.0
     mask_p_density: float = 1.0
-    kind: str = "tu"                 # tu | yp | both
-    mode: str = "subarea"
-    replicates: int = 1000
-    area_fraction: float = 0.25
-    subset_fraction: float = 0.05
+    kind: str = "tu"
+    mode: str = _RESAMPLE.mode
+    replicates: int = _RESAMPLE.replicates
+    area_fraction: float = _RESAMPLE.area_fraction
+    subset_fraction: float = _RESAMPLE.subset_fraction
     seed: int = 0
     geojson: bool = False
-    # synth knobs
-    x_gen: int = 40
-    beta_true: float = 1.2
-    gamma_true: float = 1.35
-    b_true: float = 1.0
-    c_true: float = 1.0
-    noise_dex: float = 0.1
-    pop_log10_mean: float = 1.5
-    pop_log10_sigma: float = 0.8
-    emit_boxes_fraction: float = 0.0
-    commuter_fraction: float = 0.0
+    x_gen: int = _SYNTH.x_gen
+    beta_true: float = _SYNTH.beta_true
+    gamma_true: float = _SYNTH.gamma_true
+    b_true: float = _SYNTH.b_true
+    c_true: float = _SYNTH.c_true
+    noise_dex: float = _SYNTH.noise_dex
+    pop_log10_mean: float = _SYNTH.pop_log10_mean
+    pop_log10_sigma: float = _SYNTH.pop_log10_sigma
+    emit_boxes_fraction: float = _SYNTH.emit_boxes_fraction
+    commuter_fraction: float = _SYNTH.commuter_fraction
     bots: int = 0
     bot_fraction: float = 0.02
 
@@ -85,34 +87,26 @@ class RunConfig:
             raise ConfigError(f"bad study rect {self.study}: {exc}") from exc
 
 
-_TUPLE_FIELDS = {"study", "x_list"}
-_INT_FIELDS = {"x", "min_user_tweets", "replicates", "seed", "x_gen", "bots"}
-_FLOAT_FIELDS = {"bot_threshold", "fit_min_tweets", "fit_min_population",
-                 "abs_cap", "rel_cap", "mask_t_density", "mask_p_density",
-                 "area_fraction", "subset_fraction",
-                 "beta_true", "gamma_true", "b_true", "c_true", "noise_dex",
-                 "pop_log10_mean", "pop_log10_sigma", "emit_boxes_fraction",
-                 "commuter_fraction", "bot_fraction"}
-_BOOL_FIELDS = {"geojson"}
+_DEFAULTS = dataclasses.asdict(RunConfig())
+# the allowed words of the word-valued settings
+_CHOICES = {"tag_kind": ("geo", "place", "both"), "kind": ("tu", "yp", "both"),
+            "mode": validation.MODES}
 
 
-def _coerce(key: str, value: str):
-    if key in _TUPLE_FIELDS:
-        return tuple(float(v) if key == "study" else int(v)
-                     for v in value.replace(",", " ").split())
-    if key in _INT_FIELDS:
-        return int(value)
-    if key in _FLOAT_FIELDS:
-        return float(value)
-    if key in _BOOL_FIELDS:
-        return value.strip().lower() in ("1", "true", "yes")
-    return value
+def _coerce(key: str, text: str):
+    """A setting's value from its text, typed like its default: tuples take
+    numbers separated by commas or spaces, bools take 1/true/yes."""
+    default = _DEFAULTS[key]
+    if isinstance(default, tuple):
+        return tuple(map(type(default[0]), text.replace(",", " ").split()))
+    if isinstance(default, bool):
+        return text.strip().lower() in ("1", "true", "yes")
+    return type(default)(text)
 
 
 def load_config_file(path) -> dict:
     """Parse flat ``key = value`` lines; '#' starts a comment."""
     values = {}
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -125,7 +119,7 @@ def load_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in known:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = _coerce(key, value.strip())
@@ -135,18 +129,15 @@ def load_config_file(path) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
-    for f in dataclasses.fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None:
-            setattr(cfg, f.name, flag_value)
-    if cfg.tag_kind not in ("geo", "place", "both"):
-        raise ConfigError(f"bad tag_kind: {cfg.tag_kind!r}")
-    if cfg.kind not in ("tu", "yp", "both"):
-        raise ConfigError(f"bad anomaly kind: {cfg.kind!r}")
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in _DEFAULTS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    cfg = RunConfig(**values)
+    for key, words in _CHOICES.items():
+        if getattr(cfg, key) not in words:
+            raise ConfigError(f"bad {key}: {getattr(cfg, key)!r} "
+                              f"(choose from {', '.join(words)})")
     if len(cfg.study) != 4:
         raise ConfigError("study must be min_lon,min_lat,max_lon,max_lat")
     return cfg
@@ -176,8 +167,6 @@ def load_land(path) -> MultiPolygon:
         geoms = [obj]
     polys = []
     for k, geom in enumerate(geoms):
-        if not isinstance(geom, dict):
-            raise DataError(f"land feature {k} in {path} has no geometry object")
         try:
             polys.extend(geometry_from_geojson(geom).polygons)
         except (TypeError, ValueError) as exc:
@@ -388,10 +377,8 @@ def cmd_anomaly(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    rcfg = validation.ResampleConfig(
-        mode=cfg.mode, replicates=cfg.replicates,
-        area_fraction=cfg.area_fraction, subset_fraction=cfg.subset_fraction,
-        master_seed=cfg.seed)
+    rcfg = validation.ResampleConfig(master_seed=cfg.seed, **{
+        key: getattr(cfg, key) for key in _COMMANDS["validate"][1]})
     [spec], land, units = _grid_inputs(cfg, [cfg.x])
     _, records = load_records(cfg)
     grid = run_grid_pipeline(spec, land, records, units)
@@ -419,13 +406,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_synth(cfg: RunConfig) -> int:
-    scfg = synth.SynthConfig(
-        study=cfg.study_rect(), x_gen=cfg.x_gen, beta_true=cfg.beta_true,
-        gamma_true=cfg.gamma_true, b_true=cfg.b_true, c_true=cfg.c_true,
-        noise_dex=cfg.noise_dex, pop_log10_mean=cfg.pop_log10_mean,
-        pop_log10_sigma=cfg.pop_log10_sigma, seed=cfg.seed,
-        emit_boxes_fraction=cfg.emit_boxes_fraction,
-        commuter_fraction=cfg.commuter_fraction)
+    scfg = synth.SynthConfig(**{
+        f.name: cfg.study_rect() if f.name == "study" else getattr(cfg, f.name)
+        for f in dataclasses.fields(synth.SynthConfig)})
     fc, gt = synth.gen_population(scfg)
     out = _outdir(cfg)
     n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
@@ -448,70 +431,48 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--tweets", help="newline-delimited JSON tweet file")
-    common.add_argument("--population", help="population GeoJSON file")
-    common.add_argument("--land", help="land geometry GeoJSON file")
-    common.add_argument("--out", help="output directory (default .)")
-    common.add_argument("--x", type=int, help="grid side count")
-    common.add_argument("--x-list", dest="x_list",
-                        type=lambda s: tuple(int(v) for v in s.split(",")),
-                        help="comma-separated grid sides for scans")
-    common.add_argument("--study", type=lambda s: tuple(float(v) for v in s.split(",")),
-                        help="min_lon,min_lat,max_lon,max_lat")
-    common.add_argument("--tag-kind", dest="tag_kind", choices=["geo", "place", "both"])
-    common.add_argument("--bot-threshold", dest="bot_threshold", type=float)
-    common.add_argument("--min-user-tweets", dest="min_user_tweets", type=int)
-    common.add_argument("--fit-min-tweets", dest="fit_min_tweets", type=float)
-    common.add_argument("--fit-min-population", dest="fit_min_population", type=float)
-    common.add_argument("--seed", type=int)
-
+    for key in _COMMON:
+        _add_flag(common, key)
     parser = _Parser(prog="geoscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("stats", parents=[common])
-    sub.add_parser("grid", parents=[common])
-    sub.add_parser("fit", parents=[common])
-    sub.add_parser("scan", parents=[common])
-
-    p_anom = sub.add_parser("anomaly", parents=[common])
-    p_anom.add_argument("--kind", choices=["tu", "yp", "both"])
-    p_anom.add_argument("--abs-cap", dest="abs_cap", type=float)
-    p_anom.add_argument("--rel-cap", dest="rel_cap", type=float)
-    p_anom.add_argument("--mask-t-density", dest="mask_t_density", type=float)
-    p_anom.add_argument("--mask-p-density", dest="mask_p_density", type=float)
-    p_anom.add_argument("--geojson", action="store_const", const=True, default=None)
-
-    p_val = sub.add_parser("validate", parents=[common])
-    p_val.add_argument("--mode", choices=["subarea", "subset", "subset_nonadjacent"])
-    p_val.add_argument("--replicates", type=int)
-    p_val.add_argument("--area-fraction", dest="area_fraction", type=float)
-    p_val.add_argument("--subset-fraction", dest="subset_fraction", type=float)
-
-    p_syn = sub.add_parser("synth", parents=[common])
-    p_syn.add_argument("--x-gen", dest="x_gen", type=int)
-    p_syn.add_argument("--beta-true", dest="beta_true", type=float)
-    p_syn.add_argument("--gamma-true", dest="gamma_true", type=float)
-    p_syn.add_argument("--b-true", dest="b_true", type=float)
-    p_syn.add_argument("--c-true", dest="c_true", type=float)
-    p_syn.add_argument("--noise-dex", dest="noise_dex", type=float)
-    p_syn.add_argument("--pop-log10-mean", dest="pop_log10_mean", type=float)
-    p_syn.add_argument("--pop-log10-sigma", dest="pop_log10_sigma", type=float)
-    p_syn.add_argument("--emit-boxes-fraction", dest="emit_boxes_fraction", type=float)
-    p_syn.add_argument("--commuter-fraction", dest="commuter_fraction", type=float)
-    p_syn.add_argument("--bots", type=int)
-    p_syn.add_argument("--bot-fraction", dest="bot_fraction", type=float)
-
+    for command, (_, own) in _COMMANDS.items():
+        p = sub.add_parser(command, parents=[common])
+        for key in own:
+            _add_flag(p, key)
     return parser
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
+    """--key-with-dashes, taking the same text as the config-file key."""
+    flag, default = "--" + key.replace("_", "-"), _DEFAULTS[key]
+    if isinstance(default, bool):
+        parser.add_argument(flag, action="store_const", const=True)
+        return
+    coerce = functools.partial(_coerce, key)
+    coerce.__name__ = type(default).__name__   # named in argparse's errors
+    text = (",".join(map(str, default)) if isinstance(default, tuple)
+            else str(default))
+    words = _CHOICES.get(key)
+    parser.add_argument(flag, type=coerce,
+                        metavar="{%s}" % ",".join(words) if words else None,
+                        help=f"default: {text}" if text else None)
+
+
+# settings every command takes, then each command's function and own settings
+_COMMON = ("tweets", "population", "land", "out", "x", "x_list", "study",
+           "tag_kind", "bot_threshold", "min_user_tweets", "fit_min_tweets",
+           "fit_min_population", "seed")
 _COMMANDS = {
-    "stats": cmd_stats,
-    "grid": cmd_grid,
-    "fit": cmd_fit,
-    "scan": cmd_scan,
-    "anomaly": cmd_anomaly,
-    "validate": cmd_validate,
-    "synth": cmd_synth,
+    "stats": (cmd_stats, ()),
+    "grid": (cmd_grid, ()),
+    "fit": (cmd_fit, ()),
+    "scan": (cmd_scan, ()),
+    "anomaly": (cmd_anomaly, ("kind", "abs_cap", "rel_cap", "mask_t_density",
+                              "mask_p_density", "geojson")),
+    "validate": (cmd_validate, ("mode", "replicates", "area_fraction",
+                                "subset_fraction")),
+    "synth": (cmd_synth, tuple(f.name for f in dataclasses.fields(synth.SynthConfig)
+                               if f.name not in _COMMON) + ("bots", "bot_fraction")),
 }
 
 
@@ -542,7 +503,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         with _cyclic_gc_paused():
-            return _COMMANDS[args.command](cfg)
+            return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

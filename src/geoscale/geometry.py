@@ -338,6 +338,8 @@ def geometry_from_geojson(geom: dict) -> MultiPolygon:
     Ring orientation is ignored; the first ring of each polygon is the
     outer boundary and the rest are holes.
     """
+    if not isinstance(geom, dict):
+        raise DegenerateGeometryError("geometry is not a GeoJSON object")
     gtype = geom.get("type")
     if gtype == "Polygon":
         poly_coords = [geom["coordinates"]]

@@ -120,13 +120,25 @@ def _accumulate_points(target: np.ndarray, grid: DensityGrid,
                        lons: np.ndarray, lats: np.ndarray,
                        weights: np.ndarray) -> None:
     s = grid.spec.study
-    x = grid.spec.x
     inside = ((lons >= s.min_lon) & (lons <= s.max_lon)
               & (lats >= s.min_lat) & (lats <= s.max_lat))
     lons, lats, weights = lons[inside], lats[inside], weights[inside]
-    ii = np.minimum(((lons - s.min_lon) / s.width * x).astype(np.int64), x - 1)
-    jj = np.minimum(((lats - s.min_lat) / s.height * x).astype(np.int64), x - 1)
-    np.add.at(target, (ii, jj), weights)
+    np.add.at(target, (_cell_of(lons, grid.lon_edges),
+                       _cell_of(lats, grid.lat_edges)), weights)
+
+
+def _cell_of(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Index k of the cell [edges[k], edges[k + 1]) holding each value, the
+    last cell closed: searchsorted(edges, v, "right") - 1 capped at X - 1.
+    The arithmetic guess is off by one only where rounding moved a value
+    across an edge, so one step each way makes it exact at a third of the
+    cost of searchsorted on unsorted values."""
+    x = len(edges) - 1
+    k = np.minimum(((v - edges[0]) / (edges[-1] - edges[0]) * x).astype(np.int64),
+                   x - 1)
+    k -= v < edges[k]
+    k += (v >= edges[k + 1]) & (k < x - 1)
+    return k
 
 
 def _sin_lat(lat: float) -> float:

@@ -134,11 +134,17 @@ def _envelope(coords) -> LonLatRect:
 
 
 def _record_from_json(obj: dict) -> TweetRecord:
+    if not isinstance(obj, dict):
+        raise TypeError("record is not a JSON object")
     tweet_id = obj.get("id_str") or str(obj.get("id", ""))
     user = obj.get("user") or {}
+    if not isinstance(user, dict):
+        raise TypeError("user is not a JSON object")
     user_id = user.get("id_str") or str(user.get("id", ""))
     if not tweet_id or not user_id:
         raise ValueError("missing id_str or user.id_str")
+    if not isinstance(user_id, str):
+        raise TypeError("user id is not a string")
 
     geo = None
     coords = obj.get("coordinates")
@@ -353,7 +359,8 @@ def parse_population(feature_collection: dict
     """Convert a GeoJSON FeatureCollection to population units.
 
     Features with missing, non-numeric or negative population are skipped
-    with a diagnostic.
+    with a diagnostic, and so is a feature that is not an object or whose
+    geometry does not make polygons (bad_geometry).
     """
     diags = ParseDiagnostics()
     units: list[PopulationUnit] = []
@@ -361,6 +368,10 @@ def parse_population(feature_collection: dict
     if features is None:
         raise DataError("population input is not a FeatureCollection")
     for idx, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            diags.skipped += 1
+            diags.reasons["bad_geometry"] += 1
+            continue
         props = feat.get("properties") or {}
         code = str(props.get("code", idx))
         pop = props.get("population")
@@ -376,7 +387,7 @@ def parse_population(feature_collection: dict
             continue
         try:
             geom = geometry_from_geojson(feat["geometry"])
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError):
             diags.skipped += 1
             diags.reasons["bad_geometry"] += 1
             continue

@@ -103,40 +103,49 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
 
 
-def select_cells(grid: DensityGrid, min_tweets: float = 1.0,
-                 min_population: float = 1.0) -> list[tuple]:
-    """Density tuples (T, U, P) or (T, U, P, Y) for cells with land area,
-    at least ``min_tweets`` tweets and ``min_population`` residents.
+def cell_indices(grid: DensityGrid, min_tweets: float = 1.0,
+                 min_population: float = 1.0) -> list[tuple[int, int]]:
+    """(i, j) of the cells with land area, at least ``min_tweets`` tweets
+    and ``min_population`` residents, in row-major order.
 
     Thresholds apply to the raw count accumulators, not densities.
     """
     mask = (grid.land_area > 0) & (grid.n_t >= min_tweets) & (grid.n_p >= min_population)
-    ii, jj = np.nonzero(mask)
-    out = []
-    for i, j in zip(ii, jj):
-        if grid.has_youth:
-            out.append((grid.t[i, j], grid.u[i, j], grid.p[i, j], grid.y[i, j]))
-        else:
-            out.append((grid.t[i, j], grid.u[i, j], grid.p[i, j]))
-    return out
+    return list(zip(*(a.tolist() for a in np.nonzero(mask))))
 
 
-def fit_all(grid: DensityGrid, min_tweets: float = 1.0,
-            min_population: float = 1.0) -> dict[str, FitResult]:
-    """Fit alpha (T vs P), beta (U vs P) and gamma (T vs U) on one shared
-    cell selection.  Cells with a nonpositive value in a pair are dropped
+def select_cells(grid: DensityGrid, min_tweets: float = 1.0,
+                 min_population: float = 1.0) -> list[tuple]:
+    """Density tuples (T, U, P) or (T, U, P, Y) for the cells of
+    cell_indices."""
+    cells = cell_indices(grid, min_tweets, min_population)
+    if grid.has_youth:
+        return [(grid.t[c], grid.u[c], grid.p[c], grid.y[c]) for c in cells]
+    return [(grid.t[c], grid.u[c], grid.p[c]) for c in cells]
+
+
+def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]]
+              ) -> dict[str, FitResult]:
+    """Fit alpha (T vs P), beta (U vs P) and gamma (T vs U) over the given
+    (i, j) cells.  Cells with a nonpositive value in a pair are dropped
     from that pair (only possible with thresholds below 1)."""
-    cells = select_cells(grid, min_tweets, min_population)
+    t, u, p = grid.t, grid.u, grid.p
     pairs = {
-        "alpha": [(c[2], c[0]) for c in cells],
-        "beta": [(c[2], c[1]) for c in cells],
-        "gamma": [(c[1], c[0]) for c in cells],
+        "alpha": [(p[c], t[c]) for c in cells],
+        "beta": [(p[c], u[c]) for c in cells],
+        "gamma": [(u[c], t[c]) for c in cells],
     }
     fits: dict[str, FitResult] = {}
     for name, pts in pairs.items():
         pts = [(a, b) for a, b in pts if a > 0 and b > 0]
         fits[name] = fit_power_law(pts, EXPONENT_RELATION[name])
     return fits
+
+
+def fit_all(grid: DensityGrid, min_tweets: float = 1.0,
+            min_population: float = 1.0) -> dict[str, FitResult]:
+    """fit_cells over one shared selection, the cells of cell_indices."""
+    return fit_cells(grid, cell_indices(grid, min_tweets, min_population))
 
 
 def mean_cell_area(spec: GridSpec) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -76,23 +76,10 @@ class GroundTruth:
         return int(self.n_u.sum()) if self.n_u is not None else 0
 
     def to_dict(self) -> dict:
-        cfg = self.config
+        config = asdict(self.config)
+        config["study"] = list(astuple(self.config.study))
         return {
-            "config": {
-                "study": [cfg.study.min_lon, cfg.study.min_lat,
-                          cfg.study.max_lon, cfg.study.max_lat],
-                "x_gen": cfg.x_gen,
-                "beta_true": cfg.beta_true,
-                "gamma_true": cfg.gamma_true,
-                "b_true": cfg.b_true,
-                "c_true": cfg.c_true,
-                "noise_dex": cfg.noise_dex,
-                "pop_log10_mean": cfg.pop_log10_mean,
-                "pop_log10_sigma": cfg.pop_log10_sigma,
-                "seed": cfg.seed,
-                "emit_boxes_fraction": cfg.emit_boxes_fraction,
-                "commuter_fraction": cfg.commuter_fraction,
-            },
+            "config": config,
             "population": self.population.astype(int).tolist(),
             "youth": self.youth.astype(int).tolist(),
             "n_u": None if self.n_u is None else self.n_u.astype(int).tolist(),
@@ -105,11 +92,6 @@ def _cell_edges(config: SynthConfig):
     lon_edges = np.linspace(s.min_lon, s.max_lon, config.x_gen + 1)
     lat_edges = np.linspace(s.min_lat, s.max_lat, config.x_gen + 1)
     return lon_edges, lat_edges
-
-
-def _cell_rect(config: SynthConfig, i: int, j: int) -> LonLatRect:
-    lon_edges, lat_edges = _cell_edges(config)
-    return LonLatRect(lon_edges[i], lat_edges[j], lon_edges[i + 1], lat_edges[j + 1])
 
 
 def youth_share(p_density: float) -> float:

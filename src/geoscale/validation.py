@@ -18,22 +18,25 @@ import numpy as np
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError
 from .geometry import Geometry, LonLatRect
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
-from .scaling import fit_all, fit_power_law
+from .scaling import cell_indices, fit_all, fit_cells
 
 EXPONENTS = ("alpha", "beta", "gamma")
+MODES = ("subarea", "subset", "subset_nonadjacent")
+
+# draws per chosen cell in subset_nonadjacent mode before the replicate drops
+_MAX_RETRIES = 1000
 
 
 @dataclass(frozen=True)
 class ResampleConfig:
-    mode: str = "subarea"        # subarea | subset | subset_nonadjacent
+    mode: str = "subarea"        # one of MODES
     replicates: int = 1000
     area_fraction: float = 0.25
     subset_fraction: float = 0.05
     master_seed: int = 0
-    max_retries: int = 1000      # per cell, nonadjacent mode
 
     def __post_init__(self) -> None:
-        if self.mode not in ("subarea", "subset", "subset_nonadjacent"):
+        if self.mode not in MODES:
             raise ConfigError(f"unknown resample mode: {self.mode!r}")
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
@@ -49,7 +52,6 @@ class ResampleDistribution:
     rows: list = field(default_factory=list)  # (replicate, alpha|None, beta|None, gamma|None)
     ci68: dict = field(default_factory=dict)  # exponent -> (lo, hi)
     dropped: int = 0
-    reference: dict = field(default_factory=dict)  # exponent -> FitResult
 
     def samples(self, exponent: str) -> list[float]:
         idx = EXPONENTS.index(exponent) + 1
@@ -140,10 +142,7 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
     a bounded number of re-draws per cell; replicates that cannot satisfy
     the constraint are dropped and counted.
     """
-    mask = ((grid.land_area > 0) & (grid.n_t >= min_tweets)
-            & (grid.n_p >= min_population))
-    cells = list(zip(*np.nonzero(mask)))
-    cells = [(int(i), int(j)) for i, j in cells]
+    cells = cell_indices(grid, min_tweets, min_population)
     n = len(cells)
     m = math.ceil(config.subset_fraction * n)
     if m < 3:
@@ -161,7 +160,7 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
             chosen = []
             for _ in range(m):
                 placed = False
-                for _attempt in range(config.max_retries):
+                for _attempt in range(_MAX_RETRIES):
                     if not pool:
                         break
                     pick = int(rng.integers(len(pool)))
@@ -174,14 +173,10 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
                 if not placed:
                     return (k, None, None, None)
         try:
-            pts_tp = [(grid.p[i, j], grid.t[i, j]) for i, j in chosen]
-            pts_up = [(grid.p[i, j], grid.u[i, j]) for i, j in chosen]
-            pts_tu = [(grid.u[i, j], grid.t[i, j]) for i, j in chosen]
-            alpha = fit_power_law(pts_tp, "T_vs_P").exponent
-            beta = fit_power_law(pts_up, "U_vs_P").exponent
-            gamma = fit_power_law(pts_tu, "T_vs_U").exponent
-            return (k, alpha, beta, gamma)
-        except (InsufficientDataError, DegenerateFitError, ValueError):
+            fits = fit_cells(grid, chosen)
+            return (k, fits["alpha"].exponent, fits["beta"].exponent,
+                    fits["gamma"].exponent)
+        except (InsufficientDataError, DegenerateFitError):
             return (k, None, None, None)
 
     rows = [replicate(k) for k in range(config.replicates)]

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
+import re
 
 import pytest
 
-from geoscale.cli import load_config_file, main, resolve_config
+from geoscale.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from geoscale.geometry import LonLatRect
 from geoscale.synth import (
     SynthConfig,
@@ -70,6 +72,88 @@ class TestConfigFile:
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.conf"),
                      "--tweets", "x"]) == 1
+
+
+COMMON_FLAGS = ["--config", "--tweets", "--population", "--land", "--out", "--x",
+                "--x-list", "--study", "--tag-kind", "--bot-threshold",
+                "--min-user-tweets", "--fit-min-tweets", "--fit-min-population",
+                "--seed"]
+OWN_FLAGS = {
+    "stats": [], "grid": [], "fit": [], "scan": [],
+    "anomaly": ["--kind", "--abs-cap", "--rel-cap", "--mask-t-density",
+                "--mask-p-density", "--geojson"],
+    "validate": ["--mode", "--replicates", "--area-fraction", "--subset-fraction"],
+    "synth": ["--x-gen", "--beta-true", "--gamma-true", "--b-true", "--c-true",
+              "--noise-dex", "--pop-log10-mean", "--pop-log10-sigma",
+              "--emit-boxes-fraction", "--commuter-fraction", "--bots",
+              "--bot-fraction"],
+}
+CHOICES = {"tag_kind": ["geo", "place", "both"], "kind": ["tu", "yp", "both"],
+           "mode": ["subarea", "subset", "subset_nonadjacent"]}
+# text for a setting, by name or else by the type of its default
+TEXTS = {"study": "-3.0 50.0 -2.0 51.0", "x_list": "8 16 24", "tag_kind": "both",
+         "kind": "yp", "mode": "subset_nonadjacent", "geojson": "true",
+         str: "some/path", int: "3", float: "0.5"}
+
+
+class TestSettings:
+    """Each setting is a RunConfig field; its flag and its config-file key
+    are derived from it and take the same text."""
+
+    def test_flags_of_each_command(self, capsys):
+        for command, own in OWN_FLAGS.items():
+            assert main([command, "--help"]) == 0
+            out = capsys.readouterr().out
+            assert set(re.findall(r"--[a-z0-9-]+", out)) == {
+                "--help", *COMMON_FLAGS, *own}
+            for key, words in CHOICES.items():
+                if "--" + key.replace("_", "-") in COMMON_FLAGS + own:
+                    assert "{%s}" % ",".join(words) in out
+
+    def test_flags_cover_every_setting(self):
+        flags = set(COMMON_FLAGS[1:]).union(*OWN_FLAGS.values())
+        assert {f[2:].replace("-", "_") for f in flags} == {
+            f.name for f in dataclasses.fields(RunConfig)}
+
+    def test_flag_and_config_line_resolve_alike(self, tmp_path):
+        for f in dataclasses.fields(RunConfig):
+            flag = "--" + f.name.replace("_", "-")
+            command = next(c for c, own in OWN_FLAGS.items()
+                           if flag in COMMON_FLAGS + own)
+            text = TEXTS.get(f.name) or TEXTS[type(f.default)]
+            conf = tmp_path / f"{f.name}.conf"
+            conf.write_text(f"{f.name} = {text}\n")
+            argv = [flag] if f.name == "geojson" else [f"{flag}={text}"]
+            by_flag = resolve_config(build_parser().parse_args([command, *argv]))
+            by_file = resolve_config(build_parser().parse_args(
+                [command, "--config", str(conf)]))
+            value = getattr(by_flag, f.name)
+            assert value == getattr(by_file, f.name), f.name
+            assert value != f.default, f.name
+
+    def test_lists_take_commas_or_spaces(self):
+        for text in ("8,16,24", "8 16 24", "8, 16, 24"):
+            cfg = resolve_config(build_parser().parse_args(
+                ["scan", "--x-list", text, "--study=-3 50 -2 51"]))
+            assert cfg.x_list == (8, 16, 24)
+            assert cfg.study == (-3.0, 50.0, -2.0, 51.0)
+
+    @pytest.mark.parametrize("argv, conf", [
+        (["fit", "--tag-kind", "bogus"], None),
+        (["stats"], "tag_kind = bogus\n"),
+        (["validate", "--mode", "bogus"], None),
+        (["anomaly"], "kind = bogus\n"),
+    ])
+    def test_unknown_word_is_a_config_error(self, tmp_path, capsys, argv, conf):
+        if conf is not None:
+            (tmp_path / "run.conf").write_text(conf)
+            argv = argv + ["--config", str(tmp_path / "run.conf")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("config error: bad ")
+
+    def test_bad_number_names_its_flag(self, capsys):
+        assert main(["fit", "--x", "3.5"]) == 1
+        assert "argument --x: invalid int value: '3.5'" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -231,6 +315,30 @@ class TestFitCommand:
 
         assert tweet_mass(inputs, tmp_path / "grid") == pytest.approx(
             tweet_mass(corpus, tmp_path / "grid0") + 1.0, rel=1e-12)
+
+
+    def test_malformed_records_and_features_are_counted_skips(
+            self, tmp_path, corpus, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "land.geojson").write_bytes((corpus / "land.geojson").read_bytes())
+        good = json.loads((corpus / "tweets.jsonl").read_text().splitlines()[0])
+        bad = [[1, 2], {**good, "user": "u2"}, {**good, "user": {"id_str": [1, 2]}},
+               {**good, "user": {"id_str": 7}}]
+        (inputs / "tweets.jsonl").write_text(
+            (corpus / "tweets.jsonl").read_text()
+            + "".join(json.dumps(b) + "\n" for b in bad))
+        fc = json.loads((corpus / "population.geojson").read_text())
+        ring_of_numbers = json.loads(json.dumps(fc["features"][0]))
+        ring_of_numbers["geometry"]["coordinates"] = [[1, 2]]
+        no_geometry = {**fc["features"][0], "geometry": None}
+        fc["features"] += [ring_of_numbers, no_geometry, "feature"]
+        (inputs / "population.geojson").write_text(json.dumps(fc))
+        capsys.readouterr()
+        assert run_cmd(inputs, tmp_path / "out", "fit", "--x", "6") == 0
+        err = capsys.readouterr().err
+        assert "tweets: skipped 4 malformed records" in err
+        assert "population: skipped 3 features ({'bad_geometry': 3})" in err
 
 
 class TestScanCommand:

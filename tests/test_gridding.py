@@ -80,6 +80,32 @@ class TestAccumulateTweets:
         accumulate_tweets(grid, [point_rec(1.0, 1.0)])
         assert grid.n_t[1, 1] == 1.0
 
+    @pytest.mark.parametrize("x", [4, 7, 10, 40])
+    @pytest.mark.parametrize("study", [LonLatRect(-5.8, 49.9, -1.2, 52.2),
+                                       LonLatRect(-5.8, 49.9, -4.65, 50.475),
+                                       LonLatRect(0.0, 0.0, 4.0, 4.0)])
+    def test_points_on_and_beside_edges_bin_on_the_grid_edges(self, study, x):
+        # cells are half-open [edge, next edge) on the grid's own edges, the
+        # last one closed; points sit on every edge and one ulp either side
+        grid = build_grid(GridSpec(study, x), rect_poly(study))
+
+        def near(edges):
+            return np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                   np.nextafter(edges, np.inf)])
+
+        lon, lat = near(grid.lon_edges), near(grid.lat_edges)
+        keep = ((lon >= study.min_lon) & (lon <= study.max_lon)
+                & (lat >= study.min_lat) & (lat <= study.max_lat))
+        lon, lat = lon[keep], lat[keep]
+        accumulate_tweets(grid, [point_rec(a, b) for a, b in zip(lon, lat)])
+        expected = np.zeros((x, x))
+        np.add.at(expected, (
+            np.minimum(np.searchsorted(grid.lon_edges, lon, side="right") - 1, x - 1),
+            np.minimum(np.searchsorted(grid.lat_edges, lat, side="right") - 1, x - 1)),
+            1.0)
+        np.testing.assert_array_equal(grid.n_t, expected)
+        assert grid.n_t[1, 1] >= 1.0   # the point on the first interior edges
+
     def test_far_corner_point_stays_in_grid(self):
         grid = build_grid(GridSpec(STUDY, 4), rect_poly(STUDY))
         accumulate_tweets(grid, [point_rec(4.0, 4.0)])

@@ -56,10 +56,20 @@ class TestParseTweets:
         assert diags.skipped == 0
 
     def test_malformed_records_skipped_not_fatal(self):
-        lines = ["not json", tweet_json(coords=[-3.5, 51.0]), "{\"id_str\": \"x\"}"]
+        good = tweet_json(coords=[-3.5, 51.0])
+        lines = ["not json", good, "{\"id_str\": \"x\"}",
+                 "[1, 2]",                                          # not an object
+                 good.replace('{"id_str": "u1"}', '"u2"'),          # user not an object
+                 good.replace('"u1"', "[1, 2]"),                    # list user id
+                 good.replace('"u1"', "7"),                         # integer user id
+                 tweet_json(tweet_id="2", user_id="u3", coords=[-3.5, 51.0])]
         records, diags = parse_tweets(lines)
-        assert len(records) == 1
-        assert diags.skipped == 2
+        assert [r.user_id for r in records] == ["u1", "u3"]
+        assert diags.skipped == 6
+        assert diags.reasons == {"JSONDecodeError": 1, "ValueError": 1,
+                                 "TypeError": 4}
+        kept, _ = filter_bots(corpus_stats(records, STUDY)[1], 1.0)
+        assert len(kept) == 2
 
     def test_integer_too_large_for_a_float_is_a_counted_skip(self):
         huge = "1" + "0" * 400
@@ -262,6 +272,21 @@ class TestParsePopulation:
         assert diags.parsed == 2
         assert units[0].unit_id == "E1"
         assert units[1].population_18_35 == 300.0
+
+    def test_malformed_features_and_geometries_are_bad_geometry(self):
+        bare_numbers = self.feature("bare")
+        bare_numbers["geometry"]["coordinates"] = [[1, 2]]
+        null_geometry = self.feature("null")
+        null_geometry["geometry"] = None
+        no_geometry = self.feature("none")
+        del no_geometry["geometry"]
+        fc = {"type": "FeatureCollection",
+              "features": [bare_numbers, null_geometry, no_geometry, "feature",
+                           self.feature("ok", 100)]}
+        units, diags = parse_population(fc)
+        assert [u.unit_id for u in units] == ["ok"]
+        assert diags.skipped == 4
+        assert diags.reasons == {"bad_geometry": 4}
 
     def test_bad_population_skipped_with_diagnostic(self):
         fc = {"type": "FeatureCollection",

@@ -1,4 +1,5 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from geoscale.errors import InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.ingest import LocatedRecord, PopulationUnit
+from geoscale.scaling import fit_all, fit_cells
 from geoscale.validation import (
+    EXPONENTS,
     ResampleConfig,
     ci68,
     mix_seed,
@@ -137,7 +140,15 @@ class TestSubsetResample:
         lo, hi = dist.ci68["gamma"]
         assert lo < 1.35 < hi
 
-    def test_nonadjacent_cells_respect_distance(self):
+    def test_nonadjacent_cells_respect_distance(self, monkeypatch):
+        import geoscale.validation as validation
+        fitted = []
+
+        def recording(grid, cells):
+            fitted.append(list(cells))
+            return fit_cells(grid, cells)
+
+        monkeypatch.setattr(validation, "fit_cells", recording)
         grid = law_grid(x=20)
         cfg = self.config(mode="subset_nonadjacent", subset_fraction=0.05,
                           replicates=5)
@@ -145,6 +156,33 @@ class TestSubsetResample:
         assert dist.mode == "subset_nonadjacent"
         # at least some replicates must satisfy the constraint and fit
         assert dist.dropped < cfg.replicates
+        assert len(fitted) == cfg.replicates - dist.dropped
+        for cells in fitted:
+            assert len(cells) == 20   # ceil(0.05 * 400)
+            for a, b in itertools.combinations(cells, 2):
+                assert max(abs(a[0] - b[0]), abs(a[1] - b[1])) >= 2
+
+    def test_defect_in_the_fit_is_not_a_dropped_replicate(self, monkeypatch):
+        import geoscale.scaling as scaling
+
+        def broken(*args, **kwargs):
+            raise ValueError("defect in the fit")
+
+        monkeypatch.setattr(scaling, "fit_power_law", broken)
+        with pytest.raises(ValueError, match="defect in the fit"):
+            subset_resample(law_grid(), self.config())
+
+    def test_empty_cell_drops_its_pairs_not_the_replicate(self):
+        grid = law_grid(x=4)
+        grid.n_t[1, 2] = grid.n_u[1, 2] = 0.0
+        densities(grid)
+        dist = subset_resample(grid, self.config(subset_fraction=1.0,
+                                                 replicates=3), min_tweets=0)
+        assert dist.dropped == 0
+        reference = fit_all(grid, min_tweets=0)
+        assert reference["alpha"].n_points == 15
+        expected = tuple(reference[name].exponent for name in EXPONENTS)
+        assert [row[1:] for row in dist.rows] == [expected] * 3
 
     def test_subset_too_small(self):
         grid = law_grid(x=4)
