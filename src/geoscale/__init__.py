@@ -9,7 +9,6 @@ known ground-truth exponents serves as the test oracle.
 
 from .geometry import (
     EARTH_RADIUS_KM,
-    GeoPoint,
     LonLatRect,
     MultiPolygon,
     PolygonWithHoles,

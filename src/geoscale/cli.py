@@ -10,11 +10,9 @@ inputs and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import functools
-import gc
 import json
 import sys
 from dataclasses import dataclass
@@ -182,28 +180,31 @@ def load_population(path):
     return units
 
 
-def load_records(cfg: RunConfig):
-    """Parse, locate and filter the tweet corpus per the run config.
-
-    The file is parsed and located in one streamed pass that keeps only
-    the located records.
-    """
+def _load_corpus(cfg: RunConfig):
+    """Parse and locate the tweet corpus in one streamed pass and keep the
+    configured tag kind.  Returns the funnel counts and the Corpus."""
     if not cfg.tweets:
         raise ConfigError("--tweets is required for this command")
     diags = ingest.ParseDiagnostics()
-    stats, located = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags),
-                                         cfg.study_rect())
+    stats, corpus = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags),
+                                        cfg.study_rect())
     if diags.skipped:
         print(f"tweets: skipped {diags.skipped} malformed records",
               file=sys.stderr)
     if cfg.tag_kind != "both":
-        located = [r for r in located if r.tag_kind == cfg.tag_kind]
-    located, removed = ingest.filter_bots(located, cfg.bot_threshold)
+        corpus = corpus.take(corpus.place == (cfg.tag_kind == "place"))
+    return stats, corpus
+
+
+def load_records(cfg: RunConfig):
+    """Parse, locate and filter the tweet corpus per the run config."""
+    stats, corpus = _load_corpus(cfg)
+    corpus, removed = ingest.filter_bots(corpus, cfg.bot_threshold)
     if removed:
         print(f"bot filter: removed {len(removed)} users", file=sys.stderr)
     if cfg.min_user_tweets > 1:
-        located = ingest.filter_min_tweets(located, cfg.min_user_tweets)
-    return stats, located
+        corpus = ingest.filter_min_tweets(corpus, cfg.min_user_tweets)
+    return stats, corpus
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -230,23 +231,17 @@ def _write_json(path, obj) -> None:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
-    if not cfg.tweets:
-        raise ConfigError("--tweets is required")
-    stats, located = ingest.corpus_stats(
-        ingest.iter_tweets(cfg.tweets, ingest.ParseDiagnostics()),
-        cfg.study_rect())
-    if cfg.tag_kind != "both":
-        located = [r for r in located if r.tag_kind == cfg.tag_kind]
+    stats, corpus = _load_corpus(cfg)
     out = _outdir(cfg)
     _write_json(out / "stats.json", stats.to_dict())
-    ranking = ingest.source_ranking(located, k=max(len(stats.per_source), 1)) \
-        if located else []
+    ranking = ingest.source_ranking(corpus, k=max(len(stats.per_source), 1)) \
+        if corpus else []
     with open(out / "sources.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "source", "count", "proportion"])
         for rank, (source, count, prop) in enumerate(ranking, 1):
             w.writerow([rank, source, count, repr(prop)])
-    replies, quotes, frac = ingest.reply_quote_stats(located)
+    replies, quotes, frac = ingest.reply_quote_stats(corpus)
     frac_s = "n/a" if frac is None else f"{frac:.4f}"
     print(f"records={stats.total_records} located_geo={stats.located_geo} "
           f"located_place={stats.located_place} replies={replies} "
@@ -476,24 +471,6 @@ _COMMANDS = {
 }
 
 
-@contextlib.contextmanager
-def _cyclic_gc_paused():
-    """Pause the cyclic garbage collector for the length of one command.
-
-    A command holds hundreds of thousands of acyclic objects (located
-    records, per-user groups) that reference counting frees; the
-    collector's repeated passes over them find nothing and cost a sixth of
-    a fit of the criterion-1 corpus.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -502,8 +479,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         cfg = resolve_config(args)
-        with _cyclic_gc_paused():
-            return _COMMANDS[args.command][0](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

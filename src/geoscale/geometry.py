@@ -27,20 +27,6 @@ _SLIVER_AREA_KM2 = 1e-12
 
 
 @dataclass(frozen=True)
-class GeoPoint:
-    """A WGS84 longitude/latitude pair in degrees."""
-
-    lon: float
-    lat: float
-
-    def __post_init__(self) -> None:
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-
-
-@dataclass(frozen=True)
 class LonLatRect:
     """Axis-aligned lon/lat rectangle. Zero-extent rects are legal (point places)."""
 
@@ -61,14 +47,6 @@ class LonLatRect:
     def height(self) -> float:
         return self.max_lat - self.min_lat
 
-    def contains_point(self, lon: float, lat: float) -> bool:
-        return (self.min_lon <= lon <= self.max_lon
-                and self.min_lat <= lat <= self.max_lat)
-
-    def contains_rect(self, other: "LonLatRect") -> bool:
-        return (self.min_lon <= other.min_lon and other.max_lon <= self.max_lon
-                and self.min_lat <= other.min_lat and other.max_lat <= self.max_lat)
-
     def intersect(self, other: "LonLatRect") -> "LonLatRect | None":
         lo_lon = max(self.min_lon, other.min_lon)
         hi_lon = min(self.max_lon, other.max_lon)
@@ -85,13 +63,7 @@ class Ring:
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Iterable) -> None:
-        coords = []
-        for v in vertices:
-            if isinstance(v, GeoPoint):
-                coords.append((v.lon, v.lat))
-            else:
-                lon, lat = v
-                coords.append((float(lon), float(lat)))
+        coords = [(float(lon), float(lat)) for lon, lat in vertices]
         if len(coords) > 1 and coords[0] == coords[-1]:
             coords = coords[:-1]
         if len(set(coords)) < 3:

@@ -18,14 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .geometry import (
-    Geometry,
-    LonLatRect,
-    geometry_bounds,
-    grid_intersection_areas,
-    polygon_area,
-)
-from .ingest import LocatedRecord, PopulationUnit
+from .geometry import Geometry, LonLatRect, geometry_bounds, grid_intersection_areas
+from .ingest import Corpus, LocatedRecord, PopulationUnit
 
 # Land slivers below this area (km^2) count as open water.
 _MIN_LAND_AREA_KM2 = 1e-9
@@ -156,73 +150,62 @@ def _overlaps(lo: np.ndarray, hi: np.ndarray, m_lo: np.ndarray,
     return np.maximum(b - a, 0.0)
 
 
-def _accumulate_boxes(target: np.ndarray, grid: DensityGrid,
-                      boxes: Sequence[LonLatRect], weights: np.ndarray) -> None:
-    """Add each box's weight spread by f_jb.  A box's share of a cell
-    factorises as f_lon(i) * f_lat(j), the overlap fractions of its
-    longitude extent and of its extent in sin(lat), so the cell masses are
-    F_lon^T diag(w) F_lat."""
-    c = np.array([(b.min_lon, b.max_lon, b.min_lat, b.max_lat,
-                   _sin_lat(b.min_lat), _sin_lat(b.max_lat)) for b in boxes])
-    lon0, lon1, lat0, lat1, s0, s1 = c.T
-    width, dsin = lon1 - lon0, s1 - s0
-    if not np.all((width > 0.0) & (dsin > 0.0)):
-        raise DomainError("zero-area box must arrive as a point")
-    lon_edges, lat_edges = grid.lon_edges, grid.lat_edges
-    sin_edges = np.array([_sin_lat(e) for e in lat_edges])
-    f_lon = _overlaps(lon0, lon1, lon0, lon1, lon_edges, lon_edges) / width[:, None]
-    f_lat = _overlaps(lat0, lat1, s0, s1, lat_edges, sin_edges) / dsin[:, None]
-    target += (f_lon * weights[:, None]).T @ f_lat
-
-
-def _accumulate(target: np.ndarray, grid: DensityGrid,
-                records: Sequence[LocatedRecord],
-                weights: Sequence[float]) -> None:
-    pts_lon, pts_lat, pts_w = [], [], []
-    boxes, box_w = [], []
-    for r, w in zip(records, weights):
-        if r.point is not None:
-            pts_lon.append(r.point[0])
-            pts_lat.append(r.point[1])
-            pts_w.append(w)
-        else:
-            boxes.append(r.box)
-            box_w.append(w)
+def _accumulate(target: np.ndarray, grid: DensityGrid, corpus: Corpus,
+                weights: np.ndarray) -> None:
+    """Add each row's weight: the boxes first, _BOX_BATCH at a time, then the
+    points, each in row order.  A box's share of a cell factorises as
+    f_lon(i) * f_lat(j), the overlap fractions of its longitude extent and
+    of its extent in sin(lat), so the cell masses are F_lon^T diag(w) F_lat."""
+    box = corpus.is_box
+    boxes, box_w = corpus.take(box), weights[box]
+    sin_edges = np.array([_sin_lat(e) for e in grid.lat_edges])
     for k in range(0, len(boxes), _BOX_BATCH):
-        _accumulate_boxes(target, grid, boxes[k:k + _BOX_BATCH],
-                          np.asarray(box_w[k:k + _BOX_BATCH], dtype=float))
-    if pts_lon:
-        _accumulate_points(target, grid, np.asarray(pts_lon), np.asarray(pts_lat),
-                           np.asarray(pts_w))
+        b = slice(k, k + _BOX_BATCH)
+        lon0, lon1, lat0, lat1 = boxes.lon0[b], boxes.lon1[b], boxes.lat0[b], boxes.lat1[b]
+        s0, s1 = boxes.sin0[b], boxes.sin1[b]
+        f_lon = _overlaps(lon0, lon1, lon0, lon1, grid.lon_edges, grid.lon_edges) \
+            / (lon1 - lon0)[:, None]
+        f_lat = _overlaps(lat0, lat1, s0, s1, grid.lat_edges, sin_edges) \
+            / (s1 - s0)[:, None]
+        target += (f_lon * box_w[b, None]).T @ f_lat
+    point = ~box
+    if point.any():
+        _accumulate_points(target, grid, corpus.lon0[point], corpus.lat0[point],
+                           weights[point])
 
 
-def accumulate_tweets(grid: DensityGrid, records: Sequence[LocatedRecord]
-                      ) -> DensityGrid:
-    """Add one unit of tweet mass per record, spread by f_jb for boxes."""
-    _accumulate(grid.n_t, grid, records, np.ones(len(records)))
+def accumulate_tweets(grid: DensityGrid, records) -> DensityGrid:
+    """Add one unit of tweet mass per record (a Corpus or LocatedRecords),
+    spread by f_jb for boxes."""
+    corpus = Corpus.of(records)
+    _accumulate(grid.n_t, grid, corpus, np.ones(len(corpus)))
     return grid
 
 
+def _accumulate_user_mass(grid: DensityGrid, corpus: Corpus) -> None:
+    """Add one unit of user mass per user, spread as f_jb / N_t(i), with the
+    rows in user-id order."""
+    corpus = corpus.take(np.argsort(corpus.user, kind="stable"))
+    _accumulate(grid.n_u, grid, corpus, 1.0 / corpus.user_counts()[corpus.user])
+
+
 def group_by_user(records: Sequence[LocatedRecord]) -> list[tuple[str, list]]:
-    """(user_id, records) pairs sorted by user id."""
+    """(user_id, records) pairs, users in order of their first record."""
     by_user: dict[str, list] = defaultdict(list)
     for r in records:
         by_user[r.user_id].append(r)
-    return sorted(by_user.items())
+    return list(by_user.items())
 
 
 def accumulate_users(grid: DensityGrid, groups: Sequence[tuple[str, list]]
                      ) -> DensityGrid:
-    """Add one unit of user mass per user, spread as f_jb / N_t(i)."""
+    """Add one unit of user mass per user of the (user_id, records) groups."""
     records: list[LocatedRecord] = []
-    weights: list[float] = []
     for user_id, recs in groups:
         if not recs:
             raise ValueError(f"empty user group: {user_id}")
-        w = 1.0 / len(recs)
         records.extend(recs)
-        weights.extend([w] * len(recs))
-    _accumulate(grid.n_u, grid, records, weights)
+    _accumulate_user_mass(grid, Corpus.of(records))
     return grid
 
 
@@ -233,14 +216,13 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
     skipped zero-area units."""
     diags: list[str] = []
     for unit in units:
-        total_area = polygon_area(unit.geometry)
+        total_area = unit.area
         if total_area <= _MIN_LAND_AREA_KM2:
             diags.append(f"unit {unit.unit_id}: zero geometric area, skipped")
             continue
-        bounds = geometry_bounds(unit.geometry)
-        if bounds.intersect(grid.spec.study) is None:
+        if unit.bounds.intersect(grid.spec.study) is None:
             continue
-        cells, a = _cell_areas(grid, unit.geometry, bounds)
+        cells, a = _cell_areas(grid, unit.geometry, unit.bounds)
         has_youth = unit.population_18_35 is not None
         if has_youth:
             grid.has_youth = True
@@ -279,14 +261,14 @@ def density_histogram(grid: DensityGrid, quantity: str, bins
     return np.histogram(np.log10(vals), bins=bins)
 
 
-def run_grid_pipeline(spec: GridSpec, land: Geometry,
-                      records: Sequence[LocatedRecord],
+def run_grid_pipeline(spec: GridSpec, land: Geometry, records,
                       units: Sequence[PopulationUnit]) -> DensityGrid:
-    """Build the grid, accumulate tweets, users and population, and derive
-    densities."""
+    """Build the grid, accumulate tweets, users and population from records
+    (a Corpus or LocatedRecords), and derive densities."""
+    corpus = Corpus.of(records)
     grid = build_grid(spec, land)
-    accumulate_tweets(grid, records)
-    accumulate_users(grid, group_by_user(records))
+    accumulate_tweets(grid, corpus)
+    _accumulate_user_mass(grid, corpus)
     apportion_population(grid, units)
     densities(grid)
     return grid

@@ -8,38 +8,34 @@ FeatureCollection with a numeric ``population`` property per feature.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import radians, sin
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
-from .errors import ConfigError, DataError
+import numpy as np
+
+from .errors import ConfigError, DataError, DomainError
 from .geometry import (
-    GeoPoint,
+    EARTH_RADIUS_KM,
     LonLatRect,
     MultiPolygon,
+    geometry_bounds,
     geometry_from_geojson,
+    polygon_area,
     spherical_rect_area,
 )
 
 # place_type values too coarse to locate a tweet
 _IMPRECISE_PLACE_TYPES = {"admin", "country"}
-_KNOWN_PLACE_TYPES = {"poi", "neighborhood", "city", "admin", "country"}
-_JSON_NUMBER_TYPES = frozenset((int, float, bool))
-
-
-@dataclass(slots=True)
-class TweetRecord:
-    tweet_id: str
-    user_id: str
-    geo: Optional[GeoPoint] = None
-    place_type: Optional[str] = None
-    place_box: Optional[LonLatRect] = None
-    source: str = ""
-    in_reply_to_status_id: Optional[str] = None
-    in_reply_to_user_id: Optional[str] = None
-    quoted_status_id: Optional[str] = None
+_R2 = EARTH_RADIUS_KM * EARTH_RADIUS_KM
 
 
 @dataclass(slots=True, frozen=True)
@@ -63,6 +59,16 @@ class PopulationUnit:
     population: float
     population_18_35: Optional[float] = None
 
+    @cached_property
+    def area(self) -> float:
+        """Spherical area of the unit, km^2 (computed once)."""
+        return polygon_area(self.geometry)
+
+    @cached_property
+    def bounds(self) -> LonLatRect:
+        """Envelope of the unit's outer rings (computed once)."""
+        return geometry_bounds(self.geometry)
+
 
 @dataclass
 class ParseDiagnostics:
@@ -85,36 +91,124 @@ class CorpusStats:
     reply_or_quote_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "total_records": self.total_records,
-            "located_geo": self.located_geo,
-            "located_place": self.located_place,
-            "discarded_admin_country": self.discarded_admin_country,
-            "discarded_outside": self.discarded_outside,
-            "unlocatable": self.unlocatable,
-            "per_source": dict(self.per_source),
-            "reply_count": self.reply_count,
-            "quote_count": self.quote_count,
-            "reply_or_quote_count": self.reply_or_quote_count,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                } | {"per_source": dict(self.per_source)}
 
 
-def _envelope(coords) -> LonLatRect:
-    """Envelope of an arbitrarily nested GeoJSON coordinate array."""
-    # fast path: the usual Polygon nesting [[[lon, lat], ...]].  zip gives
-    # exactly two columns of numbers (JSON decodes them to exactly int, float
-    # or bool) only when every point is a list that starts with two numbers,
-    # and the walk below finds the same pairs; anything else falls through.
-    if type(coords) is list and len(coords) == 1 and type(coords[0]) is list:
-        try:
-            lons, lats = zip(*coords[0])
-        except (TypeError, ValueError):
-            pass
-        else:
-            if _JSON_NUMBER_TYPES.issuperset(map(type, lons + lats)):
-                return LonLatRect(float(min(lons)), float(min(lats)),
-                                  float(max(lons)), float(max(lats)))
+_COLUMNS = ("lon0", "lat0", "lon1", "lat1", "sin0", "sin1", "user", "source",
+            "reply", "quote", "place")
+# a study rect that holds every finite record
+_EVERYWHERE = LonLatRect(-math.inf, -math.inf, math.inf, math.inf)
 
+
+@dataclass(eq=False)
+class Corpus:
+    """Located tweets as columns, one row per tweet.
+
+    A row is a point (lon0 == lon1 and lat0 == lat1) or a place box of
+    positive area (lon0 < lon1), with sin0 and sin1 the math.sin of its
+    latitudes in radians (0 for points).  ``user`` codes index
+    ``user_ids``, which are sorted, so code order is user-id order;
+    ``source`` codes index ``sources``.  ``reply``, ``quote`` and ``place``
+    (the tag kind: place, else geo) are booleans.  ``stats`` is the funnel
+    of the parse that built the corpus.  No tweet ids are kept.
+    """
+
+    lon0: np.ndarray
+    lat0: np.ndarray
+    lon1: np.ndarray
+    lat1: np.ndarray
+    sin0: np.ndarray
+    sin1: np.ndarray
+    user: np.ndarray
+    source: np.ndarray
+    reply: np.ndarray
+    quote: np.ndarray
+    place: np.ndarray
+    user_ids: list
+    sources: list
+    stats: CorpusStats
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def __iter__(self) -> Iterator[LocatedRecord]:
+        """The rows as LocatedRecord views, with empty tweet ids."""
+        cols = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        for lon0, lat0, lon1, lat1, _, _, user, source, reply, quote, place in cols:
+            point, box = (None, LonLatRect(lon0, lat0, lon1, lat1)) \
+                if lon0 != lon1 else ((lon0, lat0), None)
+            yield LocatedRecord("", self.user_ids[user], point, box,
+                                "place" if place else "geo",
+                                self.sources[source], reply, quote)
+
+    def take(self, rows) -> "Corpus":
+        """The corpus of the rows selected by a mask or an index array."""
+        return dataclasses.replace(
+            self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
+
+    @property
+    def is_box(self) -> np.ndarray:
+        return self.lon0 != self.lon1
+
+    def user_counts(self) -> np.ndarray:
+        """Rows per user code."""
+        return np.bincount(self.user, minlength=len(self.user_ids))
+
+    @staticmethod
+    def of(records) -> "Corpus":
+        """Records as a Corpus: a Corpus itself, or LocatedRecords located
+        again.  A LocatedRecord box must have positive area."""
+        if isinstance(records, Corpus):
+            return records
+        rows = []
+        for r in records:
+            box = r.box
+            if box is None and r.tag_kind == "place":
+                box = r.point + r.point      # a point place: a zero-area box
+            elif box is not None:
+                if spherical_rect_area(box) <= 0.0:
+                    raise DomainError("zero-area box must arrive as a point")
+                box = dataclasses.astuple(box)
+            rows.append((r.user_id, None if box else r.point, None, box,
+                         r.source, r.is_reply, r.is_quote))
+        return corpus_stats(rows, _EVERYWHERE)[1]
+
+
+def _span(first, *rest) -> tuple:
+    """(min, max) of the values, as the min and max builtins pick them."""
+    lo = hi = first
+    for v in rest:
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+    return lo, hi
+
+
+def _corners(coords) -> Optional[tuple]:
+    """The envelope of the usual bounding box, one ring of four [lon, lat]
+    float pairs, read by index; None for any other shape."""
+    try:
+        [[a, b], [c, d], [e, f], [g, h]], = coords
+    except (TypeError, ValueError):
+        return None
+    if not (type(a) is float and type(b) is float and type(c) is float
+            and type(d) is float and type(e) is float and type(f) is float
+            and type(g) is float and type(h) is float):
+        return None
+    min_lon, max_lon = _span(a, c, e, g)
+    min_lat, max_lat = _span(b, d, f, h)
+    return min_lon, min_lat, max_lon, max_lat
+
+
+def _envelope(coords) -> tuple:
+    """Envelope (min_lon, min_lat, max_lon, max_lat) of an arbitrarily
+    nested GeoJSON coordinate array: the [lon, lat] pairs are the lists that
+    start with two numbers."""
+    box = _corners(coords)
+    if box is not None:
+        return box
     lons = []
     lats = []
 
@@ -130,10 +224,15 @@ def _envelope(coords) -> LonLatRect:
     walk(coords)
     if not lons:
         raise ValueError("empty bounding box coordinates")
-    return LonLatRect(min(lons), min(lats), max(lons), max(lats))
+    return min(lons), min(lats), max(lons), max(lats)
 
 
-def _record_from_json(obj: dict) -> TweetRecord:
+def _fields(obj) -> tuple:
+    """The row (user_id, geo, place_type, box, source, is_reply, is_quote)
+    of a decoded record, with geo a (lon, lat) pair and box an envelope,
+    each or None.  A malformed record raises ValueError, KeyError,
+    TypeError or OverflowError; place_type and source are strings, or
+    absent or null."""
     if not isinstance(obj, dict):
         raise TypeError("record is not a JSON object")
     tweet_id = obj.get("id_str") or str(obj.get("id", ""))
@@ -150,35 +249,39 @@ def _record_from_json(obj: dict) -> TweetRecord:
     coords = obj.get("coordinates")
     if isinstance(coords, dict) and coords.get("coordinates"):
         lon, lat = coords["coordinates"][:2]
-        geo = GeoPoint(float(lon), float(lat))
+        lon, lat = float(lon), float(lat)
+        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+            raise ValueError(f"coordinates out of range: {lon}, {lat}")
+        geo = (lon, lat)
 
     place_type = None
-    place_box = None
+    box = None
     place = obj.get("place")
     if isinstance(place, dict):
         place_type = place.get("place_type")
+        if not isinstance(place_type, (str, type(None))):
+            raise TypeError("place_type is not a string")
         bbox = place.get("bounding_box")
         if isinstance(bbox, dict) and bbox.get("coordinates"):
-            place_box = _envelope(bbox["coordinates"])
+            box = _envelope(bbox["coordinates"])
 
     quoted = obj.get("quoted_status_id_str")
     if not quoted:
         qs = obj.get("quoted_status")
         if isinstance(qs, dict):
             quoted = qs.get("id_str")
+    source = obj.get("source")
+    if not isinstance(source, (str, type(None))):
+        raise TypeError("source is not a string")
+    return (user_id, geo, place_type, box, source or "",
+            bool(obj.get("in_reply_to_status_id_str")
+                 or obj.get("in_reply_to_user_id_str")),
+            bool(quoted))
 
-    return TweetRecord(
-        tweet_id, user_id, geo, place_type, place_box,
-        obj.get("source") or "",
-        obj.get("in_reply_to_status_id_str") or None,
-        obj.get("in_reply_to_user_id_str") or None,
-        quoted or None,
-    )
 
-
-def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[TweetRecord]:
+def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     """Parse newline-delimited JSON tweets from a path or an iterable of
-    lines, one record at a time.
+    lines into rows (see _fields), one record at a time.
 
     A path is read line by line and split as str.splitlines splits it.
     Malformed records are skipped and counted in ``diags``; they never abort
@@ -190,10 +293,21 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[TweetRecord]:
         except OSError as exc:
             raise DataError(f"cannot read tweets from {source}: {exc}") from exc
         with fh:
-            yield from _parse_lines(
+            yield from iter_tweets(
                 (line for chunk in fh for line in chunk.splitlines()), diags)
-    else:
-        yield from _parse_lines(source, diags)
+        return
+    for line in source:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = _fields(_loads(line))
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            diags.skipped += 1
+            diags.reasons[type(exc).__name__] += 1
+            continue
+        diags.parsed += 1
+        yield row
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -209,23 +323,7 @@ def _loads(line):
     return obj
 
 
-def _parse_lines(lines: Iterable[str], diags: ParseDiagnostics
-                 ) -> Iterator[TweetRecord]:
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = _record_from_json(_loads(line))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            diags.skipped += 1
-            diags.reasons[type(exc).__name__] += 1
-            continue
-        diags.parsed += 1
-        yield rec
-
-
-def parse_tweets(source) -> tuple[list[TweetRecord], ParseDiagnostics]:
+def parse_tweets(source) -> tuple[list[tuple], ParseDiagnostics]:
     """Parse newline-delimited JSON tweets from a path or an iterable of lines.
 
     Malformed records are skipped and counted in the diagnostics; they never
@@ -235,123 +333,129 @@ def parse_tweets(source) -> tuple[list[TweetRecord], ParseDiagnostics]:
     return list(iter_tweets(source, diags)), diags
 
 
-def locate(t: TweetRecord, study: LonLatRect) -> tuple[Optional[LocatedRecord], str]:
-    """Resolve a tweet to a location inside the study rect.
+def corpus_stats(rows: Iterable[tuple], study: LonLatRect
+                 ) -> tuple[CorpusStats, Corpus]:
+    """Locate parsed rows in the study rect: the funnel counts, with the
+    per-source and reply/quote counts of the located rows, and their Corpus.
 
     A geo tag inside the study rect wins over any place tag.  Place tags of
     type country/admin are too coarse and discarded; place boxes must be
     fully contained in the study rect.  Zero-area place boxes (a point, or
     a line of zero width or height) become points at their centre.
-    Returns (record, reason); record is None when discarded and the reason
-    is one of located_geo / located_place / insufficient_precision /
-    outside / unlocatable.
     """
-    geo = t.geo
-    if geo is not None and study.contains_point(geo.lon, geo.lat):
-        return _located(t, (geo.lon, geo.lat), None, "geo"), "located_geo"
+    min_lon, min_lat, max_lon, max_lat = dataclasses.astuple(study)
+    coords = array("d")   # lon0, lat0, lon1, lat1, sin0, sin1 per located row
+    users, sources, flags = array("i"), array("i"), array("b")
+    user_codes: dict = {}
+    source_codes: dict = {}
+    reasons = [0] * 5     # geo, place, imprecise, outside, unlocatable
+    for user_id, geo, place_type, box, source, reply, quote in rows:
+        if (geo is not None and min_lon <= geo[0] <= max_lon
+                and min_lat <= geo[1] <= max_lat):
+            lon, lat = geo
+            row, kind = (lon, lat, lon, lat, 0.0, 0.0), 0
+        elif box is None:
+            reasons[3 if geo else 4] += 1
+            continue
+        elif place_type in _IMPRECISE_PLACE_TYPES:
+            reasons[2] += 1
+            continue
+        else:
+            a, b, c, d = box
+            if not (min_lon <= a and c <= max_lon and min_lat <= b and d <= max_lat):
+                reasons[3] += 1
+                continue
+            s0, s1 = sin(radians(b)), sin(radians(d))
+            if _R2 * radians(c - a) * (s1 - s0) <= 0.0:
+                lon, lat = 0.5 * (a + c), 0.5 * (b + d)
+                row = (lon, lat, lon, lat, 0.0, 0.0)
+            else:
+                row = (a, b, c, d, s0, s1)
+            kind = 1
+        reasons[kind] += 1
+        coords.extend(row)
+        users.append(user_codes.setdefault(user_id, len(user_codes)))
+        sources.append(source_codes.setdefault(source, len(source_codes)))
+        flags.append(reply | quote << 1 | kind << 2)
 
-    box = t.place_box
-    if box is not None:
-        if t.place_type in _IMPRECISE_PLACE_TYPES:
-            return None, "insufficient_precision"
-        if study.contains_rect(box):
-            if spherical_rect_area(box) <= 0.0:
-                centre = (0.5 * (box.min_lon + box.max_lon),
-                          0.5 * (box.min_lat + box.max_lat))
-                return _located(t, centre, None, "place"), "located_place"
-            return _located(t, None, box, "place"), "located_place"
-        return None, "outside"
-
-    if geo is not None:
-        return None, "outside"
-    return None, "unlocatable"
-
-
-def _located(t: TweetRecord, point, box, tag_kind: str) -> LocatedRecord:
-    return LocatedRecord(
-        t.tweet_id, t.user_id, point, box, tag_kind, t.source,
-        bool(t.in_reply_to_status_id or t.in_reply_to_user_id),
-        bool(t.quoted_status_id))
+    # recode users by the sorted order of their ids
+    ids = list(user_codes)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(ids), dtype=np.int32)
+    rank[order] = np.arange(len(ids), dtype=np.int32)
+    flags = np.array(flags, dtype=np.int8)
+    reply, quote = (flags & 1) != 0, (flags & 2) != 0
+    source = np.array(sources, dtype=np.int32)
+    stats = CorpusStats(
+        sum(reasons), *reasons,
+        per_source=Counter(dict(zip(source_codes, np.bincount(
+            source, minlength=len(source_codes)).tolist()))),
+        reply_count=int(reply.sum()), quote_count=int(quote.sum()),
+        reply_or_quote_count=int((reply | quote).sum()))
+    return stats, Corpus(
+        *np.array(coords, dtype=float).reshape(-1, 6).T.copy(),
+        user=rank[np.array(users, dtype=np.int32)], source=source,
+        reply=reply, quote=quote, place=(flags & 4) != 0,
+        user_ids=[ids[k] for k in order], sources=list(source_codes),
+        stats=stats)
 
 
-def corpus_stats(tweets: Iterable[TweetRecord], study: LonLatRect
-                 ) -> tuple[CorpusStats, list[LocatedRecord]]:
-    """Locate every tweet and tally the partition plus per-source and
-    reply/quote counts over the located records."""
-    stats = CorpusStats()
-    located: list[LocatedRecord] = []
-    reasons: Counter = Counter()
-    per_source = stats.per_source
-    for t in tweets:
-        rec, reason = locate(t, study)
-        reasons[reason] += 1
-        if rec is not None:
-            located.append(rec)
-            per_source[rec.source] += 1
-            if rec.is_reply or rec.is_quote:
-                stats.reply_or_quote_count += 1
-                stats.reply_count += rec.is_reply
-                stats.quote_count += rec.is_quote
-    stats.total_records = sum(reasons.values())
-    stats.located_geo = reasons["located_geo"]
-    stats.located_place = reasons["located_place"]
-    stats.discarded_admin_country = reasons["insufficient_precision"]
-    stats.discarded_outside = reasons["outside"]
-    stats.unlocatable = reasons["unlocatable"]
-    return stats, located
+def _keep(records, keep: np.ndarray):
+    """The records where keep is true, as the same kind of collection."""
+    if isinstance(records, Corpus):
+        return records.take(keep)
+    return list(itertools.compress(records, keep.tolist()))
 
 
-def filter_bots(records: list[LocatedRecord], threshold_fraction: float = 0.01
-                ) -> tuple[list[LocatedRecord], list[str]]:
+def filter_bots(records, threshold_fraction: float = 0.01) -> tuple:
     """Drop every record of users whose share of the corpus strictly exceeds
-    the threshold.
+    the threshold; records are a Corpus or LocatedRecords, and come back as
+    the same kind.  Returns them and the sorted ids of the removed users.
 
     The threshold is computed once against the pre-filter total (single
     pass, no re-thresholding), so the filter is idempotent.
     """
     if not 0.0 < threshold_fraction <= 1.0:
         raise ConfigError("threshold_fraction must be in (0, 1]")
-    counts = Counter(r.user_id for r in records)
-    threshold = threshold_fraction * len(records)
-    removed = sorted(u for u, c in counts.items() if c > threshold)
-    removed_set = set(removed)
-    kept = [r for r in records if r.user_id not in removed_set]
-    return kept, removed
+    corpus = Corpus.of(records)
+    bots = corpus.user_counts() > threshold_fraction * len(corpus)
+    removed = [corpus.user_ids[k] for k in np.flatnonzero(bots).tolist()]
+    return _keep(records, ~bots[corpus.user]), removed
 
 
-def filter_min_tweets(records: list[LocatedRecord], min_count: int = 10
-                      ) -> list[LocatedRecord]:
-    """Keep only records of users with at least ``min_count`` located records."""
+def filter_min_tweets(records, min_count: int = 10):
+    """Keep only records of users with at least ``min_count`` located
+    records (a Corpus or LocatedRecords, returned as the same kind)."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter(r.user_id for r in records)
-    return [r for r in records if counts[r.user_id] >= min_count]
+    corpus = Corpus.of(records)
+    return _keep(records, corpus.user_counts()[corpus.user] >= min_count)
 
 
-def source_ranking(records: list[LocatedRecord], k: int
-                   ) -> list[tuple[str, int, float]]:
+def source_ranking(records, k: int) -> list[tuple[str, int, float]]:
     """Top-k sources by record count; proportions are of the whole corpus.
 
     Ties are broken lexicographically by source string.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = len(records)
-    counts = Counter(r.source for r in records)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    corpus = Corpus.of(records)
+    total = len(corpus)
+    counts = np.bincount(corpus.source, minlength=len(corpus.sources)).tolist()
+    ranked = sorted(((s, c) for s, c in zip(corpus.sources, counts) if c),
+                    key=lambda kv: (-kv[1], kv[0]))
     return [(s, c, c / total) for s, c in ranked[:k]]
 
 
-def reply_quote_stats(records: list[LocatedRecord]
-                      ) -> tuple[int, int, Optional[float]]:
+def reply_quote_stats(records) -> tuple[int, int, Optional[float]]:
     """Counts of replies and quotes plus the fraction of records that are
     either (a record that is both counts once in the union)."""
-    replies = sum(1 for r in records if r.is_reply)
-    quotes = sum(1 for r in records if r.is_quote)
-    if not records:
+    corpus = Corpus.of(records)
+    if not len(corpus):
         return 0, 0, None
-    union = sum(1 for r in records if r.is_reply or r.is_quote)
-    return replies, quotes, union / len(records)
+    union = int((corpus.reply | corpus.quote).sum())
+    return (int(corpus.reply.sum()), int(corpus.quote.sum()),
+            union / len(corpus))
 
 
 def parse_population(feature_collection: dict

@@ -19,14 +19,6 @@ from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
 
-# relation name -> (x quantity, y quantity)
-RELATIONS = {
-    "T_vs_P": ("P", "T"),   # exponent alpha
-    "U_vs_P": ("P", "U"),   # exponent beta
-    "T_vs_U": ("U", "T"),   # exponent gamma
-    "Y_vs_P": ("P", "Y"),   # exponent delta
-}
-
 EXPONENT_RELATION = {"alpha": "T_vs_P", "beta": "U_vs_P",
                      "gamma": "T_vs_U", "delta": "Y_vs_P"}
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError
 from .geometry import Geometry, LonLatRect
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
+from .ingest import Corpus
 from .scaling import cell_indices, fit_all, fit_cells
 
 EXPONENTS = ("alpha", "beta", "gamma")
@@ -98,9 +99,11 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
     Sub-rects keep the study rect's aspect ratio (side scale
     sqrt(area_fraction)) and the grid resolution is maintained by scaling
     the side count accordingly.  Population is re-apportioned from source
-    polygons per replicate.  Points are kept when inside the sub-rect,
-    boxes only when fully contained (matching the ingest rule).
+    polygons per replicate.  Records are a Corpus or LocatedRecords; points
+    are kept when inside the sub-rect, boxes only when fully contained
+    (matching the ingest rule).
     """
+    corpus = Corpus.of(records)
     w = study.width * math.sqrt(config.area_fraction)
     h = study.height * math.sqrt(config.area_fraction)
     x_sub = subarea_grid_side(x, config.area_fraction)
@@ -110,9 +113,8 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
         ox = rng.uniform(study.min_lon, study.max_lon - w)
         oy = rng.uniform(study.min_lat, study.max_lat - h)
         sub = LonLatRect(ox, oy, ox + w, oy + h)
-        kept = [r for r in records
-                if (r.point is not None and sub.contains_point(*r.point))
-                or (r.box is not None and sub.contains_rect(r.box))]
+        kept = corpus.take((corpus.lon0 >= sub.min_lon) & (corpus.lon1 <= sub.max_lon)
+                           & (corpus.lat0 >= sub.min_lat) & (corpus.lat1 <= sub.max_lat))
         try:
             spec = GridSpec(sub, x_sub)
             grid = run_grid_pipeline(spec, land, kept, units)

@@ -270,6 +270,37 @@ class TestStatsCommand:
         assert float(rows[0]["proportion"]) <= 1.0
 
 
+    def test_malformed_records_are_reported(self, tmp_path, capsys):
+        good = [json.dumps({"id_str": str(k), "user": {"id_str": f"u{k}"},
+                            "coordinates": {"type": "Point",
+                                            "coordinates": [-2.5, 50.5]},
+                            "source": "app"}) for k in range(3)]
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("\n".join(good + ["[1,2]", "not json"]) + "\n")
+        assert main(["stats", "--tweets", str(tweets), "--tag-kind", "geo",
+                     "--study=-3.0,50.0,-2.0,51.0", "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("records=3 located_geo=3 ")
+        assert captured.err == "tweets: skipped 2 malformed records\n"
+
+    @pytest.mark.parametrize("command", ["stats", "fit"])
+    def test_non_string_place_type_or_source_is_a_counted_skip(
+            self, tmp_path, corpus, capsys, command):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("population.geojson", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        good = json.loads((corpus / "tweets.jsonl").read_text().splitlines()[0])
+        bad = [{**good, "place": {**good["place"], "place_type": ["city"]}},
+               {**good, "source": {"x": 1}}]
+        (inputs / "tweets.jsonl").write_text(
+            (corpus / "tweets.jsonl").read_text()
+            + "".join(json.dumps(b) + "\n" for b in bad))
+        capsys.readouterr()
+        assert run_cmd(inputs, tmp_path / "out", command, "--x", "6") == 0
+        assert "tweets: skipped 2 malformed records" in capsys.readouterr().err
+
+
 class TestGridCommand:
     def test_grid_csv_shape(self, tmp_path, corpus):
         assert run_cmd(corpus, tmp_path, "grid", "--x", "6") == 0

@@ -1,0 +1,178 @@
+"""The columnar corpus: the direct-index read of the usual bounding box
+against the general walk on seeded mutants of the usual tweet lines, and
+Corpus binning against the LocatedRecord adapters."""
+
+import copy
+import json
+import random
+
+import numpy as np
+import pytest
+
+from geoscale import ingest
+from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
+from geoscale.gridding import (
+    GridSpec,
+    accumulate_tweets,
+    accumulate_users,
+    build_grid,
+    group_by_user,
+    run_grid_pipeline,
+)
+from geoscale.ingest import corpus_stats, parse_tweets
+
+STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
+
+
+def ring(a, b, c, d):
+    return [[[a, b], [c, b], [c, d], [a, d]]]
+
+
+# the shapes synth writes (a place box, zero-area for points) and the
+# shapes of the bench generator (GPS points, place boxes of several types)
+BASES = [
+    {"id_str": "t000000001", "user": {"id_str": "u_0_0_1"},
+     "place": {"place_type": "city", "bounding_box": {
+         "type": "Polygon", "coordinates": ring(-5.7413127, 49.9411335,
+                                                -5.7413127, 49.9411335)}},
+     "source": "app_alpha"},
+    {"id_str": "t000000002", "user": {"id_str": "u_0_0_2"},
+     "place": {"place_type": "city", "bounding_box": {
+         "type": "Polygon", "coordinates": ring(-5.75, 49.95, -5.70, 50.01)}},
+     "source": "app_beta"},
+    {"id_str": "t00000000", "user": {"id_str": "U0000_0"},
+     "coordinates": {"type": "Point", "coordinates": [-5.718396, 50.072783]},
+     "source": "app_alpha"},
+    {"id_str": "t00000004", "user": {"id_str": "U0001_0"},
+     "place": {"place_type": "poi", "bounding_box": {
+         "type": "Polygon", "coordinates": ring(-5.7410049999999995, 50.201637,
+                                                -5.706047, 50.211217)}},
+     "source": "app_alpha", "in_reply_to_status_id_str": "17"},
+    {"id_str": "t00000009", "user": {"id_str": "U0002_1"},
+     "place": {"place_type": "admin", "bounding_box": {
+         "type": "Polygon", "coordinates": ring(-5.0, 50.0, -3.0, 51.5)}},
+     "coordinates": {"type": "Point", "coordinates": [-0.5, 51.0]},
+     "source": "app_gamma", "quoted_status": {"id_str": "5"}},
+]
+
+REPLACEMENTS = ["x", "", 7, 0, 2.5, -1e9, True, False, None, [], [1.0], {},
+                {"id_str": "q"}, 10 ** 400, float("nan"), float("inf"),
+                float("-inf"), [-3.5, 51.0], [[-3.5, 51.0]], "city", "admin"]
+EXTRA_KEYS = ["id", "id_str", "coordinates", "place_type", "bounding_box",
+              "source", "quoted_status_id_str", "in_reply_to_user_id_str", "x"]
+
+
+def _containers(node, found):
+    """Every dict and list in a decoded record."""
+    if isinstance(node, (dict, list)):
+        found.append(node)
+        for child in (node.values() if isinstance(node, dict) else node):
+            _containers(child, found)
+    return found
+
+
+def mutant(rng: random.Random) -> str:
+    """One line: a base record with one to three random edits, written as
+    JSON (NaN and Infinity literals included), maybe cut short or with a
+    form feed or carriage return spliced in."""
+    obj = copy.deepcopy(rng.choice(BASES))
+    for _ in range(rng.randint(1, 3)):
+        node = rng.choice(_containers(obj, []))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        op = rng.random()
+        if keys and op < 0.55:
+            node[rng.choice(keys)] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        elif keys and op < 0.75:
+            del node[rng.choice(keys)]
+        elif isinstance(node, dict):
+            node[rng.choice(EXTRA_KEYS)] = copy.deepcopy(rng.choice(REPLACEMENTS))
+        else:
+            node.append(copy.deepcopy(rng.choice(REPLACEMENTS)))
+    line = json.dumps(obj, separators=(",", ":") if rng.random() < 0.5 else None)
+    op = rng.random()
+    if op < 0.1:
+        line = line[:rng.randrange(len(line))]
+    elif op < 0.2:
+        k = rng.randrange(len(line) + 1)
+        line = line[:k] + rng.choice("\f\r") + line[k:]
+    return line
+
+
+def outcome(line: str):
+    """The parse of one line: its row (as text, so NaN rows compare) or
+    its skip reason."""
+    rows, diags = parse_tweets([line])
+    return repr(rows) if rows else dict(diags.reasons)
+
+
+@pytest.fixture(scope="module")
+def mutants():
+    rng = random.Random(20261018)
+    return [mutant(rng) for _ in range(800)] + [json.dumps(b) for b in BASES]
+
+
+def test_direct_index_path_and_general_walk_agree(mutants, monkeypatch, tmp_path):
+    corners = ingest._corners
+    hits = []
+    monkeypatch.setattr(ingest, "_corners",
+                        lambda coords: hits.append(corners(coords)) or hits[-1])
+    both = [outcome(line) for line in mutants]
+    assert sum(box is not None for box in hits) >= 50
+    path = tmp_path / "mutants.jsonl"
+    path.write_text("\n".join(mutants) + "\n")
+    both_file = parse_tweets(path)
+
+    monkeypatch.setattr(ingest, "_corners", lambda coords: None)
+    assert [outcome(line) for line in mutants] == both
+    general_file = parse_tweets(path)
+    assert repr(both_file[0]) == repr(general_file[0])
+    assert both_file[1] == general_file[1]
+    assert {"row", "JSONDecodeError", "TypeError", "ValueError",
+            "OverflowError"} <= {k for o in both for k in
+                                 (o if isinstance(o, dict) else ["row"])}
+
+
+def sample_lines(n=3000, seed=5):
+    """Points and place boxes (half each, so boxes span several batches)
+    of 300 users inside STUDY, some boxes of zero area."""
+    rng = random.Random(seed)
+    lines = []
+    for k in range(n):
+        lon = rng.uniform(STUDY.min_lon, STUDY.max_lon - 0.3)
+        lat = rng.uniform(STUDY.min_lat, STUDY.max_lat - 0.3)
+        rec = {"id_str": str(k), "user": {"id_str": f"u{rng.randrange(300)}"},
+               "source": rng.choice(["a", "b", "c"])}
+        if k % 2:
+            w = 0.0 if rng.random() < 0.2 else rng.uniform(0.01, 0.3)
+            rec["place"] = {"place_type": "city", "bounding_box": {
+                "type": "Polygon", "coordinates": ring(lon, lat, lon + w,
+                                                       lat + rng.uniform(0.01, 0.3))}}
+        else:
+            rec["coordinates"] = {"type": "Point", "coordinates": [lon, lat]}
+        lines.append(json.dumps(rec))
+    return lines
+
+
+@pytest.mark.parametrize("x", [4, 10, 24])
+def test_corpus_binning_equals_the_located_record_adapters(x):
+    _, corpus = corpus_stats(parse_tweets(sample_lines())[0], STUDY)
+    assert corpus.is_box.sum() > 1024
+    land = MultiPolygon.of(PolygonWithHoles(rect_ring(STUDY)))
+    grid = run_grid_pipeline(GridSpec(STUDY, x), land, corpus, [])
+    records = list(corpus)
+    adapted = build_grid(GridSpec(STUDY, x), land)
+    accumulate_tweets(adapted, records)
+    accumulate_users(adapted, group_by_user(records))
+    assert np.array_equal(grid.n_t, adapted.n_t)
+    assert np.array_equal(grid.n_u, adapted.n_u)
+    assert grid.n_u.sum() == pytest.approx(len(set(corpus.user.tolist())), rel=1e-12)
+
+
+def test_views_round_trip_and_take_selects_rows():
+    _, corpus = corpus_stats(parse_tweets(sample_lines(200))[0], STUDY)
+    again = ingest.Corpus.of(list(corpus))
+    for name in ingest._COLUMNS:
+        assert np.array_equal(getattr(again, name), getattr(corpus, name)), name
+    place = corpus.take(corpus.place)
+    assert len(place) == int(corpus.place.sum())
+    assert all(r.tag_kind == "place" for r in place)

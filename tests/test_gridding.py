@@ -276,6 +276,22 @@ class TestApportionPopulation:
         assert grid.has_youth
         assert grid.n_y[0, 0] == pytest.approx(150.0, rel=1e-9)
 
+    def test_unit_area_and_bounds_computed_once_across_grids(self, monkeypatch):
+        import geoscale.ingest as ingest
+        calls = []
+        for name in ("polygon_area", "geometry_bounds"):
+            def counted(geom, fn=getattr(ingest, name), name=name):
+                calls.append(name)
+                return fn(geom)
+            monkeypatch.setattr(ingest, name, counted)
+        units = [PopulationUnit("a", rect_poly(LonLatRect(0.2, 0.2, 1.8, 0.8)), 500),
+                 PopulationUnit("b", rect_poly(LonLatRect(2.2, 1.2, 3.8, 3.8)), 300)]
+        for x in (2, 3, 5):
+            grid = build_grid(GridSpec(STUDY, x), rect_poly(STUDY))
+            apportion_population(grid, units)
+            assert grid.n_p.sum() == pytest.approx(800.0, rel=1e-12)
+        assert sorted(calls) == ["geometry_bounds"] * 2 + ["polygon_area"] * 2
+
 
 # Land and census units with concave rings, holes, a MultiPolygon, parts
 # outside STUDY and vertices on the lines of the 4x4 and 8x8 grids.

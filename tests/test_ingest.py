@@ -2,14 +2,12 @@ import json
 
 import pytest
 
-from geoscale.geometry import GeoPoint, LonLatRect
+from geoscale.geometry import LonLatRect
 from geoscale.ingest import (
     LocatedRecord,
-    TweetRecord,
     corpus_stats,
     filter_bots,
     filter_min_tweets,
-    locate,
     parse_population,
     parse_tweets,
     reply_quote_stats,
@@ -17,6 +15,8 @@ from geoscale.ingest import (
 )
 
 STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
+FUNNEL = ("located_geo", "located_place", "discarded_admin_country",
+          "discarded_outside", "unlocatable")
 
 
 def tweet_json(tweet_id="1", user_id="u1", coords=None, place_type=None,
@@ -38,16 +38,35 @@ def located(user_id="u1", lon=-3.5, lat=51.0, tweet_id="t", **kw):
                          point=(lon, lat), tag_kind="place", **kw)
 
 
+def locate_lines(lines):
+    """The located records of JSON lines, as LocatedRecord views."""
+    return list(corpus_stats(parse_tweets(lines)[0], STUDY)[1])
+
+
+def locate_one(line):
+    """The located record of one JSON line (None when discarded) and the
+    funnel count it went to."""
+    stats, corpus = corpus_stats(parse_tweets([line])[0], STUDY)
+    [reason] = [name for name in FUNNEL if getattr(stats, name)]
+    return (next(iter(corpus)) if len(corpus) else None), reason
+
+
+def box_corners(box):
+    return [[box.min_lon, box.min_lat], [box.max_lon, box.min_lat],
+            [box.max_lon, box.max_lat], [box.min_lon, box.max_lat]]
+
+
 class TestParseTweets:
     def test_geo_coordinates_copied(self):
         records, diags = parse_tweets([tweet_json(coords=[-3.5, 51.0])])
         assert diags.parsed == 1
-        assert records[0].geo == GeoPoint(-3.5, 51.0)
+        assert [r.point for r in locate_lines([tweet_json(coords=[-3.5, 51.0])])] \
+            == [(-3.5, 51.0)]
 
     def test_place_box_is_envelope_of_polygon(self):
         corners = [[-3.6, 50.9], [-3.4, 50.9], [-3.4, 51.1], [-3.6, 51.1]]
-        records, _ = parse_tweets([tweet_json(place_coords=corners)])
-        assert records[0].place_box == LonLatRect(-3.6, 50.9, -3.4, 51.1)
+        [rec] = locate_lines([tweet_json(place_coords=corners)])
+        assert rec.box == LonLatRect(-3.6, 50.9, -3.4, 51.1)
 
     def test_empty_input(self):
         records, diags = parse_tweets([])
@@ -64,11 +83,12 @@ class TestParseTweets:
                  good.replace('"u1"', "7"),                         # integer user id
                  tweet_json(tweet_id="2", user_id="u3", coords=[-3.5, 51.0])]
         records, diags = parse_tweets(lines)
-        assert [r.user_id for r in records] == ["u1", "u3"]
+        _, corpus = corpus_stats(records, STUDY)
+        assert [r.user_id for r in corpus] == ["u1", "u3"]
         assert diags.skipped == 6
         assert diags.reasons == {"JSONDecodeError": 1, "ValueError": 1,
                                  "TypeError": 4}
-        kept, _ = filter_bots(corpus_stats(records, STUDY)[1], 1.0)
+        kept, _ = filter_bots(corpus, 1.0)
         assert len(kept) == 2
 
     def test_integer_too_large_for_a_float_is_a_counted_skip(self):
@@ -80,48 +100,66 @@ class TestParseTweets:
         records, diags = parse_tweets(lines)
         assert diags.skipped == 2
         assert diags.reasons == {"OverflowError": 2}
-        assert [r.geo for r in records] == [GeoPoint(-3.5, 51.0)]
+        assert [r.point for r in locate_lines(lines)] == [(-3.5, 51.0)]
 
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
                           quoted_status_id_str="8")
-        records, _ = parse_tweets([line])
-        assert records[0].in_reply_to_status_id == "9"
-        assert records[0].quoted_status_id == "8"
+        [rec] = locate_lines([line])
+        assert rec.is_reply
+        assert rec.is_quote
+
+    @pytest.mark.parametrize("extra", [
+        {"place": {"place_type": ["city"], "bounding_box": {
+            "type": "Polygon", "coordinates": [[[-3.6, 50.9], [-3.4, 51.1]]]}}},
+        {"place": {"place_type": 7, "bounding_box": {
+            "type": "Polygon", "coordinates": [[[-3.6, 50.9], [-3.4, 51.1]]]}}},
+        {"source": {"x": 1}},
+        {"source": 5},
+    ], ids=["list_place_type", "number_place_type", "object_source",
+            "number_source"])
+    def test_non_string_place_type_or_source_is_a_counted_skip(self, extra):
+        lines = [tweet_json(coords=[-3.5, 51.0], **extra),
+                 tweet_json(coords=[-3.5, 51.0], source=None)]
+        records, diags = parse_tweets(lines)
+        assert diags.reasons == {"TypeError": 1}
+        stats, corpus = corpus_stats(records, STUDY)
+        assert stats.per_source == {"": 1}
+        assert source_ranking(corpus, 1) == [("", 1, 1.0)]
 
 
 class TestLocate:
     def test_geo_takes_precedence_over_place(self):
-        t = TweetRecord("1", "u", geo=GeoPoint(-3.5, 51.0), place_type="city",
-                        place_box=LonLatRect(-3.6, 50.9, -3.4, 51.1))
-        rec, reason = locate(t, STUDY)
+        rec, reason = locate_one(tweet_json(
+            coords=[-3.5, 51.0], place_type="city",
+            place_coords=box_corners(LonLatRect(-3.6, 50.9, -3.4, 51.1))))
         assert reason == "located_geo"
         assert rec.point == (-3.5, 51.0)
         assert rec.tag_kind == "geo"
 
     def test_admin_place_discarded(self):
-        t = TweetRecord("1", "u", place_type="admin",
-                        place_box=LonLatRect(-3.6, 50.9, -3.4, 51.1))
-        rec, reason = locate(t, STUDY)
+        rec, reason = locate_one(tweet_json(
+            place_type="admin",
+            place_coords=box_corners(LonLatRect(-3.6, 50.9, -3.4, 51.1))))
         assert rec is None
-        assert reason == "insufficient_precision"
+        assert reason == "discarded_admin_country"
 
     def test_country_place_discarded(self):
-        t = TweetRecord("1", "u", place_type="country",
-                        place_box=LonLatRect(-5.0, 50.0, -2.0, 52.0))
-        assert locate(t, STUDY)[1] == "insufficient_precision"
+        line = tweet_json(place_type="country",
+                          place_coords=box_corners(LonLatRect(-5.0, 50.0, -2.0, 52.0)))
+        assert locate_one(line)[1] == "discarded_admin_country"
 
     def test_box_partially_outside_discarded(self):
-        t = TweetRecord("1", "u", place_type="city",
-                        place_box=LonLatRect(-6.5, 50.9, -5.5, 51.1))
-        rec, reason = locate(t, STUDY)
+        rec, reason = locate_one(tweet_json(
+            place_type="city",
+            place_coords=box_corners(LonLatRect(-6.5, 50.9, -5.5, 51.1))))
         assert rec is None
-        assert reason == "outside"
+        assert reason == "discarded_outside"
 
     def test_zero_extent_box_becomes_point(self):
-        t = TweetRecord("1", "u", place_type="poi",
-                        place_box=LonLatRect(-3.5, 51.0, -3.5, 51.0))
-        rec, reason = locate(t, STUDY)
+        rec, reason = locate_one(tweet_json(
+            place_type="poi",
+            place_coords=box_corners(LonLatRect(-3.5, 51.0, -3.5, 51.0))))
         assert reason == "located_place"
         assert rec.point == (-3.5, 51.0)
         assert rec.box is None
@@ -132,19 +170,19 @@ class TestLocate:
         (LonLatRect(-3.6, 51.0, -3.4, 51.0), (-3.5, 51.0)),
     ], ids=["zero_width", "zero_height"])
     def test_line_shaped_box_becomes_point_at_its_centre(self, box, centre):
-        t = TweetRecord("1", "u", place_type="city", place_box=box)
-        rec, reason = locate(t, STUDY)
+        rec, reason = locate_one(tweet_json(place_type="city",
+                                            place_coords=box_corners(box)))
         assert reason == "located_place"
         assert rec.box is None
         assert rec.point == pytest.approx(centre, abs=1e-12)
 
     def test_unknown_place_type_kept(self):
-        t = TweetRecord("1", "u", place_type="weird_new_type",
-                        place_box=LonLatRect(-3.6, 50.9, -3.4, 51.1))
-        assert locate(t, STUDY)[1] == "located_place"
+        line = tweet_json(place_type="weird_new_type",
+                          place_coords=box_corners(LonLatRect(-3.6, 50.9, -3.4, 51.1)))
+        assert locate_one(line)[1] == "located_place"
 
     def test_unlocatable(self):
-        assert locate(TweetRecord("1", "u"), STUDY)[1] == "unlocatable"
+        assert locate_one(tweet_json())[1] == "unlocatable"
 
     def test_partition_property(self):
         lines = [
