@@ -2,9 +2,10 @@
 
 Settings resolve as defaults < config file < command-line flags.  Each
 setting is a RunConfig field; the config file is flat ``key = value`` text
-with the field names, and each flag is the field name with dashes, taking
-the same text.  All randomness flows from --seed; reruns with identical
-inputs and seed produce byte-identical output files.
+with the field names and may hold any setting, and each flag is the field
+name with dashes, taking the same text.  A command takes the flags of just
+the settings it reads (``_COMMANDS``).  All randomness flows from --seed;
+reruns with identical inputs and seed produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +26,7 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateFitError,
+    GeoscaleError,
     InsufficientDataError,
     UnavailableError,
 )
@@ -263,10 +266,16 @@ def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list
     return specs, land, units
 
 
-def cmd_grid(cfg: RunConfig) -> int:
+def _load_grid(cfg: RunConfig):
+    """Check the inputs, read the corpus and bin it with the layers on the
+    X grid.  Returns the grid, the records, the land and the units."""
     [spec], land, units = _grid_inputs(cfg, [cfg.x])
     _, records = load_records(cfg)
-    grid = run_grid_pipeline(spec, land, records, units)
+    return run_grid_pipeline(spec, land, records, units), records, land, units
+
+
+def cmd_grid(cfg: RunConfig) -> int:
+    grid = _load_grid(cfg)[0]
     out = _outdir(cfg)
     grid_to_csv(grid, out / "grid.csv")
     print(f"grid X={cfg.x}: {int((grid.land_area > 0).sum())} land cells, "
@@ -276,18 +285,15 @@ def cmd_grid(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    [spec], land, units = _grid_inputs(cfg, [cfg.x])
-    _, records = load_records(cfg)
-    grid = run_grid_pipeline(spec, land, records, units)
+    grid = _load_grid(cfg)[0]
     fits = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
     _write_fits_csv(out / "fits.csv", [(cfg.x, fits[n]) for n in ("alpha", "beta", "gamma")])
     report = scaling.consistency(fits["alpha"], fits["beta"], fits["gamma"])
-    import math as _math
     _write_json(out / "consistency.json", {
         "delta": report.delta,
         "propagated_sigma": report.propagated_sigma,
-        "z_score": report.z_score if _math.isfinite(report.z_score)
+        "z_score": report.z_score if math.isfinite(report.z_score)
         else str(report.z_score),
     })
     for name in ("alpha", "beta", "gamma"):
@@ -332,33 +338,22 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_anomaly(cfg: RunConfig) -> int:
-    [spec], land, units = _grid_inputs(cfg, [cfg.x])
-    _, records = load_records(cfg)
-    grid = run_grid_pipeline(spec, land, records, units)
+    grid = _load_grid(cfg)[0]
     out = _outdir(cfg)
     made = {}
-    if cfg.kind in ("tu", "both"):
-        gamma = scaling.fit_all(grid, cfg.fit_min_tweets,
-                                cfg.fit_min_population)["gamma"]
-        amap = anomaly_mod.anomaly_map(
-            grid, gamma, "TU", cfg.abs_cap, cfg.rel_cap,
-            cfg.mask_t_density, cfg.mask_p_density)
-        anomaly_mod.anomaly_to_csv(amap, out / "anomaly_tu.csv")
+    thresholds = (cfg.fit_min_tweets, cfg.fit_min_population)
+    for kind in ("tu", "yp"):
+        if cfg.kind not in (kind, "both"):
+            continue
+        fit = (scaling.fit_all(grid, *thresholds)["gamma"] if kind == "tu"
+               else anomaly_mod.youth_fit(grid, *thresholds))
+        amap = anomaly_mod.anomaly_map(grid, fit, kind.upper(), cfg.abs_cap, cfg.rel_cap,
+                                       cfg.mask_t_density, cfg.mask_p_density)
+        anomaly_mod.anomaly_to_csv(amap, out / f"anomaly_{kind}.csv")
         if cfg.geojson:
-            _write_json(out / "anomaly_tu.geojson",
+            _write_json(out / f"anomaly_{kind}.geojson",
                         anomaly_mod.anomaly_to_geojson(amap))
-        made["tu"] = amap
-    if cfg.kind in ("yp", "both"):
-        delta = anomaly_mod.youth_fit(grid, cfg.fit_min_tweets,
-                                      cfg.fit_min_population)
-        amap = anomaly_mod.anomaly_map(
-            grid, delta, "YP", cfg.abs_cap, cfg.rel_cap,
-            cfg.mask_t_density, cfg.mask_p_density)
-        anomaly_mod.anomaly_to_csv(amap, out / "anomaly_yp.csv")
-        if cfg.geojson:
-            _write_json(out / "anomaly_yp.geojson",
-                        anomaly_mod.anomaly_to_geojson(amap))
-        made["yp"] = amap
+        made[kind] = amap
     for kind, amap in made.items():
         print(f"anomaly {kind}: {int((~amap.masked).sum())} unmasked cells")
     if len(made) == 2:
@@ -372,11 +367,10 @@ def cmd_anomaly(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    rcfg = validation.ResampleConfig(master_seed=cfg.seed, **{
-        key: getattr(cfg, key) for key in _COMMANDS["validate"][1]})
-    [spec], land, units = _grid_inputs(cfg, [cfg.x])
-    _, records = load_records(cfg)
-    grid = run_grid_pipeline(spec, land, records, units)
+    rcfg = validation.ResampleConfig(**{
+        f.name: cfg.seed if f.name == "master_seed" else getattr(cfg, f.name)
+        for f in dataclasses.fields(validation.ResampleConfig)})
+    grid, records, land, units = _load_grid(cfg)
     reference = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     if cfg.mode == "subarea":
         dist = validation.subarea_resample(
@@ -424,15 +418,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file")
-    for key in _COMMON:
-        _add_flag(common, key)
     parser = _Parser(prog="geoscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, own) in _COMMANDS.items():
-        p = sub.add_parser(command, parents=[common])
-        for key in own:
+    for command, (_, keys) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        p.add_argument("--config", help="flat key = value config file")
+        for key in keys:
             _add_flag(p, key)
     return parser
 
@@ -453,21 +444,25 @@ def _add_flag(parser: argparse.ArgumentParser, key: str) -> None:
                         help=f"default: {text}" if text else None)
 
 
-# settings every command takes, then each command's function and own settings
-_COMMON = ("tweets", "population", "land", "out", "x", "x_list", "study",
-           "tag_kind", "bot_threshold", "min_user_tweets", "fit_min_tweets",
-           "fit_min_population", "seed")
+# the settings the commands read, in groups
+_CORPUS = ("tweets", "study", "tag_kind", "out")
+_FILTERS = ("bot_threshold", "min_user_tweets")
+_LAYERS = ("land", "population")
+_THRESHOLDS = ("fit_min_tweets", "fit_min_population")
+_BINNED = _CORPUS + _FILTERS + _LAYERS
+_FITTED = _BINNED + ("x",) + _THRESHOLDS
+# each command's function and the exact settings it reads: its flags
 _COMMANDS = {
-    "stats": (cmd_stats, ()),
-    "grid": (cmd_grid, ()),
-    "fit": (cmd_fit, ()),
-    "scan": (cmd_scan, ()),
-    "anomaly": (cmd_anomaly, ("kind", "abs_cap", "rel_cap", "mask_t_density",
-                              "mask_p_density", "geojson")),
-    "validate": (cmd_validate, ("mode", "replicates", "area_fraction",
-                                "subset_fraction")),
-    "synth": (cmd_synth, tuple(f.name for f in dataclasses.fields(synth.SynthConfig)
-                               if f.name not in _COMMON) + ("bots", "bot_fraction")),
+    "stats": (cmd_stats, _CORPUS),
+    "grid": (cmd_grid, _BINNED + ("x",)),
+    "fit": (cmd_fit, _FITTED),
+    "scan": (cmd_scan, _BINNED + ("x_list",) + _THRESHOLDS),
+    "anomaly": (cmd_anomaly, _FITTED + ("kind", "abs_cap", "rel_cap", "mask_t_density",
+                                        "mask_p_density", "geojson")),
+    "validate": (cmd_validate, _FITTED + ("mode", "replicates", "area_fraction",
+                                          "subset_fraction", "seed")),
+    "synth": (cmd_synth, ("out",) + tuple(f.name for f in dataclasses.fields(
+        synth.SynthConfig)) + ("bots", "bot_fraction")),
 }
 
 
@@ -483,12 +478,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (InsufficientDataError, DegenerateFitError, UnavailableError) as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
+    except (GeoscaleError, OSError) as exc:   # DataError and any other input fault
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

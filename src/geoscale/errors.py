@@ -6,7 +6,8 @@ class GeoscaleError(Exception):
 
 
 class DegenerateGeometryError(GeoscaleError, ValueError):
-    """Geometry has too few distinct vertices or zero extent where extent is required."""
+    """Geometry has too few distinct vertices, a non-finite vertex, or zero
+    extent where extent is required."""
 
 
 class InvariantViolationError(GeoscaleError, ValueError):

@@ -14,7 +14,7 @@ as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, fsum, radians, sin
+from math import cos, fsum, isfinite, radians, sin
 from typing import Iterable, Union
 
 from .errors import DegenerateGeometryError, InvariantViolationError
@@ -58,12 +58,14 @@ class LonLatRect:
 
 
 class Ring:
-    """A closed sequence of vertices. The closing vertex is implicit."""
+    """A closed sequence of finite vertices. The closing vertex is implicit."""
 
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Iterable) -> None:
         coords = [(float(lon), float(lat)) for lon, lat in vertices]
+        if not all(isfinite(lon) and isfinite(lat) for lon, lat in coords):
+            raise DegenerateGeometryError("ring has a non-finite vertex")
         if len(coords) > 1 and coords[0] == coords[-1]:
             coords = coords[:-1]
         if len(set(coords)) < 3:

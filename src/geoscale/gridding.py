@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DegenerateGeometryError, DomainError
 from .geometry import Geometry, LonLatRect, geometry_bounds, grid_intersection_areas
 from .ingest import Corpus, LocatedRecord, PopulationUnit
 
@@ -79,7 +79,7 @@ def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
     grid = DensityGrid(spec, area)
     try:
         bounds = geometry_bounds(land)
-    except Exception:
+    except DegenerateGeometryError:   # no land at all
         return grid
     cells, a = _cell_areas(grid, land, bounds)
     area[cells] = np.where(a >= _MIN_LAND_AREA_KM2, a, 0.0)
@@ -226,7 +226,7 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
         has_youth = unit.population_18_35 is not None
         if has_youth:
             grid.has_youth = True
-        hit = ~(a <= 0.0)   # a NaN area from a bad vertex still shows in n_p
+        hit = a > 0.0
         share = a[hit] / total_area
         grid.n_p[cells][hit] += unit.population * share
         if has_youth:

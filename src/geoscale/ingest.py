@@ -16,7 +16,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import radians, sin
+from math import isfinite, radians, sin
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -188,7 +188,8 @@ def _span(first, *rest) -> tuple:
 
 def _corners(coords) -> Optional[tuple]:
     """The envelope of the usual bounding box, one ring of four [lon, lat]
-    float pairs, read by index; None for any other shape."""
+    float pairs, read by index; None for any other shape.  Raises
+    ValueError unless the eight values sum to a finite number."""
     try:
         [[a, b], [c, d], [e, f], [g, h]], = coords
     except (TypeError, ValueError):
@@ -197,6 +198,9 @@ def _corners(coords) -> Optional[tuple]:
             and type(d) is float and type(e) is float and type(f) is float
             and type(g) is float and type(h) is float):
         return None
+    # one test sees every value: min and max would skip a NaN that is not first
+    if not isfinite(a + b + c + d + e + f + g + h):
+        raise ValueError("non-finite bounding box coordinates")
     min_lon, max_lon = _span(a, c, e, g)
     min_lat, max_lat = _span(b, d, f, h)
     return min_lon, min_lat, max_lon, max_lat
@@ -205,7 +209,8 @@ def _corners(coords) -> Optional[tuple]:
 def _envelope(coords) -> tuple:
     """Envelope (min_lon, min_lat, max_lon, max_lat) of an arbitrarily
     nested GeoJSON coordinate array: the [lon, lat] pairs are the lists that
-    start with two numbers."""
+    start with two numbers.  Raises ValueError, as _corners does, unless
+    they sum to a finite number."""
     box = _corners(coords)
     if box is not None:
         return box
@@ -224,6 +229,8 @@ def _envelope(coords) -> tuple:
     walk(coords)
     if not lons:
         raise ValueError("empty bounding box coordinates")
+    if not isfinite(sum(lons) + sum(lats)):
+        raise ValueError("non-finite bounding box coordinates")
     return min(lons), min(lats), max(lons), max(lats)
 
 
@@ -458,13 +465,25 @@ def reply_quote_stats(records) -> tuple[int, int, Optional[float]]:
             union / len(corpus))
 
 
+def _count(value) -> Optional[float]:
+    """A population count as a finite float >= 0; None if it is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:    # an int too large for a float
+        return None
+    return value if 0.0 <= value < math.inf else None
+
+
 def parse_population(feature_collection: dict
                      ) -> tuple[list[PopulationUnit], ParseDiagnostics]:
     """Convert a GeoJSON FeatureCollection to population units.
 
-    Features with missing, non-numeric or negative population are skipped
-    with a diagnostic, and so is a feature that is not an object or whose
-    geometry does not make polygons (bad_geometry).
+    Features with a missing, non-numeric, negative or non-finite population
+    are skipped with a diagnostic, and so is a feature that is not an object
+    or whose geometry does not make polygons of finite vertices and
+    non-negative area (bad_geometry).
     """
     diags = ParseDiagnostics()
     units: list[PopulationUnit] = []
@@ -478,24 +497,24 @@ def parse_population(feature_collection: dict
             continue
         props = feat.get("properties") or {}
         code = str(props.get("code", idx))
-        pop = props.get("population")
-        if not isinstance(pop, (int, float)) or isinstance(pop, bool) or pop < 0:
+        pop = _count(props.get("population"))
+        if pop is None:
             diags.skipped += 1
             diags.reasons["bad_population"] += 1
             continue
         youth = props.get("population_18_35")
-        if youth is not None and (not isinstance(youth, (int, float))
-                                  or isinstance(youth, bool) or youth < 0):
+        if youth is not None and (youth := _count(youth)) is None:
             diags.skipped += 1
             diags.reasons["bad_population_18_35"] += 1
             continue
         try:
-            geom = geometry_from_geojson(feat["geometry"])
+            unit = PopulationUnit(code, geometry_from_geojson(feat["geometry"]),
+                                  pop, youth)
+            unit.area      # cached; a hole larger than its outer ring raises
         except (KeyError, TypeError, ValueError):
             diags.skipped += 1
             diags.reasons["bad_geometry"] += 1
             continue
-        units.append(PopulationUnit(code, geom, float(pop),
-                                    None if youth is None else float(youth)))
+        units.append(unit)
         diags.parsed += 1
     return units, diags

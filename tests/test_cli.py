@@ -1,10 +1,12 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 
 import pytest
 
+from geoscale import cli
 from geoscale.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from geoscale.geometry import LonLatRect
 from geoscale.synth import (
@@ -31,13 +33,12 @@ def corpus(tmp_path_factory):
 
 
 def run_cmd(corpus, out, command, *extra):
-    args = [command,
-            "--tweets", str(corpus / "tweets.jsonl"),
-            "--population", str(corpus / "population.geojson"),
-            "--land", str(corpus / "land.geojson"),
-            "--study=-3.0,50.0,-2.0,51.0",
-            "--min-user-tweets", "1",
-            "--out", str(out), *extra]
+    args = [command, "--tweets", str(corpus / "tweets.jsonl"),
+            "--study=-3.0,50.0,-2.0,51.0", "--out", str(out), *extra]
+    if command != "stats":      # stats reads no layers and no filters
+        args += ["--population", str(corpus / "population.geojson"),
+                 "--land", str(corpus / "land.geojson"),
+                 "--min-user-tweets", "1"]
     return main(args)
 
 
@@ -74,20 +75,26 @@ class TestConfigFile:
                      "--tweets", "x"]) == 1
 
 
-COMMON_FLAGS = ["--config", "--tweets", "--population", "--land", "--out", "--x",
-                "--x-list", "--study", "--tag-kind", "--bot-threshold",
-                "--min-user-tweets", "--fit-min-tweets", "--fit-min-population",
-                "--seed"]
-OWN_FLAGS = {
-    "stats": [], "grid": [], "fit": [], "scan": [],
-    "anomaly": ["--kind", "--abs-cap", "--rel-cap", "--mask-t-density",
-                "--mask-p-density", "--geojson"],
-    "validate": ["--mode", "--replicates", "--area-fraction", "--subset-fraction"],
-    "synth": ["--x-gen", "--beta-true", "--gamma-true", "--b-true", "--c-true",
-              "--noise-dex", "--pop-log10-mean", "--pop-log10-sigma",
-              "--emit-boxes-fraction", "--commuter-fraction", "--bots",
-              "--bot-fraction"],
+# each command's flags besides --config: exactly the settings it reads
+CORPUS_FLAGS = ["--tweets", "--study", "--tag-kind", "--out"]
+BINNED_FLAGS = CORPUS_FLAGS + ["--bot-threshold", "--min-user-tweets", "--land",
+                               "--population"]
+FIT_FLAGS = BINNED_FLAGS + ["--x", "--fit-min-tweets", "--fit-min-population"]
+FLAGS = {
+    "stats": CORPUS_FLAGS,
+    "grid": BINNED_FLAGS + ["--x"],
+    "fit": FIT_FLAGS,
+    "scan": BINNED_FLAGS + ["--x-list", "--fit-min-tweets", "--fit-min-population"],
+    "anomaly": FIT_FLAGS + ["--kind", "--abs-cap", "--rel-cap", "--mask-t-density",
+                            "--mask-p-density", "--geojson"],
+    "validate": FIT_FLAGS + ["--mode", "--replicates", "--area-fraction",
+                             "--subset-fraction", "--seed"],
+    "synth": ["--out", "--study", "--seed", "--x-gen", "--beta-true", "--gamma-true",
+              "--b-true", "--c-true", "--noise-dex", "--pop-log10-mean",
+              "--pop-log10-sigma", "--emit-boxes-fraction", "--commuter-fraction",
+              "--bots", "--bot-fraction"],
 }
+SETTINGS = {f.name for f in dataclasses.fields(RunConfig)}
 CHOICES = {"tag_kind": ["geo", "place", "both"], "kind": ["tu", "yp", "both"],
            "mode": ["subarea", "subset", "subset_nonadjacent"]}
 # text for a setting, by name or else by the type of its default
@@ -101,25 +108,24 @@ class TestSettings:
     are derived from it and take the same text."""
 
     def test_flags_of_each_command(self, capsys):
-        for command, own in OWN_FLAGS.items():
+        assert sum(map(len, FLAGS.values())) == 83
+        for command, flags in FLAGS.items():
             assert main([command, "--help"]) == 0
             out = capsys.readouterr().out
             assert set(re.findall(r"--[a-z0-9-]+", out)) == {
-                "--help", *COMMON_FLAGS, *own}
+                "--help", "--config", *flags}
             for key, words in CHOICES.items():
-                if "--" + key.replace("_", "-") in COMMON_FLAGS + own:
+                if "--" + key.replace("_", "-") in flags:
                     assert "{%s}" % ",".join(words) in out
 
     def test_flags_cover_every_setting(self):
-        flags = set(COMMON_FLAGS[1:]).union(*OWN_FLAGS.values())
-        assert {f[2:].replace("-", "_") for f in flags} == {
-            f.name for f in dataclasses.fields(RunConfig)}
+        flags = set().union(*FLAGS.values())
+        assert {f[2:].replace("-", "_") for f in flags} == SETTINGS
 
     def test_flag_and_config_line_resolve_alike(self, tmp_path):
         for f in dataclasses.fields(RunConfig):
             flag = "--" + f.name.replace("_", "-")
-            command = next(c for c, own in OWN_FLAGS.items()
-                           if flag in COMMON_FLAGS + own)
+            command = next(c for c, flags in FLAGS.items() if flag in flags)
             text = TEXTS.get(f.name) or TEXTS[type(f.default)]
             conf = tmp_path / f"{f.name}.conf"
             conf.write_text(f"{f.name} = {text}\n")
@@ -150,6 +156,42 @@ class TestSettings:
             argv = argv + ["--config", str(tmp_path / "run.conf")]
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("config error: bad ")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("stats", []),
+        ("grid", ["--x", "6"]),
+        ("fit", ["--x", "6"]),
+        ("scan", ["--x-list", "3,6"]),
+        ("anomaly", ["--x", "6", "--kind", "both", "--geojson"]),
+        ("validate", ["--x", "6", "--mode", "subset", "--subset-fraction", "0.3",
+                      "--replicates", "5"]),
+        ("validate", ["--x", "6", "--mode", "subarea", "--replicates", "2"]),
+        ("synth", []),
+    ], ids=["stats", "grid", "fit", "scan", "anomaly", "validate_subset",
+            "validate_subarea", "synth"])
+    def test_every_flag_a_command_takes_is_read(self, tmp_path, corpus, capsys,
+                                                 monkeypatch, command, extra):
+        """The settings a command's parser takes are those its run reads, as
+        recorded by a RunConfig that stands in for the resolved one."""
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
+        takes = {f[2:].replace("-", "_") for f in flags - {"--help", "--config"}}
+        reads = set()
+
+        class Recording(RunConfig):
+            def __getattribute__(self, name):
+                if name in SETTINGS:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        resolve = cli.resolve_config
+        monkeypatch.setattr(cli, "resolve_config", lambda args: Recording(
+            **dataclasses.asdict(resolve(args))))
+        if command == "synth":
+            assert main(SMALL_SYNTH + ["--out", str(tmp_path)]) == 0
+        else:
+            assert run_cmd(corpus, tmp_path, command, *extra) == 0
+        assert reads == takes
 
     def test_bad_number_names_its_flag(self, capsys):
         assert main(["fit", "--x", "3.5"]) == 1
@@ -219,7 +261,13 @@ class TestExitCodes:
         {"type": "FeatureCollection",
          "features": [{"type": "Feature", "properties": {}}]},
         {"type": "Polygon", "coordinates": [[[-3, 50], [-2, 51], [-3, 50]]]},
-    ], ids=["feature_without_geometry", "ring_with_two_distinct_vertices"])
+        {"type": "Polygon", "coordinates": [
+            [[-3, 50], [-2, 50], [-2, float("nan")], [-3, 51]]]},
+        {"type": "Polygon", "coordinates": [
+            [[-2.6, 50.4], [-2.4, 50.4], [-2.4, 50.6], [-2.6, 50.6]],
+            [[-3, 50], [-2, 50], [-2, 51], [-3, 51]]]},
+    ], ids=["feature_without_geometry", "ring_with_two_distinct_vertices",
+            "nan_vertex", "hole_larger_than_outer_ring"])
     def test_bad_land_file_is_a_data_error(self, tmp_path, corpus, capsys, land):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -283,6 +331,20 @@ class TestStatsCommand:
         assert captured.out.startswith("records=3 located_geo=3 ")
         assert captured.err == "tweets: skipped 2 malformed records\n"
 
+    def test_non_finite_box_is_a_counted_skip_in_an_infinite_study(
+            self, tmp_path, capsys):
+        box = [[-2.6, 50.5], [-2.4, 50.5], [-2.4, float("inf")], [-2.6, 50.7]]
+        line = {"id_str": "1", "user": {"id_str": "u1"}, "source": "app",
+                "place": {"place_type": "city", "bounding_box": {
+                    "type": "Polygon", "coordinates": [box]}}}
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text(json.dumps(line) + "\n")
+        assert main(["stats", "--tweets", str(tweets), "--study=-inf,-inf,inf,inf",
+                     "--out", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("records=0 ")
+        assert captured.err == "tweets: skipped 1 malformed records\n"
+
     @pytest.mark.parametrize("command", ["stats", "fit"])
     def test_non_string_place_type_or_source_is_a_counted_skip(
             self, tmp_path, corpus, capsys, command):
@@ -297,7 +359,8 @@ class TestStatsCommand:
             (corpus / "tweets.jsonl").read_text()
             + "".join(json.dumps(b) + "\n" for b in bad))
         capsys.readouterr()
-        assert run_cmd(inputs, tmp_path / "out", command, "--x", "6") == 0
+        x = ["--x", "6"] if command == "fit" else []
+        assert run_cmd(inputs, tmp_path / "out", command, *x) == 0
         assert "tweets: skipped 2 malformed records" in capsys.readouterr().err
 
 
@@ -310,6 +373,29 @@ class TestGridCommand:
         gt = json.loads((corpus / "ground_truth.json").read_text())
         expected = sum(sum(col) for col in gt["n_t"])
         assert total_t == pytest.approx(expected, abs=1e-6)
+
+    @pytest.mark.parametrize("command", ["grid", "fit"])
+    def test_bad_census_feature_is_a_counted_skip(self, tmp_path, corpus, capsys,
+                                                  command):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("tweets.jsonl", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        fc = json.loads((corpus / "population.geojson").read_text())
+        first, second, third = fc["features"][:3]
+        first["properties"]["population"] = float("inf")
+        second["geometry"]["coordinates"][0][1][0] = float("nan")
+        third["geometry"]["coordinates"].append(
+            [[-3, 50], [-2, 50], [-2, 51], [-3, 51]])
+        (inputs / "population.geojson").write_text(json.dumps(fc))
+        capsys.readouterr()
+        assert run_cmd(inputs, tmp_path / "out", command, "--x", "6") == 0
+        out, err = capsys.readouterr()
+        assert ("population: skipped 3 features "
+                "({'bad_population': 1, 'bad_geometry': 2})") in err
+        if command == "grid":
+            population = float(out.rsplit("population ", 1)[1])
+            assert 0 < population < math.inf
 
 
 class TestFitCommand:

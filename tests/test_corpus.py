@@ -4,6 +4,7 @@ Corpus binning against the LocatedRecord adapters."""
 
 import copy
 import json
+import math
 import random
 
 import numpy as np
@@ -105,6 +106,27 @@ def outcome(line: str):
     return repr(rows) if rows else dict(diags.reasons)
 
 
+def box_values(line: str) -> list:
+    """The values of the [lon, lat] pairs in a line's place box, found as
+    the general walk finds them; [] when the line has no box to read."""
+    try:
+        obj = json.loads(line.strip())
+    except ValueError:
+        return []
+    place = obj.get("place") if isinstance(obj, dict) else None
+    bbox = place.get("bounding_box") if isinstance(place, dict) else None
+    coords = bbox.get("coordinates") if isinstance(bbox, dict) else None
+
+    def values(node):
+        if not isinstance(node, list):
+            return []
+        if len(node) >= 2 and all(isinstance(v, (int, float)) for v in node[:2]):
+            return node[:2]
+        return [v for child in node for v in values(child)]
+
+    return values(coords)
+
+
 @pytest.fixture(scope="module")
 def mutants():
     rng = random.Random(20261018)
@@ -123,13 +145,21 @@ def test_direct_index_path_and_general_walk_agree(mutants, monkeypatch, tmp_path
     both_file = parse_tweets(path)
 
     monkeypatch.setattr(ingest, "_corners", lambda coords: None)
-    assert [outcome(line) for line in mutants] == both
+    general = [outcome(line) for line in mutants]
+    assert general == both
     general_file = parse_tweets(path)
     assert repr(both_file[0]) == repr(general_file[0])
     assert both_file[1] == general_file[1]
     assert {"row", "JSONDecodeError", "TypeError", "ValueError",
             "OverflowError"} <= {k for o in both for k in
                                  (o if isinstance(o, dict) else ["row"])}
+    # a box with a NaN or an infinity in any corner is a skip on both paths
+    non_finite = [k for k, line in enumerate(mutants)
+                  if any(isinstance(v, float) and not math.isfinite(v)
+                         for v in box_values(line))]
+    assert len(non_finite) >= 10
+    for outcomes in (both, general):
+        assert all(isinstance(outcomes[k], dict) for k in non_finite)
 
 
 def sample_lines(n=3000, seed=5):

@@ -48,6 +48,14 @@ class TestRingArea:
         with pytest.raises(DegenerateGeometryError):
             Ring([(0, 0), (1, 1), (0, 0), (1, 1)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertex(self, bad):
+        for k in range(4):
+            vertices = [[0, 0], [1, 0], [1, 1], [0, 1]]
+            vertices[k] = [bad, 0] if k % 2 else [0, bad]
+            with pytest.raises(DegenerateGeometryError):
+                Ring(vertices)
+
     def test_square_matches_rect_area(self):
         rect = LonLatRect(0.0, 0.0, 1.0, 1.0)
         assert ring_area(rect_ring(rect)) == pytest.approx(

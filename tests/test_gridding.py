@@ -58,6 +58,11 @@ class TestBuildGrid:
         grid = build_grid(spec, rect_poly(LonLatRect(10, 10, 11, 11)))
         assert np.all(grid.land_area == 0.0)
 
+    def test_empty_land_all_zero(self):
+        grid = build_grid(GridSpec(STUDY, 3), MultiPolygon(()))
+        assert grid.land_area.shape == (3, 3)
+        assert np.all(grid.land_area == 0.0)
+
     @pytest.mark.parametrize("x", [1, 2, 5, 8])
     def test_land_area_conserved_across_resolutions(self, x):
         land = MultiPolygon.of(PolygonWithHoles(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -101,6 +102,19 @@ class TestParseTweets:
         assert diags.skipped == 2
         assert diags.reasons == {"OverflowError": 2}
         assert [r.point for r in locate_lines(lines)] == [(-3.5, 51.0)]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_box_coordinate_is_a_counted_skip(self, value):
+        for bad in range(8):
+            flat = [-2.6, 50.5, -2.4, 50.5, -2.4, 50.7, -2.6, 50.7]
+            flat[bad] = value
+            corners = [flat[k:k + 2] for k in (0, 2, 4, 6)]
+            lines = [tweet_json(place_coords=corners),
+                     tweet_json(place_coords=corners + [corners[0]]),  # walked
+                     tweet_json(coords=[-2.5, 50.6], place_coords=corners)]
+            for line in lines:
+                records, diags = parse_tweets([line])
+                assert (records, diags.reasons) == ([], {"ValueError": 1}), line
 
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
@@ -334,3 +348,28 @@ class TestParsePopulation:
         assert len(units) == 1
         assert diags.skipped == 2
         assert diags.reasons["bad_population"] == 2
+
+    def test_non_finite_or_huge_counts_skipped_under_their_reasons(self):
+        nan, inf = float("nan"), float("inf")
+        fc = {"type": "FeatureCollection",
+              "features": [self.feature(pop=nan), self.feature(pop=inf),
+                           self.feature(pop=10 ** 400), self.feature(youth=nan),
+                           self.feature(youth=inf), self.feature("ok", 100, 40)]}
+        units, diags = parse_population(fc)
+        assert [(u.unit_id, u.population, u.population_18_35)
+                for u in units] == [("ok", 100.0, 40.0)]
+        assert diags.reasons == {"bad_population": 3, "bad_population_18_35": 2}
+
+    def test_non_finite_vertex_or_oversized_hole_is_bad_geometry(self):
+        nan_vertex = self.feature("nan")
+        nan_vertex["geometry"]["coordinates"][0][1] = [1, float("nan")]
+        inf_vertex = self.feature("inf")
+        inf_vertex["geometry"]["coordinates"][0][2][0] = float("inf")
+        big_hole = self.feature("hole")
+        big_hole["geometry"]["coordinates"].append(
+            [[-1, -1], [3, -1], [3, 3], [-1, 3]])
+        fc = {"type": "FeatureCollection",
+              "features": [nan_vertex, inf_vertex, big_hole, self.feature("ok")]}
+        units, diags = parse_population(fc)
+        assert [u.unit_id for u in units] == ["ok"]
+        assert diags.reasons == {"bad_geometry": 3}
