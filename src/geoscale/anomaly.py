@@ -6,14 +6,14 @@ Caps apply only to exported values; statistics always use the raw ones.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, UnavailableError
-from .gridding import DensityGrid, GridSpec
+from .geometry import rect_geojson
+from .gridding import DensityGrid, GridSpec, cells_to_csv
 from .scaling import FitResult, fit_power_law, select_cells
 
 
@@ -148,58 +148,22 @@ def anomaly_correlation(a: AnomalyGrid, b: AnomalyGrid, which: str = "abs"
     return CorrelationResult(r, len(xs), np.column_stack([xs, ys]))
 
 
-_CSV_COLUMNS = ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat",
-                "measured", "predicted", "A_abs", "A_abs_capped",
-                "A_rel", "A_rel_capped", "masked"]
+def _exported(a: AnomalyGrid) -> dict:
+    """The per-cell values a map exports, by column name."""
+    return {"measured": a.measured, "predicted": a.predicted,
+            "A_abs": a.a_abs, "A_abs_capped": a.a_abs_capped,
+            "A_rel": a.a_rel, "A_rel_capped": a.a_rel_capped}
 
 
 def anomaly_to_csv(a: AnomalyGrid, path) -> None:
-    edges = DensityGrid(a.spec, np.zeros((a.spec.x, a.spec.x)))
-    abs_c = a.a_abs_capped
-    rel_c = a.a_rel_capped
-
-    def fmt(v: float) -> str:
-        return "" if not math.isfinite(v) else repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        for i in range(a.spec.x):
-            for j in range(a.spec.x):
-                rect = edges.cell_rect(i, j)
-                w.writerow([i, j, repr(rect.min_lon), repr(rect.min_lat),
-                            repr(rect.max_lon), repr(rect.max_lat),
-                            fmt(a.measured[i, j]), fmt(a.predicted[i, j]),
-                            fmt(a.a_abs[i, j]), fmt(abs_c[i, j]),
-                            fmt(a.a_rel[i, j]), fmt(rel_c[i, j]),
-                            int(a.masked[i, j])])
+    cells_to_csv(a.spec, {**_exported(a), "masked": a.masked.astype(int)}, path)
 
 
 def anomaly_to_geojson(a: AnomalyGrid) -> dict:
     """One rectangle feature per unmasked cell, ready for choropleth tools."""
-    edges = DensityGrid(a.spec, np.zeros((a.spec.x, a.spec.x)))
-    abs_c = a.a_abs_capped
-    rel_c = a.a_rel_capped
-    features = []
-    for i in range(a.spec.x):
-        for j in range(a.spec.x):
-            if a.masked[i, j]:
-                continue
-            rect = edges.cell_rect(i, j)
-            ring = [[rect.min_lon, rect.min_lat], [rect.max_lon, rect.min_lat],
-                    [rect.max_lon, rect.max_lat], [rect.min_lon, rect.max_lat],
-                    [rect.min_lon, rect.min_lat]]
-            features.append({
-                "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-                "properties": {
-                    "i": int(i), "j": int(j),
-                    "measured": float(a.measured[i, j]),
-                    "predicted": float(a.predicted[i, j]),
-                    "A_abs": float(a.a_abs[i, j]),
-                    "A_abs_capped": float(abs_c[i, j]),
-                    "A_rel": float(a.a_rel[i, j]),
-                    "A_rel_capped": float(rel_c[i, j]),
-                },
-            })
-    return {"type": "FeatureCollection", "features": features}
+    values = _exported(a)
+    return {"type": "FeatureCollection", "features": [
+        {"type": "Feature", "geometry": rect_geojson(a.spec.cell_rect(i, j)),
+         "properties": {"i": i, "j": j, **{name: float(v[i, j])
+                                           for name, v in values.items()}}}
+        for i in range(a.spec.x) for j in range(a.spec.x) if not a.masked[i, j]]}

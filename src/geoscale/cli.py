@@ -11,7 +11,6 @@ reruns with identical inputs and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import json
@@ -31,7 +30,7 @@ from .errors import (
     UnavailableError,
 )
 from .geometry import LonLatRect, MultiPolygon, geometry_from_geojson
-from .gridding import GridSpec, grid_to_csv, run_grid_pipeline
+from .gridding import GridSpec, grid_to_csv, run_grid_pipeline, write_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -217,14 +216,11 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _write_fits_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["relation", "X", "n_points", "exponent", "exponent_stderr",
-                    "log10_prefactor", "prefactor_stderr", "r_squared"])
-        for x, fit in rows:
-            w.writerow([fit.relation, x, fit.n_points, repr(fit.exponent),
-                        repr(fit.exponent_stderr), repr(fit.log10_prefactor),
-                        repr(fit.prefactor_stderr), repr(fit.r_squared)])
+    write_csv(path, ["relation", "X", "n_points", "exponent", "exponent_stderr",
+                     "log10_prefactor", "prefactor_stderr", "r_squared"],
+              ([fit.relation, x, fit.n_points, fit.exponent, fit.exponent_stderr,
+                fit.log10_prefactor, fit.prefactor_stderr, fit.r_squared]
+               for x, fit in rows))
 
 
 def _write_json(path, obj) -> None:
@@ -239,11 +235,8 @@ def cmd_stats(cfg: RunConfig) -> int:
     _write_json(out / "stats.json", stats.to_dict())
     ranking = ingest.source_ranking(corpus, k=max(len(stats.per_source), 1)) \
         if corpus else []
-    with open(out / "sources.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "source", "count", "proportion"])
-        for rank, (source, count, prop) in enumerate(ranking, 1):
-            w.writerow([rank, source, count, repr(prop)])
+    write_csv(out / "sources.csv", ["rank", "source", "count", "proportion"],
+              ((rank, *entry) for rank, entry in enumerate(ranking, 1)))
     replies, quotes, frac = ingest.reply_quote_stats(corpus)
     frac_s = "n/a" if frac is None else f"{frac:.4f}"
     print(f"records={stats.total_records} located_geo={stats.located_geo} "
@@ -306,11 +299,10 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    _, land, units = _grid_inputs(cfg, cfg.x_list)
+    specs, land, units = _grid_inputs(cfg, sorted(set(cfg.x_list)))
     _, records = load_records(cfg)
-    scan = scaling.scan_resolutions(
-        records, units, land, cfg.x_list, study=cfg.study_rect(),
-        min_tweets=cfg.fit_min_tweets, min_population=cfg.fit_min_population)
+    scan = scaling.scan_resolutions(records, units, land, specs,
+                                    cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
     rows = []
     for x in scan.x_values:
@@ -318,11 +310,8 @@ def cmd_scan(cfg: RunConfig) -> int:
             for name in ("alpha", "beta", "gamma"):
                 rows.append((x, scan.fits[x][name]))
     _write_fits_csv(out / "fits.csv", rows)
-    with open(out / "cell_areas.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["X", "mean_cell_area_km2"])
-        for x in scan.x_values:
-            w.writerow([x, repr(scan.mean_cell_area[x])])
+    write_csv(out / "cell_areas.csv", ["X", "mean_cell_area_km2"],
+              ((x, scan.mean_cell_area[x]) for x in scan.x_values))
     window = scaling.detect_window(scan)
     if window is None:
         _write_json(out / "window.json", {"found": False})

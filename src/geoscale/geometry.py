@@ -25,6 +25,10 @@ EARTH_RADIUS_KM = 6371.0072
 # Clipped slivers below this area (km^2) are discarded.
 _SLIVER_AREA_KM2 = 1e-12
 
+# Land cells and census units with no more area than this (km^2) have none:
+# the cell counts as open water, the unit is skipped.
+MIN_AREA_KM2 = 1e-9
+
 
 @dataclass(frozen=True)
 class LonLatRect:
@@ -285,14 +289,21 @@ def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
     return areas
 
 
+def _rect_corners(rect: LonLatRect) -> list:
+    """The corners of a rect, counter-clockwise from (min_lon, min_lat)."""
+    return [[rect.min_lon, rect.min_lat], [rect.max_lon, rect.min_lat],
+            [rect.max_lon, rect.max_lat], [rect.min_lon, rect.max_lat]]
+
+
 def rect_ring(rect: LonLatRect) -> Ring:
     """The boundary of a rect as a counter-clockwise ring."""
-    return Ring([
-        (rect.min_lon, rect.min_lat),
-        (rect.max_lon, rect.min_lat),
-        (rect.max_lon, rect.max_lat),
-        (rect.min_lon, rect.max_lat),
-    ])
+    return Ring(_rect_corners(rect))
+
+
+def rect_geojson(rect: LonLatRect) -> dict:
+    """A rect as a GeoJSON Polygon with one closed counter-clockwise ring."""
+    corners = _rect_corners(rect)
+    return {"type": "Polygon", "coordinates": [corners + corners[:1]]}
 
 
 def geometry_bounds(m: Geometry) -> LonLatRect:

@@ -12,17 +12,21 @@ from __future__ import annotations
 import csv
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DegenerateGeometryError, DomainError
-from .geometry import Geometry, LonLatRect, geometry_bounds, grid_intersection_areas
+from .geometry import (
+    MIN_AREA_KM2,
+    Geometry,
+    LonLatRect,
+    geometry_bounds,
+    grid_intersection_areas,
+)
 from .ingest import Corpus, LocatedRecord, PopulationUnit
-
-# Land slivers below this area (km^2) count as open water.
-_MIN_LAND_AREA_KM2 = 1e-9
 
 # Place boxes binned per batch: bounds the (batch, X) overlap arrays.
 _BOX_BATCH = 1024
@@ -30,14 +34,33 @@ _BOX_BATCH = 1024
 
 @dataclass(frozen=True)
 class GridSpec:
+    """X-by-X equal lon/lat cells over a finite study rect: cell (i, j), i
+    the longitude index and j the latitude index, spans lon_edges[i:i + 2]
+    by lat_edges[j:j + 2]."""
+
     study: LonLatRect
     x: int
 
     def __post_init__(self) -> None:
         if self.x < 1:
-            raise ConfigError("grid side must be >= 1")
-        if self.study.width <= 0 or self.study.height <= 0:
-            raise ConfigError("study rect must have positive extent")
+            raise ConfigError(f"grid side must be >= 1, got {self.x}")
+        for extent in (self.study.width, self.study.height):
+            if not 0.0 < extent < math.inf:     # a non-finite bound fails too
+                raise ConfigError(f"study rect {astuple(self.study)} must be "
+                                  f"finite with positive extent")
+
+    @cached_property
+    def lon_edges(self) -> np.ndarray:
+        return np.linspace(self.study.min_lon, self.study.max_lon, self.x + 1)
+
+    @cached_property
+    def lat_edges(self) -> np.ndarray:
+        return np.linspace(self.study.min_lat, self.study.max_lat, self.x + 1)
+
+    def cell_rect(self, i: int, j: int) -> LonLatRect:
+        lon, lat = self.lon_edges, self.lat_edges
+        return LonLatRect(float(lon[i]), float(lat[j]),
+                          float(lon[i + 1]), float(lat[j + 1]))
 
 
 class DensityGrid:
@@ -51,8 +74,7 @@ class DensityGrid:
     def __init__(self, spec: GridSpec, land_area: np.ndarray) -> None:
         self.spec = spec
         x = spec.x
-        self.lon_edges = np.linspace(spec.study.min_lon, spec.study.max_lon, x + 1)
-        self.lat_edges = np.linspace(spec.study.min_lat, spec.study.max_lat, x + 1)
+        self.lon_edges, self.lat_edges = spec.lon_edges, spec.lat_edges
         self.land_area = land_area
         self.n_t = np.zeros((x, x))
         self.n_u = np.zeros((x, x))
@@ -63,10 +85,6 @@ class DensityGrid:
         self.u: Optional[np.ndarray] = None
         self.p: Optional[np.ndarray] = None
         self.y: Optional[np.ndarray] = None
-
-    def cell_rect(self, i: int, j: int) -> LonLatRect:
-        return LonLatRect(self.lon_edges[i], self.lat_edges[j],
-                          self.lon_edges[i + 1], self.lat_edges[j + 1])
 
 
 def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
@@ -82,7 +100,7 @@ def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
     except DegenerateGeometryError:   # no land at all
         return grid
     cells, a = _cell_areas(grid, land, bounds)
-    area[cells] = np.where(a >= _MIN_LAND_AREA_KM2, a, 0.0)
+    area[cells] = np.where(a >= MIN_AREA_KM2, a, 0.0)
     return grid
 
 
@@ -217,7 +235,7 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
     diags: list[str] = []
     for unit in units:
         total_area = unit.area
-        if total_area <= _MIN_LAND_AREA_KM2:
+        if total_area <= MIN_AREA_KM2:
             diags.append(f"unit {unit.unit_id}: zero geometric area, skipped")
             continue
         if unit.bounds.intersect(grid.spec.study) is None:
@@ -274,31 +292,39 @@ def run_grid_pipeline(spec: GridSpec, land: Geometry, records,
     return grid
 
 
-_CSV_COLUMNS = ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat",
-                "A_km2", "N_t", "N_u", "N_p", "N_y", "T", "U", "P", "Y"]
+def _csv_value(v):
+    """A value as written to CSV: empty for None and non-finite floats,
+    repr(float(v)) for other floats (numpy scalars too), anything else as
+    csv writes it."""
+    if v is None:
+        return ""
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v)) if math.isfinite(v) else ""
+    return v
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write the header, then each row of values through _csv_value."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_csv_value(v) for v in row] for row in rows)
+
+
+def cells_to_csv(spec: GridSpec, layers: dict, path) -> None:
+    """One row per cell, i-major: i, j, the cell's edges and its value in
+    each named (X, X) layer; a layer of None is an empty column."""
+    def row(i: int, j: int) -> list:
+        r = spec.cell_rect(i, j)
+        return [i, j, r.min_lon, r.min_lat, r.max_lon, r.max_lat,
+                *(None if a is None else a[i, j] for a in layers.values())]
+
+    write_csv(path, ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat", *layers],
+              (row(i, j) for i in range(spec.x) for j in range(spec.x)))
 
 
 def grid_to_csv(grid: DensityGrid, path) -> None:
-    def fmt(v) -> str:
-        if v is None or (isinstance(v, float) and not math.isfinite(v)):
-            return ""
-        return repr(float(v))
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        x = grid.spec.x
-        for i in range(x):
-            for j in range(x):
-                rect = grid.cell_rect(i, j)
-                row = [i, j, repr(rect.min_lon), repr(rect.min_lat),
-                       repr(rect.max_lon), repr(rect.max_lat),
-                       fmt(grid.land_area[i, j]),
-                       fmt(grid.n_t[i, j]), fmt(grid.n_u[i, j]),
-                       fmt(grid.n_p[i, j]),
-                       fmt(grid.n_y[i, j]) if grid.has_youth else "",
-                       fmt(grid.t[i, j]) if grid.t is not None else "",
-                       fmt(grid.u[i, j]) if grid.u is not None else "",
-                       fmt(grid.p[i, j]) if grid.p is not None else "",
-                       fmt(grid.y[i, j]) if grid.y is not None else ""]
-                w.writerow(row)
+    cells_to_csv(grid.spec, {
+        "A_km2": grid.land_area, "N_t": grid.n_t, "N_u": grid.n_u, "N_p": grid.n_p,
+        "N_y": grid.n_y if grid.has_youth else None,
+        "T": grid.t, "U": grid.u, "P": grid.p, "Y": grid.y}, path)

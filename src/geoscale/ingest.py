@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, DataError, DomainError
 from .geometry import (
     EARTH_RADIUS_KM,
+    MIN_AREA_KM2,
     LonLatRect,
     MultiPolygon,
     geometry_bounds,
@@ -75,6 +76,10 @@ class ParseDiagnostics:
     parsed: int = 0
     skipped: int = 0
     reasons: Counter = field(default_factory=Counter)
+
+    def skip(self, reason: str) -> None:
+        self.skipped += 1
+        self.reasons[reason] += 1
 
 
 @dataclass
@@ -310,8 +315,7 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         try:
             row = _fields(_loads(line))
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            diags.skipped += 1
-            diags.reasons[type(exc).__name__] += 1
+            diags.skip(type(exc).__name__)
             continue
         diags.parsed += 1
         yield row
@@ -483,7 +487,8 @@ def parse_population(feature_collection: dict
     Features with a missing, non-numeric, negative or non-finite population
     are skipped with a diagnostic, and so is a feature that is not an object
     or whose geometry does not make polygons of finite vertices and
-    non-negative area (bad_geometry).
+    non-negative area (bad_geometry), or makes no more than MIN_AREA_KM2
+    (zero_area): such a unit has no area to spread its population over.
     """
     diags = ParseDiagnostics()
     units: list[PopulationUnit] = []
@@ -492,28 +497,27 @@ def parse_population(feature_collection: dict
         raise DataError("population input is not a FeatureCollection")
     for idx, feat in enumerate(features):
         if not isinstance(feat, dict):
-            diags.skipped += 1
-            diags.reasons["bad_geometry"] += 1
+            diags.skip("bad_geometry")
             continue
         props = feat.get("properties") or {}
         code = str(props.get("code", idx))
         pop = _count(props.get("population"))
         if pop is None:
-            diags.skipped += 1
-            diags.reasons["bad_population"] += 1
+            diags.skip("bad_population")
             continue
         youth = props.get("population_18_35")
         if youth is not None and (youth := _count(youth)) is None:
-            diags.skipped += 1
-            diags.reasons["bad_population_18_35"] += 1
+            diags.skip("bad_population_18_35")
             continue
         try:
             unit = PopulationUnit(code, geometry_from_geojson(feat["geometry"]),
                                   pop, youth)
-            unit.area      # cached; a hole larger than its outer ring raises
+            area = unit.area   # cached; a hole larger than its outer ring raises
         except (KeyError, TypeError, ValueError):
-            diags.skipped += 1
-            diags.reasons["bad_geometry"] += 1
+            diags.skip("bad_geometry")
+            continue
+        if area <= MIN_AREA_KM2:
+            diags.skip("zero_area")
             continue
         units.append(unit)
         diags.parsed += 1

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateFitError, InsufficientDataError
-from .geometry import Geometry, LonLatRect, spherical_rect_area
+from .geometry import Geometry, spherical_rect_area
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
@@ -145,21 +145,14 @@ def mean_cell_area(spec: GridSpec) -> float:
     return spherical_rect_area(spec.study) / (spec.x * spec.x)
 
 
-def scan_resolutions(records, units, land: Geometry,
-                     x_list: Sequence[int] = DEFAULT_X_LIST,
-                     study: Optional[LonLatRect] = None,
+def scan_resolutions(records, units, land: Geometry, specs: Sequence[GridSpec],
                      min_tweets: float = 1.0, min_population: float = 1.0
                      ) -> ScanResult:
-    """Rebuild the grid and refit at every X.  Resolutions whose fit fails
-    are reported absent, not fatal."""
-    if not x_list:
-        raise ValueError("x_list must be non-empty")
-    xs = sorted(set(int(x) for x in x_list))
-    if study is None:
-        raise ValueError("study rect is required")
-    result = ScanResult(x_values=xs)
-    for x in xs:
-        spec = GridSpec(study, x)
+    """Rebuild the grid and refit for every spec, in the given order.
+    Resolutions whose fit fails are reported absent, not fatal."""
+    result = ScanResult(x_values=[spec.x for spec in specs])
+    for spec in specs:
+        x = spec.x
         grid = run_grid_pipeline(spec, land, records, units)
         result.mean_cell_area[x] = mean_cell_area(spec)
         try:

@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import LonLatRect, spherical_rect_area
+from .geometry import LonLatRect, rect_geojson, spherical_rect_area
+from .gridding import GridSpec
 from .validation import mix_seed
 
 DEFAULT_STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
@@ -87,13 +88,6 @@ class GroundTruth:
         }
 
 
-def _cell_edges(config: SynthConfig):
-    s = config.study
-    lon_edges = np.linspace(s.min_lon, s.max_lon, config.x_gen + 1)
-    lat_edges = np.linspace(s.min_lat, s.max_lat, config.x_gen + 1)
-    return lon_edges, lat_edges
-
-
 def youth_share(p_density: float) -> float:
     """Share of residents aged 18-35; rises with log density so the youth
     fit has a recoverable superlinear exponent.  Purely synthetic."""
@@ -103,8 +97,8 @@ def youth_share(p_density: float) -> float:
 def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
     """Draw per-cell lognormal population densities and emit one GeoJSON
     feature (the cell rectangle) per cell."""
-    x = config.x_gen
-    lon_edges, lat_edges = _cell_edges(config)
+    cells = GridSpec(config.study, config.x_gen)
+    x = cells.x
     rng = np.random.default_rng(mix_seed(config.seed, _POP_STREAM))
 
     cell_area = np.zeros((x, x))
@@ -114,8 +108,7 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
     features = []
     for i in range(x):
         for j in range(x):
-            rect = LonLatRect(lon_edges[i], lat_edges[j],
-                              lon_edges[i + 1], lat_edges[j + 1])
+            rect = cells.cell_rect(i, j)
             area = spherical_rect_area(rect)
             p = 10.0 ** rng.normal(config.pop_log10_mean, config.pop_log10_sigma)
             pop = round(p * area)
@@ -124,12 +117,9 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
             p_density[i, j] = p
             population[i, j] = pop
             youth[i, j] = y
-            ring = [[lon_edges[i], lat_edges[j]], [lon_edges[i + 1], lat_edges[j]],
-                    [lon_edges[i + 1], lat_edges[j + 1]],
-                    [lon_edges[i], lat_edges[j + 1]], [lon_edges[i], lat_edges[j]]]
             features.append({
                 "type": "Feature",
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
+                "geometry": rect_geojson(rect),
                 "properties": {
                     "code": f"cell_{i}_{j}",
                     "population": int(pop),
@@ -193,8 +183,8 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
     unless commuter_fraction moves half a user's tweets to the next cell.
     gt.n_u and gt.n_t are complete once the generator is exhausted.
     """
-    x = config.x_gen
-    lon_edges, lat_edges = _cell_edges(config)
+    cells = GridSpec(config.study, config.x_gen)
+    x = cells.x
     gt.n_u = n_u = np.zeros((x, x), dtype=np.int64)
     gt.n_t = n_t = np.zeros((x, x), dtype=np.int64)
     tweet_seq = 0
@@ -203,8 +193,7 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
         for j in range(x):
             rng = np.random.default_rng(
                 mix_seed(mix_seed(config.seed, _ACT_STREAM), i * x + j))
-            rect = LonLatRect(lon_edges[i], lat_edges[j],
-                              lon_edges[i + 1], lat_edges[j + 1])
+            rect = cells.cell_rect(i, j)
             area = gt.cell_area[i, j]
             p = gt.population[i, j] / area
             if p <= 0:
@@ -230,8 +219,7 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
 
             neighbor = None
             if config.commuter_fraction > 0 and i + 1 < x:
-                neighbor = LonLatRect(lon_edges[i + 1], lat_edges[j],
-                                      lon_edges[i + 2], lat_edges[j + 1])
+                neighbor = cells.cell_rect(i + 1, j)
 
             user_of_tweet = np.repeat(np.arange(users), counts)
             starts = np.cumsum(counts) - counts
@@ -279,10 +267,11 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
                                  target.max_lon - hw - m_lon)
                         cy = min(max(lats[t], target.min_lat + hh + m_lat),
                                  target.max_lat - hh - m_lat)
-                        a.append(float(round(cx - hw, 7)))
-                        b.append(float(round(cy - hh, 7)))
-                        c.append(float(round(cx + hw, 7)))
-                        d.append(float(round(cy + hh, 7)))
+                        # numpy's rounding, whichever bound the clamp took
+                        a.append(float(np.round(cx - hw, 7)))
+                        b.append(float(np.round(cy - hh, 7)))
+                        c.append(float(np.round(cx + hw, 7)))
+                        d.append(float(np.round(cy + hh, 7)))
                     else:
                         lon = round(float(lons[t]), 7)
                         lat = round(float(lats[t]), 7)
@@ -333,14 +322,11 @@ def gen_bots(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
 
 def land_geojson(study: LonLatRect) -> dict:
     """A land layer covering the whole study rect (no coastline)."""
-    ring = [[study.min_lon, study.min_lat], [study.max_lon, study.min_lat],
-            [study.max_lon, study.max_lat], [study.min_lon, study.max_lat],
-            [study.min_lon, study.min_lat]]
     return {
         "type": "FeatureCollection",
         "features": [{
             "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "geometry": rect_geojson(study),
             "properties": {"name": "study_area"},
         }],
     }

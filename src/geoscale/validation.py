@@ -8,7 +8,6 @@ replicates run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateFitError, InsufficientDataError
 from .geometry import Geometry, LonLatRect
-from .gridding import DensityGrid, GridSpec, run_grid_pipeline
+from .gridding import DensityGrid, GridSpec, run_grid_pipeline, write_csv
 from .ingest import Corpus
 from .scaling import cell_indices, fit_all, fit_cells
 
@@ -188,14 +187,7 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
 
 
 def resample_to_csv(dist: ResampleDistribution, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "alpha", "beta", "gamma"])
-        for k, a, b, g in dist.rows:
-            w.writerow([k,
-                        "" if a is None else repr(a),
-                        "" if b is None else repr(b),
-                        "" if g is None else repr(g)])
+    write_csv(path, ["replicate", *EXPONENTS], dist.rows)
 
 
 def resample_summary(dist: ResampleDistribution, config: ResampleConfig,

@@ -172,7 +172,8 @@ class TestSettings:
     def test_every_flag_a_command_takes_is_read(self, tmp_path, corpus, capsys,
                                                  monkeypatch, command, extra):
         """The settings a command's parser takes are those its run reads, as
-        recorded by a RunConfig that stands in for the resolved one."""
+        recorded by a RunConfig that stands in for the resolved one; and
+        every value in a numeric column of the CSVs it writes parses."""
         assert main([command, "--help"]) == 0
         flags = set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out))
         takes = {f[2:].replace("-", "_") for f in flags - {"--help", "--config"}}
@@ -192,6 +193,13 @@ class TestSettings:
         else:
             assert run_cmd(corpus, tmp_path, command, *extra) == 0
         assert reads == takes
+        for path in tmp_path.iterdir():
+            assert "np." not in path.read_text(), path.name
+            if path.suffix == ".csv":
+                for row in csv.DictReader(path.open()):
+                    for column, value in row.items():
+                        if value and column not in ("relation", "source"):
+                            float(value)
 
     def test_bad_number_names_its_flag(self, capsys):
         assert main(["fit", "--x", "3.5"]) == 1
@@ -239,6 +247,26 @@ class TestExitCodes:
             code = run_cmd(corpus, tmp_path, command, *extra)
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command, extra", [
+        ("grid", ["--study=-inf,-inf,inf,inf"]),
+        ("grid", ["--study=nan,50,-2,51"]),
+        ("grid", ["--study=-3,50,-2,inf"]),
+        ("synth", ["--x-gen", "-2"]),
+        ("synth", ["--x-gen", "0"]),
+        ("synth", ["--study=-3,50,-3,51"]),
+        ("synth", ["--study=-3,50,inf,51"]),
+    ])
+    def test_non_finite_study_or_bad_generation_grid_is_a_config_error(
+            self, tmp_path, corpus, capsys, command, extra):
+        if command == "synth":
+            code = main(SMALL_SYNTH + ["--out", str(tmp_path), *extra])
+        else:
+            code = run_cmd(corpus, tmp_path, command, "--x", "4", *extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, extra", [
         ("fit", ["--x", "0"]),
@@ -382,17 +410,19 @@ class TestGridCommand:
         for name in ("tweets.jsonl", "land.geojson"):
             (inputs / name).write_bytes((corpus / name).read_bytes())
         fc = json.loads((corpus / "population.geojson").read_text())
-        first, second, third = fc["features"][:3]
+        first, second, third, fourth = fc["features"][:4]
         first["properties"]["population"] = float("inf")
         second["geometry"]["coordinates"][0][1][0] = float("nan")
         third["geometry"]["coordinates"].append(
             [[-3, 50], [-2, 50], [-2, 51], [-3, 51]])
+        fourth["geometry"]["coordinates"] = [
+            [[-2.9, 50.1], [-2.8, 50.2], [-2.7, 50.3], [-2.9, 50.1]]]
         (inputs / "population.geojson").write_text(json.dumps(fc))
         capsys.readouterr()
         assert run_cmd(inputs, tmp_path / "out", command, "--x", "6") == 0
         out, err = capsys.readouterr()
-        assert ("population: skipped 3 features "
-                "({'bad_population': 1, 'bad_geometry': 2})") in err
+        assert ("population: skipped 4 features ({'bad_population': 1, "
+                "'bad_geometry': 2, 'zero_area': 1})") in err
         if command == "grid":
             population = float(out.rsplit("population ", 1)[1])
             assert 0 < population < math.inf

@@ -51,7 +51,7 @@ class TestBuildGrid:
         for i in range(2):
             for j in range(2):
                 assert grid.land_area[i, j] == pytest.approx(
-                    spherical_rect_area(grid.cell_rect(i, j)), rel=1e-9)
+                    spherical_rect_area(grid.spec.cell_rect(i, j)), rel=1e-9)
 
     def test_disjoint_land_all_zero(self):
         spec = GridSpec(STUDY, 3)
@@ -160,7 +160,7 @@ def per_cell_box_mass(grid, boxes, weights):
         total = spherical_rect_area(box)
         for i in range(x):
             for j in range(x):
-                inter = box.intersect(grid.cell_rect(i, j))
+                inter = box.intersect(grid.spec.cell_rect(i, j))
                 if inter is not None:
                     mass[i, j] += w * spherical_rect_area(inter) / total
     return mass
@@ -328,7 +328,7 @@ class TestColumnSweep:
         expected = np.zeros((x, x))
         for i in range(x):
             for j in range(x):
-                a = intersection_area(SWEEP_LAND, grid.cell_rect(i, j))
+                a = intersection_area(SWEEP_LAND, grid.spec.cell_rect(i, j))
                 expected[i, j] = a if a >= 1e-9 else 0.0
         np.testing.assert_array_equal(grid.land_area, expected)
         assert grid.land_area.sum() > 0.0
@@ -342,7 +342,7 @@ class TestColumnSweep:
             total = polygon_area(unit.geometry)
             for i in range(x):
                 for j in range(x):
-                    a = intersection_area(unit.geometry, grid.cell_rect(i, j))
+                    a = intersection_area(unit.geometry, grid.spec.cell_rect(i, j))
                     if a > 0.0:
                         n_p[i, j] += unit.population * (a / total)
                         n_y[i, j] += unit.population_18_35 * (a / total)

@@ -373,3 +373,11 @@ class TestParsePopulation:
         units, diags = parse_population(fc)
         assert [u.unit_id for u in units] == ["ok"]
         assert diags.reasons == {"bad_geometry": 3}
+
+    def test_zero_area_feature_is_a_zero_area_skip(self):
+        collinear = self.feature("line", 4034)
+        collinear["geometry"]["coordinates"] = [[[0, 0], [1, 1], [2, 2], [0, 0]]]
+        units, diags = parse_population(
+            {"type": "FeatureCollection", "features": [collinear, self.feature("ok")]})
+        assert [u.unit_id for u in units] == ["ok"]
+        assert (diags.skipped, diags.reasons) == (1, {"zero_area": 1})
