@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DomainError, InsufficientDataError, UnavailableError
 from .geometry import rect_geojson
 from .gridding import DensityGrid, GridSpec, cells_to_csv
-from .scaling import FitResult, fit_power_law, select_cells
+from .scaling import FitResult, cell_indices, fit_exponent
 
 
 def predict(fit: FitResult, x: float) -> float:
@@ -112,9 +112,8 @@ def youth_fit(grid: DensityGrid, min_tweets: float = 1.0,
     """Power-law fit of youth density against population density."""
     if not grid.has_youth:
         raise UnavailableError("grid has no youth population data")
-    cells = select_cells(grid, min_tweets, min_population)
-    pts = [(c[2], c[3]) for c in cells if c[2] > 0 and c[3] > 0]
-    return fit_power_law(pts, "Y_vs_P")
+    return fit_exponent(grid, cell_indices(grid, min_tweets, min_population),
+                        "delta")
 
 
 @dataclass(frozen=True)

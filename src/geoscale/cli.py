@@ -93,14 +93,22 @@ _CHOICES = {"tag_kind": ("geo", "place", "both"), "kind": ("tu", "yp", "both"),
             "mode": validation.MODES}
 
 
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
+
+
 def _coerce(key: str, text: str):
     """A setting's value from its text, typed like its default: tuples take
-    numbers separated by commas or spaces, bools take 1/true/yes."""
+    numbers separated by commas or spaces, bools take 1/true/yes or
+    0/false/no."""
     default = _DEFAULTS[key]
     if isinstance(default, tuple):
         return tuple(map(type(default[0]), text.replace(",", " ").split()))
     if isinstance(default, bool):
-        return text.strip().lower() in ("1", "true", "yes")
+        word = text.strip().lower()
+        if word not in _BOOL_WORDS:
+            raise ValueError(f"{text!r} is not one of {', '.join(_BOOL_WORDS)}")
+        return _BOOL_WORDS[word]
     return type(default)(text)
 
 

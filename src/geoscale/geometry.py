@@ -30,6 +30,12 @@ _SLIVER_AREA_KM2 = 1e-12
 MIN_AREA_KM2 = 1e-9
 
 
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is a number: an int or a float, not a
+    bool and not a string.  Every coordinate and count must be one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class LonLatRect:
     """Axis-aligned lon/lat rectangle. Zero-extent rects are legal (point places)."""
@@ -62,14 +68,20 @@ class LonLatRect:
 
 
 class Ring:
-    """A closed sequence of finite vertices. The closing vertex is implicit."""
+    """A closed sequence of finite number pairs. The closing vertex is implicit."""
 
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Iterable) -> None:
-        coords = [(float(lon), float(lat)) for lon, lat in vertices]
-        if not all(isfinite(lon) and isfinite(lat) for lon, lat in coords):
-            raise DegenerateGeometryError("ring has a non-finite vertex")
+        coords = list(vertices)
+        try:
+            finite = all(is_number(lon) and is_number(lat) and isfinite(lon)
+                         and isfinite(lat) for lon, lat in coords)
+        except OverflowError:   # an integer too large for a float
+            finite = False
+        if not finite:
+            raise DegenerateGeometryError("ring has a vertex that is not two finite numbers")
+        coords = [(float(lon), float(lat)) for lon, lat in coords]
         if len(coords) > 1 and coords[0] == coords[-1]:
             coords = coords[:-1]
         if len(set(coords)) < 3:

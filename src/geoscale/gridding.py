@@ -44,10 +44,11 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.x < 1:
             raise ConfigError(f"grid side must be >= 1, got {self.x}")
-        for extent in (self.study.width, self.study.height):
-            if not 0.0 < extent < math.inf:     # a non-finite bound fails too
-                raise ConfigError(f"study rect {astuple(self.study)} must be "
-                                  f"finite with positive extent")
+        s = self.study
+        if not (0.0 < s.width < math.inf and 0.0 < s.height < math.inf   # NaN fails too
+                and -90.0 <= s.min_lat and s.max_lat <= 90.0):
+            raise ConfigError(f"study rect {astuple(s)} must be finite with positive "
+                              f"extent and latitudes in [-90, 90]")
 
     @cached_property
     def lon_edges(self) -> np.ndarray:

@@ -30,6 +30,7 @@ from .geometry import (
     MultiPolygon,
     geometry_bounds,
     geometry_from_geojson,
+    is_number,
     polygon_area,
     spherical_rect_area,
 )
@@ -214,8 +215,9 @@ def _corners(coords) -> Optional[tuple]:
 def _envelope(coords) -> tuple:
     """Envelope (min_lon, min_lat, max_lon, max_lat) of an arbitrarily
     nested GeoJSON coordinate array: the [lon, lat] pairs are the lists that
-    start with two numbers.  Raises ValueError, as _corners does, unless
-    they sum to a finite number."""
+    start with two numbers (see is_number).  Raises ValueError for any other
+    value outside a pair and, as _corners does, unless the pairs sum to a
+    finite number."""
     box = _corners(coords)
     if box is not None:
         return box
@@ -223,11 +225,12 @@ def _envelope(coords) -> tuple:
     lats = []
 
     def walk(node):
-        if (isinstance(node, (list, tuple)) and len(node) >= 2
-                and all(isinstance(v, (int, float)) for v in node[:2])):
+        if not isinstance(node, (list, tuple)):
+            raise ValueError(f"bounding box value {node!r} is not in a pair of numbers")
+        if len(node) >= 2 and is_number(node[0]) and is_number(node[1]):
             lons.append(float(node[0]))
             lats.append(float(node[1]))
-        elif isinstance(node, (list, tuple)):
+        else:
             for child in node:
                 walk(child)
 
@@ -261,6 +264,8 @@ def _fields(obj) -> tuple:
     coords = obj.get("coordinates")
     if isinstance(coords, dict) and coords.get("coordinates"):
         lon, lat = coords["coordinates"][:2]
+        if not (is_number(lon) and is_number(lat)):
+            raise TypeError("coordinates are not numbers")
         lon, lat = float(lon), float(lat)
         if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
             raise ValueError(f"coordinates out of range: {lon}, {lat}")
@@ -471,7 +476,7 @@ def reply_quote_stats(records) -> tuple[int, int, Optional[float]]:
 
 def _count(value) -> Optional[float]:
     """A population count as a finite float >= 0; None if it is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         return None
     try:
         value = float(value)

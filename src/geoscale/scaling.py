@@ -106,32 +106,23 @@ def cell_indices(grid: DensityGrid, min_tweets: float = 1.0,
     return list(zip(*(a.tolist() for a in np.nonzero(mask))))
 
 
-def select_cells(grid: DensityGrid, min_tweets: float = 1.0,
-                 min_population: float = 1.0) -> list[tuple]:
-    """Density tuples (T, U, P) or (T, U, P, Y) for the cells of
-    cell_indices."""
-    cells = cell_indices(grid, min_tweets, min_population)
-    if grid.has_youth:
-        return [(grid.t[c], grid.u[c], grid.p[c], grid.y[c]) for c in cells]
-    return [(grid.t[c], grid.u[c], grid.p[c]) for c in cells]
+def fit_exponent(grid: DensityGrid, cells: Sequence[tuple[int, int]],
+                 name: str) -> FitResult:
+    """Fit exponent ``name`` over the given (i, j) cells: its relation
+    "Y_vs_X" in EXPONENT_RELATION fits density y against density x.  Cells
+    whose x or y is not positive are dropped from the fit."""
+    relation = EXPONENT_RELATION[name]
+    ys, xs = (getattr(grid, d.lower()) for d in relation.split("_vs_"))
+    return fit_power_law([(xs[c], ys[c]) for c in cells if xs[c] > 0 and ys[c] > 0],
+                         relation)
 
 
 def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]]
               ) -> dict[str, FitResult]:
     """Fit alpha (T vs P), beta (U vs P) and gamma (T vs U) over the given
-    (i, j) cells.  Cells with a nonpositive value in a pair are dropped
-    from that pair (only possible with thresholds below 1)."""
-    t, u, p = grid.t, grid.u, grid.p
-    pairs = {
-        "alpha": [(p[c], t[c]) for c in cells],
-        "beta": [(p[c], u[c]) for c in cells],
-        "gamma": [(u[c], t[c]) for c in cells],
-    }
-    fits: dict[str, FitResult] = {}
-    for name, pts in pairs.items():
-        pts = [(a, b) for a, b in pts if a > 0 and b > 0]
-        fits[name] = fit_power_law(pts, EXPONENT_RELATION[name])
-    return fits
+    (i, j) cells."""
+    return {name: fit_exponent(grid, cells, name)
+            for name in ("alpha", "beta", "gamma")}
 
 
 def fit_all(grid: DensityGrid, min_tweets: float = 1.0,

@@ -202,13 +202,10 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
             eps_t = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0
             users = int(round(area * config.b_true * p ** config.beta_true
                               * 10.0 ** eps_u))
-            if users <= 0:
-                continue
             u_density = users / area
             tweets = int(round(area * config.c_true
                                * u_density ** config.gamma_true * 10.0 ** eps_t))
-            if tweets < users:
-                users = tweets
+            users = min(users, tweets)
             if users <= 0:
                 continue
             # every user gets one tweet, the surplus is multinomial
@@ -217,68 +214,43 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
                 counts += rng.multinomial(tweets - users, np.full(users, 1.0 / users))
             total = int(counts.sum())
 
-            neighbor = None
-            if config.commuter_fraction > 0 and i + 1 < x:
-                neighbor = cells.cell_rect(i + 1, j)
-
             user_of_tweet = np.repeat(np.arange(users), counts)
-            starts = np.cumsum(counts) - counts
-            within = np.arange(total) - np.repeat(starts, counts)
-            if neighbor is not None:
+            away = np.zeros(total, dtype=bool)
+            if config.commuter_fraction > 0 and i + 1 < x:
                 commuter = rng.uniform(size=users) < config.commuter_fraction
+                within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
                 # commuters place their odd-indexed tweets in the adjacent cell
                 away = commuter[user_of_tweet] & (within % 2 == 1)
-            else:
-                away = np.zeros(total, dtype=bool)
+            # each tweet's cell: (i, j), or (i + 1, j) when away
+            min_lon, max_lon = cells.lon_edges[i + away], cells.lon_edges[i + 1 + away]
 
             # margin keeps coordinates inside the cell after 7-decimal rounding
             m_lon = max(1e-6, rect.width * 1e-6)
             m_lat = max(1e-6, rect.height * 1e-6)
-            u_lon = rng.uniform(size=total)
-            u_lat = rng.uniform(size=total)
-            base_lon = np.where(away, neighbor.min_lon if neighbor else 0.0,
-                                rect.min_lon)
-            lons = base_lon + m_lon + u_lon * (rect.width - 2 * m_lon)
-            lats = rect.min_lat + m_lat + u_lat * (rect.height - 2 * m_lat)
+            lons = min_lon + m_lon + rng.uniform(size=total) * (rect.width - 2 * m_lon)
+            lats = rect.min_lat + m_lat + rng.uniform(size=total) * (rect.height - 2 * m_lat)
+            half_w = half_h = 0.0       # a point is a box of half-sizes 0
             if config.emit_boxes_fraction > 0:
                 as_box = rng.uniform(size=total) < config.emit_boxes_fraction
-                half_w = rng.uniform(0.0, rect.width / 8.0, size=total)
-                half_h = rng.uniform(0.0, rect.height / 8.0, size=total)
-            else:
-                as_box = np.zeros(total, dtype=bool)
-                half_w = half_h = np.zeros(total)
+                half_w = np.where(as_box, rng.uniform(0.0, rect.width / 8, total), 0.0)
+                half_h = np.where(as_box, rng.uniform(0.0, rect.height / 8, total), 0.0)
+                # a box's centre is clamped so that the box stays in its cell
+                lons = np.where(as_box, np.minimum(np.maximum(
+                    lons, min_lon + half_w + m_lon), max_lon - half_w - m_lon), lons)
+                lats = np.where(as_box, np.minimum(np.maximum(
+                    lats, rect.min_lat + half_h + m_lat), rect.max_lat - half_h - m_lat),
+                    lats)
             sources = rng.choice(len(_SOURCES), size=total, p=_SOURCE_WEIGHTS)
 
             names = [f"u_{i}_{j}_{u}" for u in range(users)]
             user_ids = [names[u] for u in user_of_tweet.tolist()]
             tweet_ids = [f"t{s:09d}" for s in range(tweet_seq, tweet_seq + total)]
             tweet_seq += total
-            if not as_box.any() and not away.any():
-                # common case: cell-local point records, rounded in bulk
-                a = c = np.round(lons, 7).tolist()
-                b = d = np.round(lats, 7).tolist()
-            else:
-                a, b, c, d = [], [], [], []
-                for t in range(total):
-                    target = neighbor if away[t] else rect
-                    if as_box[t]:
-                        hw, hh = float(half_w[t]), float(half_h[t])
-                        cx = min(max(lons[t], target.min_lon + hw + m_lon),
-                                 target.max_lon - hw - m_lon)
-                        cy = min(max(lats[t], target.min_lat + hh + m_lat),
-                                 target.max_lat - hh - m_lat)
-                        # numpy's rounding, whichever bound the clamp took
-                        a.append(float(np.round(cx - hw, 7)))
-                        b.append(float(np.round(cy - hh, 7)))
-                        c.append(float(np.round(cx + hw, 7)))
-                        d.append(float(np.round(cy + hh, 7)))
-                    else:
-                        lon = round(float(lons[t]), 7)
-                        lat = round(float(lats[t]), 7)
-                        a.append(lon)
-                        b.append(lat)
-                        c.append(lon)
-                        d.append(lat)
+            a = np.round(lons - half_w, 7).tolist()
+            b = np.round(lats - half_h, 7).tolist()
+            # a column of points only serves as c too (a is c, b is d)
+            c = np.round(lons + half_w, 7).tolist() if np.any(half_w) else a
+            d = np.round(lats + half_h, 7).tolist() if np.any(half_h) else b
             n_away = int(away.sum())
             n_t[i, j] += total - n_away
             if n_away:

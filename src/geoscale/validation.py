@@ -81,11 +81,22 @@ def subarea_grid_side(x: int, area_fraction: float) -> int:
     return max(1, round(x * math.sqrt(area_fraction)))
 
 
-def _finish(dist: ResampleDistribution) -> ResampleDistribution:
-    for name in EXPONENTS:
-        samples = dist.samples(name)
-        if len(samples) >= 10:
-            dist.ci68[name] = ci68(samples)
+def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution:
+    """Run replicates 0 .. config.replicates - 1.  Replicate k hands a
+    generator seeded with mix_seed(master_seed, k) to draw, which returns
+    the replicate's fits, or None when the draw cannot be placed.  A draw
+    that cannot be placed or fitted drops the replicate; its row is blank."""
+    rows = []
+    for k in range(config.replicates):
+        rng = np.random.default_rng(mix_seed(config.master_seed, k))
+        try:
+            fits = draw(rng)
+        except (InsufficientDataError, DegenerateFitError):
+            fits = None
+        rows.append((k, *(fits[name].exponent if fits else None for name in EXPONENTS)))
+    dist = ResampleDistribution(mode, rows, dropped=sum(row[1] is None for row in rows))
+    if len(rows) - dist.dropped >= 10:      # a row holds all three exponents or none
+        dist.ci68 = {name: ci68(dist.samples(name)) for name in EXPONENTS}
     return dist
 
 
@@ -107,30 +118,16 @@ def subarea_resample(records, units, land: Geometry, study: LonLatRect,
     h = study.height * math.sqrt(config.area_fraction)
     x_sub = subarea_grid_side(x, config.area_fraction)
 
-    def replicate(k: int):
-        rng = np.random.default_rng(mix_seed(config.master_seed, k))
+    def draw(rng):
         ox = rng.uniform(study.min_lon, study.max_lon - w)
         oy = rng.uniform(study.min_lat, study.max_lat - h)
         sub = LonLatRect(ox, oy, ox + w, oy + h)
         kept = corpus.take((corpus.lon0 >= sub.min_lon) & (corpus.lon1 <= sub.max_lon)
                            & (corpus.lat0 >= sub.min_lat) & (corpus.lat1 <= sub.max_lat))
-        try:
-            spec = GridSpec(sub, x_sub)
-            grid = run_grid_pipeline(spec, land, kept, units)
-            fits = fit_all(grid, min_tweets, min_population)
-            return (k, fits["alpha"].exponent, fits["beta"].exponent,
-                    fits["gamma"].exponent)
-        except (InsufficientDataError, DegenerateFitError):
-            return (k, None, None, None)
+        grid = run_grid_pipeline(GridSpec(sub, x_sub), land, kept, units)
+        return fit_all(grid, min_tweets, min_population)
 
-    rows = [replicate(k) for k in range(config.replicates)]
-    dist = ResampleDistribution(mode="subarea", rows=rows)
-    dist.dropped = sum(1 for r in rows if r[1] is None)
-    return _finish(dist)
-
-
-def _chebyshev_ok(chosen: list[tuple[int, int]], cell: tuple[int, int]) -> bool:
-    return all(max(abs(cell[0] - c[0]), abs(cell[1] - c[1])) >= 2 for c in chosen)
+    return _replicates("subarea", config, draw)
 
 
 def subset_resample(grid: DensityGrid, config: ResampleConfig,
@@ -149,41 +146,24 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
     if m < 3:
         raise InsufficientDataError(
             f"subset of {m} cells from {n} populated is too small to fit")
-    nonadjacent = config.mode == "subset_nonadjacent"
 
-    def replicate(k: int):
-        rng = np.random.default_rng(mix_seed(config.master_seed, k))
-        if not nonadjacent:
-            idx = rng.choice(n, size=m, replace=False)
-            chosen = [cells[int(i)] for i in idx]
-        else:
-            pool = list(range(n))
-            chosen = []
-            for _ in range(m):
-                placed = False
-                for _attempt in range(_MAX_RETRIES):
-                    if not pool:
-                        break
-                    pick = int(rng.integers(len(pool)))
-                    cell = cells[pool[pick]]
-                    if _chebyshev_ok(chosen, cell):
-                        chosen.append(cell)
-                        pool.pop(pick)
-                        placed = True
-                        break
-                if not placed:
-                    return (k, None, None, None)
-        try:
-            fits = fit_cells(grid, chosen)
-            return (k, fits["alpha"].exponent, fits["beta"].exponent,
-                    fits["gamma"].exponent)
-        except (InsufficientDataError, DegenerateFitError):
-            return (k, None, None, None)
+    def draw(rng):
+        if config.mode != "subset_nonadjacent":
+            return fit_cells(grid, [cells[int(i)] for i in
+                                    rng.choice(n, size=m, replace=False)])
+        pool, chosen = list(range(n)), []   # m <= n, so the pool never runs dry
+        while len(chosen) < m:
+            for _attempt in range(_MAX_RETRIES):
+                pick = int(rng.integers(len(pool)))
+                i, j = cells[pool[pick]]
+                if all(max(abs(i - ci), abs(j - cj)) >= 2 for ci, cj in chosen):
+                    chosen.append(cells[pool.pop(pick)])
+                    break
+            else:
+                return None
+        return fit_cells(grid, chosen)
 
-    rows = [replicate(k) for k in range(config.replicates)]
-    dist = ResampleDistribution(mode=config.mode, rows=rows)
-    dist.dropped = sum(1 for r in rows if r[1] is None)
-    return _finish(dist)
+    return _replicates(config.mode, config, draw)
 
 
 def resample_to_csv(dist: ResampleDistribution, path) -> None:

@@ -70,6 +70,17 @@ class TestConfigFile:
         assert cfg.x == 64       # flag wins
         assert cfg.seed == 5     # file beats default
 
+    def test_boolean_takes_only_its_words(self, tmp_path, capsys):
+        p = tmp_path / "run.conf"
+        for word, value in [("1", True), ("TRUE", True), ("yes", True),
+                            ("0", False), ("false", False), ("No", False)]:
+            p.write_text(f"x = 8\ngeojson = {word}\n")
+            assert load_config_file(p)["geojson"] is value
+        p.write_text("x = 8\ngeojson = ture\n")
+        assert main(["anomaly", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {p}:2: bad value for geojson: 'ture'")
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.conf"),
                      "--tweets", "x"]) == 1
@@ -256,6 +267,9 @@ class TestExitCodes:
         ("synth", ["--x-gen", "0"]),
         ("synth", ["--study=-3,50,-3,51"]),
         ("synth", ["--study=-3,50,inf,51"]),
+        ("grid", ["--study=-3,50,-2,130"]),
+        ("grid", ["--study=-3,-91,-2,51"]),
+        ("synth", ["--study=-3,80,-2,120"]),
     ])
     def test_non_finite_study_or_bad_generation_grid_is_a_config_error(
             self, tmp_path, corpus, capsys, command, extra):
@@ -294,8 +308,15 @@ class TestExitCodes:
         {"type": "Polygon", "coordinates": [
             [[-2.6, 50.4], [-2.4, 50.4], [-2.4, 50.6], [-2.6, 50.6]],
             [[-3, 50], [-2, 50], [-2, 51], [-3, 51]]]},
+        {"type": "Polygon", "coordinates": [
+            [["-3", "50"], ["-2", "50"], ["-2", "51"], ["-3", "51"]]]},
+        {"type": "Polygon", "coordinates": [
+            [[False, False], [True, False], [True, True], [False, True]]]},
+        {"type": "Polygon", "coordinates": [
+            [[-3, 50], [10 ** 400, 50], [-2, 51], [-3, 51]]]},
     ], ids=["feature_without_geometry", "ring_with_two_distinct_vertices",
-            "nan_vertex", "hole_larger_than_outer_ring"])
+            "nan_vertex", "hole_larger_than_outer_ring", "string_vertices",
+            "boolean_vertices", "integer_too_large_for_a_float"])
     def test_bad_land_file_is_a_data_error(self, tmp_path, corpus, capsys, land):
         inputs = tmp_path / "inputs"
         inputs.mkdir()

@@ -82,13 +82,15 @@ class TestParseTweets:
                  good.replace('{"id_str": "u1"}', '"u2"'),          # user not an object
                  good.replace('"u1"', "[1, 2]"),                    # list user id
                  good.replace('"u1"', "7"),                         # integer user id
+                 tweet_json(coords=["-3.5", "51"]),                 # string coordinates
+                 tweet_json(coords=[True, False]),                  # boolean coordinates
                  tweet_json(tweet_id="2", user_id="u3", coords=[-3.5, 51.0])]
         records, diags = parse_tweets(lines)
         _, corpus = corpus_stats(records, STUDY)
         assert [r.user_id for r in corpus] == ["u1", "u3"]
-        assert diags.skipped == 6
+        assert diags.skipped == 8
         assert diags.reasons == {"JSONDecodeError": 1, "ValueError": 1,
-                                 "TypeError": 4}
+                                 "TypeError": 6}
         kept, _ = filter_bots(corpus, 1.0)
         assert len(kept) == 2
 
@@ -103,8 +105,10 @@ class TestParseTweets:
         assert diags.reasons == {"OverflowError": 2}
         assert [r.point for r in locate_lines(lines)] == [(-3.5, 51.0)]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       True, False, "-2.5", None])
     def test_non_finite_box_coordinate_is_a_counted_skip(self, value):
+        # a coordinate that is not a JSON number counts as non-finite
         for bad in range(8):
             flat = [-2.6, 50.5, -2.4, 50.5, -2.4, 50.7, -2.6, 50.7]
             flat[bad] = value
@@ -368,11 +372,20 @@ class TestParsePopulation:
         big_hole = self.feature("hole")
         big_hole["geometry"]["coordinates"].append(
             [[-1, -1], [3, -1], [3, 3], [-1, 3]])
+        string_ring = self.feature("strings")
+        string_ring["geometry"]["coordinates"] = [
+            [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]]]
+        boolean_ring = self.feature("booleans")
+        boolean_ring["geometry"]["coordinates"] = [
+            [[False, False], [True, False], [True, True], [False, True]]]
+        huge_vertex = self.feature("huge")
+        huge_vertex["geometry"]["coordinates"][0][1] = [10 ** 400, 0]
         fc = {"type": "FeatureCollection",
-              "features": [nan_vertex, inf_vertex, big_hole, self.feature("ok")]}
+              "features": [nan_vertex, inf_vertex, big_hole, string_ring,
+                           boolean_ring, huge_vertex, self.feature("ok")]}
         units, diags = parse_population(fc)
         assert [u.unit_id for u in units] == ["ok"]
-        assert diags.reasons == {"bad_geometry": 3}
+        assert diags.reasons == {"bad_geometry": 6}
 
     def test_zero_area_feature_is_a_zero_area_skip(self):
         collinear = self.feature("line", 4034)

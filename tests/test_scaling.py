@@ -9,12 +9,12 @@ from geoscale.geometry import LonLatRect
 from geoscale.scaling import (
     FitResult,
     ScanResult,
+    cell_indices,
     consistency,
     detect_window,
     fit_all,
     fit_power_law,
     mean_cell_area,
-    select_cells,
 )
 
 STUDY = LonLatRect(0.0, 0.0, 4.0, 4.0)
@@ -70,7 +70,7 @@ class TestFitPowerLaw:
             fit_power_law([(1, 1), (2, 0), (3, 3)])
 
 
-def grid_with_law(x=6, beta=1.2, gamma=1.35, youth_delta=None):
+def grid_with_law(x=6, beta=1.2, gamma=1.35):
     """Synthetic grid whose cell densities follow exact power laws."""
     spec = GridSpec(STUDY, x)
     grid = DensityGrid(spec, np.ones((x, x)))
@@ -85,10 +85,6 @@ def grid_with_law(x=6, beta=1.2, gamma=1.35, youth_delta=None):
             grid.n_p[i, j] = p * a
             grid.n_u[i, j] = u * a
             grid.n_t[i, j] = t * a
-            if youth_delta is not None:
-                grid.n_y[i, j] = (0.3 * p ** youth_delta) * a
-    if youth_delta is not None:
-        grid.has_youth = True
     densities(grid)
     return grid
 
@@ -106,17 +102,12 @@ class TestFitAll:
         assert report.delta == pytest.approx(0.0, abs=1e-9)
         assert report.propagated_sigma < 1e-9
 
-    def test_select_cells_applies_thresholds(self):
+    def test_cell_indices_applies_thresholds(self):
         grid = grid_with_law(x=4)
         grid.n_t[0, 0] = 0.5   # below the one-tweet floor
         grid.n_p[1, 1] = 0.2
-        cells = select_cells(grid)
+        cells = cell_indices(grid)
         assert len(cells) == 14
-
-    def test_youth_tuple_present(self):
-        grid = grid_with_law(x=4, youth_delta=0.9)
-        cells = select_cells(grid)
-        assert len(cells[0]) == 4
 
 
 class TestMeanCellArea:

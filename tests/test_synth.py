@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from geoscale.cli import main
 from geoscale.geometry import LonLatRect, geometry_from_geojson, polygon_area
 from geoscale.gridding import GridSpec, run_grid_pipeline
 from geoscale.ingest import corpus_stats, parse_population, parse_tweets
@@ -214,3 +216,23 @@ class TestWriteCorpus:
             _, base_gt = gen_population(SMALL)
             gen_activity(SMALL, base_gt)
             assert not np.array_equal(lib_gt.n_t, base_gt.n_t)
+
+
+class TestOracleBytes:
+    def test_corpus_and_ground_truth_bytes_are_pinned(self, tmp_path):
+        """The generator's output is the oracle every recovery check rests
+        on: a change to the draw must keep every byte of points, boxes,
+        commuters and bots alike."""
+        assert main(["synth", "--out", str(tmp_path), "--study=-3.0,50.0,-2.0,51.0",
+                     "--x-gen", "5", "--b-true", "0.005", "--c-true", "2.0",
+                     "--pop-log10-mean", "1.0", "--pop-log10-sigma", "0.5",
+                     "--seed", "11", "--emit-boxes-fraction", "0.5",
+                     "--commuter-fraction", "0.3", "--bots", "2"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("tweets.jsonl", "ground_truth.json")}
+        assert digests == {
+            "tweets.jsonl":
+                "27ed647e3467ba5ac64c61042e938475e4debae375092aa054df1fa38628557c",
+            "ground_truth.json":
+                "c8d1326a42ed4b0b504c6ed880efa00f5bc2489e0464bc52961f0c74c483aa19",
+        }
