@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError, UnavailableError
+from .errors import DomainError, InsufficientDataError
 from .geometry import rect_geojson
 from .gridding import DensityGrid, GridSpec, cells_to_csv
-from .scaling import FitResult, cell_indices, fit_exponent
+from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
 
 
 def predict(fit: FitResult, x: float) -> float:
@@ -22,11 +22,6 @@ def predict(fit: FitResult, x: float) -> float:
     if x <= 0:
         raise DomainError(f"prediction needs x > 0, got {x}")
     return 10.0 ** fit.log10_prefactor * x ** fit.exponent
-
-
-def anomaly_abs(measured: float, predicted: float) -> float:
-    """Signed difference between measured and predicted density."""
-    return measured - predicted
 
 
 def anomaly_rel(measured: float, predicted: float) -> float:
@@ -41,7 +36,7 @@ def anomaly_rel(measured: float, predicted: float) -> float:
 @dataclass
 class AnomalyGrid:
     spec: GridSpec
-    kind: str                   # "TU" | "YP"
+    relation: str               # the fit's, e.g. "T_vs_U" or "Y_vs_P"
     abs_cap: float
     rel_cap: float
     measured: np.ndarray
@@ -60,29 +55,19 @@ class AnomalyGrid:
         return np.clip(self.a_rel, -self.rel_cap, self.rel_cap)
 
 
-def anomaly_map(grid: DensityGrid, fit: FitResult, kind: str = "TU",
+def anomaly_map(grid: DensityGrid, fit: FitResult,
                 abs_cap: float = 1000.0, rel_cap: float = 2.0,
                 min_t_density: float = 1.0, min_p_density: float = 1.0
                 ) -> AnomalyGrid:
     """Per-cell anomalies of measured vs trend-predicted density.
 
-    TU compares measured tweet density against the T-vs-U fit applied to
-    user density; YP compares measured youth density against the Y-vs-P fit
-    applied to population density.  Cells below the tweet or population
-    density thresholds, or where either side of the comparison is
-    nonpositive, are masked.
+    The fit's relation "Y_vs_X" compares measured density y against the fit
+    applied to density x: tweets against users for the T-vs-U fit, youth
+    against population for the Y-vs-P one.  Cells below the tweet or
+    population density thresholds, or where either side of the comparison
+    is nonpositive, are masked.
     """
-    if kind == "TU":
-        measured_arr, driver_arr = grid.t, grid.u
-    elif kind == "YP":
-        if not grid.has_youth or grid.y is None:
-            raise UnavailableError("no youth densities on this grid")
-        measured_arr, driver_arr = grid.y, grid.p
-    else:
-        raise DomainError(f"unknown anomaly kind: {kind!r}")
-    if measured_arr is None or grid.t is None or grid.p is None:
-        raise DomainError("densities must be computed before mapping anomalies")
-
+    measured_arr, driver_arr = relation_densities(grid, fit.relation)
     x = grid.spec.x
     with np.errstate(invalid="ignore"):
         # NaN densities (water cells) compare False and stay masked
@@ -103,15 +88,13 @@ def anomaly_map(grid: DensityGrid, fit: FitResult, kind: str = "TU",
 
     rule = (f"masked unless T >= {min_t_density}/km^2, P >= {min_p_density}/km^2, "
             f"measured > 0 and predictor > 0")
-    return AnomalyGrid(grid.spec, kind, abs_cap, rel_cap, measured, predicted,
+    return AnomalyGrid(grid.spec, fit.relation, abs_cap, rel_cap, measured, predicted,
                        a_abs, a_rel, ~usable, rule)
 
 
 def youth_fit(grid: DensityGrid, min_tweets: float = 1.0,
               min_population: float = 1.0) -> FitResult:
     """Power-law fit of youth density against population density."""
-    if not grid.has_youth:
-        raise UnavailableError("grid has no youth population data")
     return fit_exponent(grid, cell_indices(grid, min_tweets, min_population),
                         "delta")
 
@@ -120,7 +103,6 @@ def youth_fit(grid: DensityGrid, min_tweets: float = 1.0,
 class CorrelationResult:
     pearson_r: float
     n: int
-    pairs: np.ndarray  # shape (n, 2), raw (uncapped) values
 
 
 def anomaly_correlation(a: AnomalyGrid, b: AnomalyGrid, which: str = "abs"
@@ -144,7 +126,7 @@ def anomaly_correlation(a: AnomalyGrid, b: AnomalyGrid, which: str = "abs"
     if len(xs) < 3:
         raise InsufficientDataError(f"need >= 3 paired cells, got {len(xs)}")
     r = float(np.corrcoef(xs, ys)[0, 1])
-    return CorrelationResult(r, len(xs), np.column_stack([xs, ys]))
+    return CorrelationResult(r, len(xs))
 
 
 def _exported(a: AnomalyGrid) -> dict:

@@ -156,7 +156,9 @@ def _load_json(path, what: str) -> dict:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise DataError(f"cannot read {what} from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, or an integer too long to read; RecursionError:
+    # arrays or objects nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
 
@@ -167,8 +169,10 @@ def load_land(path) -> MultiPolygon:
     obj = _load_json(path, "land geometry")
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "FeatureCollection":
-        geoms = [f.get("geometry") if isinstance(f, dict) else None
-                 for f in obj.get("features", [])]
+        features = obj.get("features", [])
+        if not isinstance(features, list):
+            raise DataError(f"land features in {path} are not a list")
+        geoms = [f.get("geometry") if isinstance(f, dict) else None for f in features]
     elif kind == "Feature":
         geoms = [obj.get("geometry")]
     else:
@@ -177,7 +181,7 @@ def load_land(path) -> MultiPolygon:
     for k, geom in enumerate(geoms):
         try:
             polys.extend(geometry_from_geojson(geom).polygons)
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad land geometry {k} in {path}: {exc}") from exc
     return MultiPolygon(tuple(polys))
 
@@ -238,15 +242,19 @@ def _write_json(path, obj) -> None:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
+    """The locate funnel of every parsed record; sources and replies of the
+    records of the configured tag kind."""
     stats, corpus = _load_corpus(cfg)
+    ranking = ingest.source_ranking(corpus, k=max(len(corpus.sources), 1))
+    replies, quotes, either = ingest.reply_quote_counts(corpus)
     out = _outdir(cfg)
-    _write_json(out / "stats.json", stats.to_dict())
-    ranking = ingest.source_ranking(corpus, k=max(len(stats.per_source), 1)) \
-        if corpus else []
+    _write_json(out / "stats.json", dataclasses.asdict(stats) | {
+        "per_source": {source: count for source, count, _ in ranking},
+        "reply_count": replies, "quote_count": quotes,
+        "reply_or_quote_count": either})
     write_csv(out / "sources.csv", ["rank", "source", "count", "proportion"],
               ((rank, *entry) for rank, entry in enumerate(ranking, 1)))
-    replies, quotes, frac = ingest.reply_quote_stats(corpus)
-    frac_s = "n/a" if frac is None else f"{frac:.4f}"
+    frac_s = f"{either / len(corpus):.4f}" if corpus else "n/a"
     print(f"records={stats.total_records} located_geo={stats.located_geo} "
           f"located_place={stats.located_place} replies={replies} "
           f"quotes={quotes} reply_or_quote_fraction={frac_s}")
@@ -254,13 +262,15 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list]:
-    """Check the grid settings for each side in xs, then load the land and
-    population layers: everything that can fail before the corpus is read.
-    Returns the grid specs, the land and the population units."""
+    """Check the grid settings for each side in xs and the bot threshold,
+    then load the land and population layers: everything that can fail
+    before the corpus is read.  Returns the grid specs, the land and the
+    population units."""
     if not cfg.land:
         raise ConfigError("--land is required for this command")
     if not xs:
         raise ConfigError("x_list must be non-empty")
+    ingest.check_bot_threshold(cfg.bot_threshold)
     specs = [GridSpec(cfg.study_rect(), x) for x in xs]
     land = load_land(cfg.land)
     units = load_population(cfg.population) if cfg.population else []
@@ -289,7 +299,7 @@ def cmd_fit(cfg: RunConfig) -> int:
     grid = _load_grid(cfg)[0]
     fits = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
-    _write_fits_csv(out / "fits.csv", [(cfg.x, fits[n]) for n in ("alpha", "beta", "gamma")])
+    _write_fits_csv(out / "fits.csv", [(cfg.x, fits[n]) for n in scaling.EXPONENTS])
     report = scaling.consistency(fits["alpha"], fits["beta"], fits["gamma"])
     _write_json(out / "consistency.json", {
         "delta": report.delta,
@@ -297,7 +307,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         "z_score": report.z_score if math.isfinite(report.z_score)
         else str(report.z_score),
     })
-    for name in ("alpha", "beta", "gamma"):
+    for name in scaling.EXPONENTS:
         f = fits[name]
         print(f"{name}: exponent={f.exponent:.6f} +- {f.exponent_stderr:.6f} "
               f"log10_prefactor={f.log10_prefactor:.6f} R2={f.r_squared:.6f} "
@@ -312,12 +322,8 @@ def cmd_scan(cfg: RunConfig) -> int:
     scan = scaling.scan_resolutions(records, units, land, specs,
                                     cfg.fit_min_tweets, cfg.fit_min_population)
     out = _outdir(cfg)
-    rows = []
-    for x in scan.x_values:
-        if x in scan.fits:
-            for name in ("alpha", "beta", "gamma"):
-                rows.append((x, scan.fits[x][name]))
-    _write_fits_csv(out / "fits.csv", rows)
+    _write_fits_csv(out / "fits.csv", [(x, scan.fits[x][name]) for x in scan.x_values
+                                       if x in scan.fits for name in scaling.EXPONENTS])
     write_csv(out / "cell_areas.csv", ["X", "mean_cell_area_km2"],
               ((x, scan.mean_cell_area[x]) for x in scan.x_values))
     window = scaling.detect_window(scan)
@@ -338,13 +344,12 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     grid = _load_grid(cfg)[0]
     out = _outdir(cfg)
     made = {}
-    thresholds = (cfg.fit_min_tweets, cfg.fit_min_population)
-    for kind in ("tu", "yp"):
+    cells = scaling.cell_indices(grid, cfg.fit_min_tweets, cfg.fit_min_population)
+    for kind, exponent in (("tu", "gamma"), ("yp", "delta")):
         if cfg.kind not in (kind, "both"):
             continue
-        fit = (scaling.fit_all(grid, *thresholds)["gamma"] if kind == "tu"
-               else anomaly_mod.youth_fit(grid, *thresholds))
-        amap = anomaly_mod.anomaly_map(grid, fit, kind.upper(), cfg.abs_cap, cfg.rel_cap,
+        fit = scaling.fit_exponent(grid, cells, exponent)
+        amap = anomaly_mod.anomaly_map(grid, fit, cfg.abs_cap, cfg.rel_cap,
                                        cfg.mask_t_density, cfg.mask_p_density)
         anomaly_mod.anomaly_to_csv(amap, out / f"anomaly_{kind}.csv")
         if cfg.geojson:
@@ -380,7 +385,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     validation.resample_to_csv(dist, out / "resample.csv")
     _write_json(out / "resample_summary.json",
                 validation.resample_summary(dist, rcfg, reference))
-    for name in validation.EXPONENTS:
+    for name in scaling.EXPONENTS:
         ci = dist.ci68.get(name)
         ref = reference[name].exponent
         if ci:

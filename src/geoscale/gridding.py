@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError, DomainError
+from .errors import ConfigError, DegenerateGeometryError
 from .geometry import (
     MIN_AREA_KM2,
     Geometry,
@@ -268,16 +268,6 @@ def densities(grid: DensityGrid) -> list[str]:
     for i, j in zip(*np.nonzero(wet_mass)):
         diags.append(f"cell ({i},{j}): mass over water (A=0), excluded")
     return diags
-
-
-def density_histogram(grid: DensityGrid, quantity: str, bins
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of log10(density) over land cells with positive values."""
-    arr = {"T": grid.t, "U": grid.u, "P": grid.p, "Y": grid.y}.get(quantity)
-    if arr is None:
-        raise DomainError(f"no density values for quantity {quantity!r}")
-    vals = arr[np.isfinite(arr) & (arr > 0)]
-    return np.histogram(np.log10(vals), bins=bins)
 
 
 def run_grid_pipeline(spec: GridSpec, land: Geometry, records,

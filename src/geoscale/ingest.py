@@ -91,14 +91,6 @@ class CorpusStats:
     discarded_admin_country: int = 0
     discarded_outside: int = 0
     unlocatable: int = 0
-    per_source: Counter = field(default_factory=Counter)
-    reply_count: int = 0
-    quote_count: int = 0
-    reply_or_quote_count: int = 0
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                } | {"per_source": dict(self.per_source)}
 
 
 _COLUMNS = ("lon0", "lat0", "lon1", "lat1", "sin0", "sin1", "user", "source",
@@ -116,8 +108,7 @@ class Corpus:
     latitudes in radians (0 for points).  ``user`` codes index
     ``user_ids``, which are sorted, so code order is user-id order;
     ``source`` codes index ``sources``.  ``reply``, ``quote`` and ``place``
-    (the tag kind: place, else geo) are booleans.  ``stats`` is the funnel
-    of the parse that built the corpus.  No tweet ids are kept.
+    (the tag kind: place, else geo) are booleans.  No tweet ids are kept.
     """
 
     lon0: np.ndarray
@@ -133,7 +124,6 @@ class Corpus:
     place: np.ndarray
     user_ids: list
     sources: list
-    stats: CorpusStats
 
     def __len__(self) -> int:
         return len(self.user)
@@ -301,8 +291,9 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     lines into rows (see _fields), one record at a time.
 
     A path is read line by line and split as str.splitlines splits it.
-    Malformed records are skipped and counted in ``diags``; they never abort
-    the stream.
+    Malformed records are skipped and counted in ``diags`` by exception
+    name (RecursionError for one nested too deeply to read); they never
+    abort the stream.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -319,7 +310,7 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
             continue
         try:
             row = _fields(_loads(line))
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             diags.skip(type(exc).__name__)
             continue
         diags.parsed += 1
@@ -351,8 +342,8 @@ def parse_tweets(source) -> tuple[list[tuple], ParseDiagnostics]:
 
 def corpus_stats(rows: Iterable[tuple], study: LonLatRect
                  ) -> tuple[CorpusStats, Corpus]:
-    """Locate parsed rows in the study rect: the funnel counts, with the
-    per-source and reply/quote counts of the located rows, and their Corpus.
+    """Locate parsed rows in the study rect: the funnel counts and the
+    Corpus of the located rows.
 
     A geo tag inside the study rect wins over any place tag.  Place tags of
     type country/admin are too coarse and discarded; place boxes must be
@@ -400,20 +391,12 @@ def corpus_stats(rows: Iterable[tuple], study: LonLatRect
     rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids), dtype=np.int32)
     flags = np.array(flags, dtype=np.int8)
-    reply, quote = (flags & 1) != 0, (flags & 2) != 0
-    source = np.array(sources, dtype=np.int32)
-    stats = CorpusStats(
-        sum(reasons), *reasons,
-        per_source=Counter(dict(zip(source_codes, np.bincount(
-            source, minlength=len(source_codes)).tolist()))),
-        reply_count=int(reply.sum()), quote_count=int(quote.sum()),
-        reply_or_quote_count=int((reply | quote).sum()))
-    return stats, Corpus(
+    return CorpusStats(sum(reasons), *reasons), Corpus(
         *np.array(coords, dtype=float).reshape(-1, 6).T.copy(),
-        user=rank[np.array(users, dtype=np.int32)], source=source,
-        reply=reply, quote=quote, place=(flags & 4) != 0,
-        user_ids=[ids[k] for k in order], sources=list(source_codes),
-        stats=stats)
+        user=rank[np.array(users, dtype=np.int32)],
+        source=np.array(sources, dtype=np.int32),
+        reply=(flags & 1) != 0, quote=(flags & 2) != 0, place=(flags & 4) != 0,
+        user_ids=[ids[k] for k in order], sources=list(source_codes))
 
 
 def _keep(records, keep: np.ndarray):
@@ -421,6 +404,12 @@ def _keep(records, keep: np.ndarray):
     if isinstance(records, Corpus):
         return records.take(keep)
     return list(itertools.compress(records, keep.tolist()))
+
+
+def check_bot_threshold(threshold_fraction: float) -> None:
+    """Raise ConfigError unless the bot threshold is in (0, 1]."""
+    if not 0.0 < threshold_fraction <= 1.0:
+        raise ConfigError("threshold_fraction must be in (0, 1]")
 
 
 def filter_bots(records, threshold_fraction: float = 0.01) -> tuple:
@@ -431,8 +420,7 @@ def filter_bots(records, threshold_fraction: float = 0.01) -> tuple:
     The threshold is computed once against the pre-filter total (single
     pass, no re-thresholding), so the filter is idempotent.
     """
-    if not 0.0 < threshold_fraction <= 1.0:
-        raise ConfigError("threshold_fraction must be in (0, 1]")
+    check_bot_threshold(threshold_fraction)
     corpus = Corpus.of(records)
     bots = corpus.user_counts() > threshold_fraction * len(corpus)
     removed = [corpus.user_ids[k] for k in np.flatnonzero(bots).tolist()]
@@ -463,15 +451,20 @@ def source_ranking(records, k: int) -> list[tuple[str, int, float]]:
     return [(s, c, c / total) for s, c in ranked[:k]]
 
 
+def reply_quote_counts(records) -> tuple[int, int, int]:
+    """Counts of replies, of quotes and of records that are either (a record
+    that is both counts once in the union)."""
+    corpus = Corpus.of(records)
+    return (int(corpus.reply.sum()), int(corpus.quote.sum()),
+            int((corpus.reply | corpus.quote).sum()))
+
+
 def reply_quote_stats(records) -> tuple[int, int, Optional[float]]:
     """Counts of replies and quotes plus the fraction of records that are
-    either (a record that is both counts once in the union)."""
+    either (see reply_quote_counts); None for no records."""
     corpus = Corpus.of(records)
-    if not len(corpus):
-        return 0, 0, None
-    union = int((corpus.reply | corpus.quote).sum())
-    return (int(corpus.reply.sum()), int(corpus.quote.sum()),
-            union / len(corpus))
+    replies, quotes, either = reply_quote_counts(corpus)
+    return replies, quotes, either / len(corpus) if len(corpus) else None
 
 
 def _count(value) -> Optional[float]:
@@ -490,21 +483,26 @@ def parse_population(feature_collection: dict
     """Convert a GeoJSON FeatureCollection to population units.
 
     Features with a missing, non-numeric, negative or non-finite population
-    are skipped with a diagnostic, and so is a feature that is not an object
-    or whose geometry does not make polygons of finite vertices and
-    non-negative area (bad_geometry), or makes no more than MIN_AREA_KM2
-    (zero_area): such a unit has no area to spread its population over.
+    (or properties that are not an object) are skipped with a diagnostic,
+    and so is a feature that is not an object or whose geometry does not
+    make polygons of finite vertices and non-negative area (bad_geometry),
+    or makes no more than MIN_AREA_KM2 (zero_area): such a unit has no area
+    to spread its population over.
     """
     diags = ParseDiagnostics()
     units: list[PopulationUnit] = []
-    features = feature_collection.get("features")
-    if features is None:
+    features = (feature_collection.get("features")
+                if isinstance(feature_collection, dict) else None)
+    if not isinstance(features, list):
         raise DataError("population input is not a FeatureCollection")
     for idx, feat in enumerate(features):
         if not isinstance(feat, dict):
             diags.skip("bad_geometry")
             continue
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            diags.skip("bad_population")
+            continue
         code = str(props.get("code", idx))
         pop = _count(props.get("population"))
         if pop is None:

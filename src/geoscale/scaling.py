@@ -13,14 +13,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateFitError, InsufficientDataError
+from .errors import (
+    DegenerateFitError,
+    DomainError,
+    InsufficientDataError,
+    UnavailableError,
+)
 from .geometry import Geometry, spherical_rect_area
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
 
+EXPONENTS = ("alpha", "beta", "gamma")
 EXPONENT_RELATION = {"alpha": "T_vs_P", "beta": "U_vs_P",
                      "gamma": "T_vs_U", "delta": "Y_vs_P"}
+# the DensityGrid attribute of each density letter of a relation
+_DENSITY = {"T": "t", "U": "u", "P": "p", "Y": "y"}
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,29 @@ def cell_indices(grid: DensityGrid, min_tweets: float = 1.0,
     return list(zip(*(a.tolist() for a in np.nonzero(mask))))
 
 
+def relation_densities(grid: DensityGrid, relation: str
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The (y, x) density arrays of relation "Y_vs_X", each letter one of
+    T, U, P and Y.  Raises UnavailableError for Y on a grid without youth
+    counts and DomainError for any other relation or before densities."""
+    letters = relation.split("_vs_")
+    if len(letters) != 2 or not set(letters) <= _DENSITY.keys():
+        raise DomainError(f"unknown relation: {relation!r}")
+    if "Y" in letters and not grid.has_youth:
+        raise UnavailableError("grid has no youth population data")
+    ys, xs = (getattr(grid, _DENSITY[d]) for d in letters)
+    if ys is None or xs is None:
+        raise DomainError("densities must be computed first")
+    return ys, xs
+
+
 def fit_exponent(grid: DensityGrid, cells: Sequence[tuple[int, int]],
                  name: str) -> FitResult:
     """Fit exponent ``name`` over the given (i, j) cells: its relation
     "Y_vs_X" in EXPONENT_RELATION fits density y against density x.  Cells
     whose x or y is not positive are dropped from the fit."""
     relation = EXPONENT_RELATION[name]
-    ys, xs = (getattr(grid, d.lower()) for d in relation.split("_vs_"))
+    ys, xs = relation_densities(grid, relation)
     return fit_power_law([(xs[c], ys[c]) for c in cells if xs[c] > 0 and ys[c] > 0],
                          relation)
 
@@ -121,8 +145,7 @@ def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]]
               ) -> dict[str, FitResult]:
     """Fit alpha (T vs P), beta (U vs P) and gamma (T vs U) over the given
     (i, j) cells."""
-    return {name: fit_exponent(grid, cells, name)
-            for name in ("alpha", "beta", "gamma")}
+    return {name: fit_exponent(grid, cells, name) for name in EXPONENTS}
 
 
 def fit_all(grid: DensityGrid, min_tweets: float = 1.0,
@@ -167,7 +190,7 @@ def _run_qualifies(fits_by_x: dict, run_xs: Sequence[int]
                    ) -> tuple[bool, dict, float]:
     means: dict[str, float] = {}
     pooled = 0.0
-    for name in ("alpha", "beta", "gamma"):
+    for name in EXPONENTS:
         ests = [fits_by_x[x][name].exponent for x in run_xs]
         sigmas = [fits_by_x[x][name].exponent_stderr for x in run_xs]
         mean, var = _weighted_mean(ests, sigmas)

@@ -136,31 +136,14 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
 # as the API emits it.  Records travel as the columns
 # (tweet_ids, user_ids, a, b, c, d, sources).
 
-# json.dumps(_record(...), separators=(",", ":")) + "\n", filled from
-# (tweet_id, user_id, a, b, c, b, c, d, a, d, source) with the coordinates
-# as repr(float), which is how json writes a float; ids and sources are
-# plain ASCII that json writes unescaped.
+# The only writer of a record: the line that json.dumps(record,
+# separators=(",", ":")) + "\n" would write, filled from (tweet_id, user_id,
+# a, b, c, b, c, d, a, d, source) with the coordinates as repr(float), which
+# is how json writes a float; ids and sources are plain ASCII that json
+# writes unescaped.
 _LINE = ('{"id_str":"%s","user":{"id_str":"%s"},"place":{"place_type":"city",'
          '"bounding_box":{"type":"Polygon","coordinates":'
          '[[[%s,%s],[%s,%s],[%s,%s],[%s,%s]]]}},"source":"%s"}\n')
-
-
-def _record(tweet_id: str, user_id: str, a: float, b: float, c: float,
-            d: float, source: str) -> dict:
-    return {
-        "id_str": tweet_id,
-        "user": {"id_str": user_id},
-        "place": {
-            "place_type": "city",
-            "bounding_box": {"type": "Polygon",
-                             "coordinates": [[[a, b], [c, b], [c, d], [a, d]]]},
-        },
-        "source": source,
-    }
-
-
-def _records(columns) -> list[dict]:
-    return list(map(_record, *columns))
 
 
 def _lines(columns) -> str:
@@ -170,6 +153,13 @@ def _lines(columns) -> str:
     a, b, c, d = (text[id(col)] for col in coords)
     return "".join(map(_LINE.__mod__, zip(tids, uids, a, b, c, b, c, d, a, d,
                                           sources)))
+
+
+def _parsed(column_batches) -> list[dict]:
+    """The records of the column batches: their lines read back by json, one
+    array per batch."""
+    return [r for columns in column_batches
+            for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
 
 
 def _activity_columns(config: SynthConfig, gt: GroundTruth):
@@ -263,8 +253,7 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
 def gen_activity(config: SynthConfig, gt: GroundTruth) -> list[dict]:
     """Generate tweet records cell by cell, completing the ground truth
     (see _activity_columns for the draw)."""
-    return [r for columns in _activity_columns(config, gt)
-            for r in _records(columns)]
+    return _parsed(_activity_columns(config, gt))
 
 
 def _bot_columns(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
@@ -287,9 +276,7 @@ def gen_bots(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
              total_records: int) -> list[dict]:
     """Records for very active automated accounts, each posting
     round(bot_tweet_fraction * total_records) tweets from one fixed point."""
-    return [r for columns in _bot_columns(config, n_bots, bot_tweet_fraction,
-                                          total_records)
-            for r in _records(columns)]
+    return _parsed(_bot_columns(config, n_bots, bot_tweet_fraction, total_records))
 
 
 def land_geojson(study: LonLatRect) -> dict:

@@ -18,9 +18,8 @@ from .errors import ConfigError, DegenerateFitError, InsufficientDataError
 from .geometry import Geometry, LonLatRect
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline, write_csv
 from .ingest import Corpus
-from .scaling import cell_indices, fit_all, fit_cells
+from .scaling import EXPONENTS, cell_indices, fit_all, fit_cells
 
-EXPONENTS = ("alpha", "beta", "gamma")
 MODES = ("subarea", "subset", "subset_nonadjacent")
 
 # draws per chosen cell in subset_nonadjacent mode before the replicate drops

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from geoscale.anomaly import (
-    anomaly_abs,
     anomaly_correlation,
     anomaly_map,
     anomaly_rel,
@@ -22,8 +21,8 @@ from geoscale.scaling import FitResult, fit_all
 STUDY = LonLatRect(0.0, 0.0, 4.0, 4.0)
 
 
-def fit(exponent=1.35, log10_prefactor=0.0):
-    return FitResult("T_vs_U", exponent, 0.0, log10_prefactor, 0.0, 1.0, 10)
+def fit(exponent=1.35, log10_prefactor=0.0, relation="T_vs_U"):
+    return FitResult(relation, exponent, 0.0, log10_prefactor, 0.0, 1.0, 10)
 
 
 class TestPredict:
@@ -37,10 +36,6 @@ class TestPredict:
 
 
 class TestAnomalyValues:
-    def test_abs_is_signed_difference(self):
-        assert anomaly_abs(10.0, 4.0) == 6.0
-        assert anomaly_abs(4.0, 10.0) == -6.0
-
     def test_rel_is_scale_free(self):
         # the rural and urban pairs from the normalisation's rationale
         rural = anomaly_rel(4.0, 2.0)
@@ -123,14 +118,22 @@ class TestAnomalyMap:
         assert amap.a_abs_capped[0, 0] == 1000.0
         assert amap.a_rel_capped[0, 0] <= 2.0
 
-    def test_yp_kind_requires_youth(self):
+    def test_yp_relation_requires_youth(self):
         grid = law_grid()
         with pytest.raises(UnavailableError):
-            anomaly_map(grid, fit(), kind="YP")
+            anomaly_map(grid, fit(relation="Y_vs_P"))
 
-    def test_unknown_kind(self):
+    def test_unknown_relation(self):
         with pytest.raises(DomainError):
-            anomaly_map(law_grid(), fit(), kind="XY")
+            anomaly_map(law_grid(), fit(relation="XY"))
+
+    def test_yp_relation_maps_youth_against_population(self):
+        grid = law_grid(youth=True)
+        amap = anomaly_map(grid, youth_fit(grid))
+        sel = ~amap.masked
+        assert amap.relation == "Y_vs_P"
+        np.testing.assert_array_equal(amap.measured[sel], grid.y[sel])
+        np.testing.assert_allclose(amap.a_rel[sel], 0.0, atol=1e-12)
 
 
 class TestYouthFit:

@@ -217,6 +217,15 @@ class TestSettings:
         assert "argument --x: invalid int value: '3.5'" in capsys.readouterr().err
 
 
+def _layer_text(population="5", depth=0):
+    """A one-feature layer whose ring sits ``depth`` arrays deeper than a
+    polygon's."""
+    ring = "[[-3,50],[-2,50],[-2,51],[-3,51]]"
+    return ('{"type":"FeatureCollection","features":[{"type":"Feature",'
+            f'"properties":{{"population":{population}}},"geometry":{{"type":"Polygon",'
+            f'"coordinates":{"[" * depth}[{ring}]{"]" * depth}}}}}]}}')
+
+
 class TestExitCodes:
     def test_unknown_flag(self):
         assert main(["fit", "--bogus"]) == 1
@@ -284,6 +293,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, extra", [
         ("fit", ["--x", "0"]),
+        ("fit", ["--bot-threshold", "0"]),
         ("validate", ["--replicates", "0"]),
     ])
     def test_bad_setting_is_reported_before_the_corpus_is_read(
@@ -298,6 +308,35 @@ class TestExitCodes:
         monkeypatch.setattr(ingest, "iter_tweets", reading)
         assert run_cmd(corpus, tmp_path, command, *extra) == 1
         assert calls == []
+
+    def test_bad_bot_threshold_is_reported_before_a_missing_corpus(
+            self, tmp_path, corpus, capsys):
+        code = main(["fit", "--bot-threshold", "0",
+                     "--tweets", str(tmp_path / "missing.jsonl"),
+                     "--land", str(corpus / "land.geojson"), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("document", [
+        "[1, 2]",
+        '{"type": "FeatureCollection", "features": 5}',
+        _layer_text(population="1" + "0" * 5000),
+        _layer_text(depth=1000),
+        _layer_text(depth=50000),
+    ], ids=["not_an_object", "features_not_a_list", "integer_too_long_to_read",
+            "nested_1000_deep", "nested_50000_deep"])
+    @pytest.mark.parametrize("layer", ["population", "land"])
+    def test_bad_layer_document_is_a_data_error(self, tmp_path, corpus, capsys,
+                                                layer, document):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("tweets.jsonl", "population.geojson", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        (inputs / f"{layer}.geojson").write_text(document)
+        assert run_cmd(inputs, tmp_path / "out", "grid", "--x", "6") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("land", [
         {"type": "FeatureCollection",
@@ -366,6 +405,39 @@ class TestStatsCommand:
         assert len(rows) >= 1
         assert float(rows[0]["proportion"]) <= 1.0
 
+
+    @pytest.mark.parametrize("tag_kind, sources, replies, quotes", [
+        ("geo", {"app_a": 3, "": 1}, 1, 0),
+        ("place", {"app_b": 2, "app_a": 1}, 0, 1),
+        ("both", {"app_a": 4, "app_b": 2, "": 1}, 1, 1),
+    ])
+    def test_sources_and_replies_follow_the_tag_kind(
+            self, tmp_path, capsys, tag_kind, sources, replies, quotes):
+        geo = {"coordinates": {"type": "Point", "coordinates": [-2.5, 50.5]}}
+        place = {"place": {"place_type": "city", "bounding_box": {
+            "type": "Polygon", "coordinates": [[[-2.6, 50.4], [-2.4, 50.4],
+                                                [-2.4, 50.6], [-2.6, 50.6]]]}}}
+        tags = [(geo, "app_a", {"in_reply_to_status_id_str": "9"}),
+                (geo, "app_a", {}), (geo, "app_a", {}), (geo, None, {}),
+                (place, "app_b", {"quoted_status_id_str": "8"}),
+                (place, "app_b", {}), (place, "app_a", {})]
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("".join(
+            json.dumps({"id_str": str(k), "user": {"id_str": f"u{k}"}, **tag,
+                        "source": source, **extra}) + "\n"
+            for k, (tag, source, extra) in enumerate(tags)))
+        assert main(["stats", "--tweets", str(tweets), "--tag-kind", tag_kind,
+                     "--study=-3.0,50.0,-2.0,51.0", "--out", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        rows = list(csv.DictReader((tmp_path / "sources.csv").open()))
+        assert stats["per_source"] == sources
+        assert {r["source"]: int(r["count"]) for r in rows} == sources
+        assert (stats["reply_count"], stats["quote_count"],
+                stats["reply_or_quote_count"]) == (replies, quotes, replies + quotes)
+        # the locate funnel counts every parsed record, whatever the tag kind
+        assert (stats["total_records"], stats["located_geo"],
+                stats["located_place"]) == (7, 4, 3)
+        assert f" replies={replies} quotes={quotes} " in capsys.readouterr().out
 
     def test_malformed_records_are_reported(self, tmp_path, capsys):
         good = [json.dumps({"id_str": str(k), "user": {"id_str": f"u{k}"},

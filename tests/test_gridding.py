@@ -22,7 +22,6 @@ from geoscale.gridding import (
     apportion_population,
     build_grid,
     densities,
-    density_histogram,
     group_by_user,
     run_grid_pipeline,
 )
@@ -384,15 +383,6 @@ class TestNestingConsistency:
         accumulate_tweets(fine, recs)
         agg = fine.n_t.reshape(4, 2, 4, 2).sum(axis=(1, 3))
         np.testing.assert_allclose(agg, coarse.n_t, atol=1e-9)
-
-
-class TestHistogram:
-    def test_counts_positive_land_cells(self):
-        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
-        grid.n_t[:, :] = [[10, 100], [1000, 0]]
-        densities(grid)
-        counts, edges = density_histogram(grid, "T", bins=10)
-        assert counts.sum() == 3  # zero-valued cell excluded
 
 
 class TestPipeline:

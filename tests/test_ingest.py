@@ -120,6 +120,15 @@ class TestParseTweets:
                 records, diags = parse_tweets([line])
                 assert (records, diags.reasons) == ([], {"ValueError": 1}), line
 
+    @pytest.mark.parametrize("depth", [1000, 50000])
+    def test_deeply_nested_box_is_a_counted_skip(self, depth):
+        box = "[" * depth + "[-3.5,51.0]" + "]" * depth
+        line = ('{"id_str":"1","user":{"id_str":"u"},"place":{"place_type":"city",'
+                '"bounding_box":{"type":"Polygon","coordinates":%s}}}' % box)
+        records, diags = parse_tweets([line, tweet_json(coords=[-3.5, 51.0])])
+        assert len(records) == 1
+        assert diags.reasons == {"RecursionError": 1}
+
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
                           quoted_status_id_str="8")
@@ -141,8 +150,7 @@ class TestParseTweets:
                  tweet_json(coords=[-3.5, 51.0], source=None)]
         records, diags = parse_tweets(lines)
         assert diags.reasons == {"TypeError": 1}
-        stats, corpus = corpus_stats(records, STUDY)
-        assert stats.per_source == {"": 1}
+        _, corpus = corpus_stats(records, STUDY)
         assert source_ranking(corpus, 1) == [("", 1, 1.0)]
 
 

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from geoscale.errors import DegenerateFitError, InsufficientDataError
+from geoscale.errors import (
+    DegenerateFitError,
+    DomainError,
+    InsufficientDataError,
+    UnavailableError,
+)
 from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.geometry import LonLatRect
 from geoscale.scaling import (
@@ -13,8 +18,10 @@ from geoscale.scaling import (
     consistency,
     detect_window,
     fit_all,
+    fit_exponent,
     fit_power_law,
     mean_cell_area,
+    relation_densities,
 )
 
 STUDY = LonLatRect(0.0, 0.0, 4.0, 4.0)
@@ -108,6 +115,30 @@ class TestFitAll:
         grid.n_p[1, 1] = 0.2
         cells = cell_indices(grid)
         assert len(cells) == 14
+
+
+class TestRelationDensities:
+    def test_letters_pick_the_density_arrays(self):
+        grid = grid_with_law(x=3)
+        ys, xs = relation_densities(grid, "T_vs_U")
+        assert ys is grid.t and xs is grid.u
+
+    def test_youth_unavailable_without_youth_counts(self):
+        grid = grid_with_law(x=3)
+        with pytest.raises(UnavailableError):
+            relation_densities(grid, "Y_vs_P")
+        with pytest.raises(UnavailableError):
+            fit_exponent(grid, cell_indices(grid), "delta")
+
+    @pytest.mark.parametrize("relation", ["", "T", "T_vs_X", "t_vs_u", "T_vs_U_vs_P"])
+    def test_unknown_relation_is_a_domain_error(self, relation):
+        with pytest.raises(DomainError):
+            relation_densities(grid_with_law(x=3), relation)
+
+    def test_densities_must_be_computed(self):
+        grid = DensityGrid(GridSpec(STUDY, 2), np.ones((2, 2)))
+        with pytest.raises(DomainError):
+            relation_densities(grid, "T_vs_P")
 
 
 class TestMeanCellArea:
