@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
+from .errors import ConfigError, DomainError, InsufficientDataError
 from .geometry import rect_geojson
 from .gridding import DensityGrid, GridSpec, cells_to_csv
 from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
@@ -21,6 +21,10 @@ def predict(fit: FitResult, x: float) -> float:
     """Trend prediction 10^log10_prefactor * x^exponent."""
     if x <= 0:
         raise DomainError(f"prediction needs x > 0, got {x}")
+    # One value at a time through the C library's pow (float and numpy-scalar
+    # ** alike): the vectorised np.power (numpy 2.4, AVX-512) differs from it
+    # in about 5% of float64 inputs, which would change the bytes of
+    # anomaly_*.csv.
     return 10.0 ** fit.log10_prefactor * x ** fit.exponent
 
 
@@ -31,6 +35,16 @@ def anomaly_rel(measured: float, predicted: float) -> float:
     if measured <= 0 or predicted <= 0:
         raise DomainError("relative anomaly needs both values > 0")
     return (measured - predicted) / math.sqrt(predicted * measured)
+
+
+def check_map_settings(abs_cap: float, rel_cap: float, min_t_density: float,
+                       min_p_density: float) -> None:
+    """Raise ConfigError unless both caps are > 0 (inf for no cap) and both
+    mask densities are >= 0; NaN is neither."""
+    if not (abs_cap > 0 and rel_cap > 0):
+        raise ConfigError("abs_cap and rel_cap must be > 0")
+    if not (min_t_density >= 0 and min_p_density >= 0):
+        raise ConfigError("mask densities must be >= 0")
 
 
 @dataclass
@@ -44,7 +58,6 @@ class AnomalyGrid:
     a_abs: np.ndarray           # NaN on masked cells
     a_rel: np.ndarray
     masked: np.ndarray          # bool
-    mask_rule: str
 
     @property
     def a_abs_capped(self) -> np.ndarray:
@@ -65,8 +78,9 @@ def anomaly_map(grid: DensityGrid, fit: FitResult,
     applied to density x: tweets against users for the T-vs-U fit, youth
     against population for the Y-vs-P one.  Cells below the tweet or
     population density thresholds, or where either side of the comparison
-    is nonpositive, are masked.
+    is nonpositive, are masked.  The settings must pass check_map_settings.
     """
+    check_map_settings(abs_cap, rel_cap, min_t_density, min_p_density)
     measured_arr, driver_arr = relation_densities(grid, fit.relation)
     x = grid.spec.x
     with np.errstate(invalid="ignore"):
@@ -78,18 +92,12 @@ def anomaly_map(grid: DensityGrid, fit: FitResult,
 
     measured = np.where(usable, measured_arr, np.nan)
     predicted = np.full((x, x), np.nan)
-    ii, jj = np.nonzero(usable)
-    for i, j in zip(ii, jj):
+    a_rel = np.full((x, x), np.nan)
+    for i, j in zip(*np.nonzero(usable)):
         predicted[i, j] = predict(fit, driver_arr[i, j])
-
-    a_abs = measured - predicted
-    with np.errstate(invalid="ignore"):
-        a_rel = (measured - predicted) / np.sqrt(predicted * measured)
-
-    rule = (f"masked unless T >= {min_t_density}/km^2, P >= {min_p_density}/km^2, "
-            f"measured > 0 and predictor > 0")
+        a_rel[i, j] = anomaly_rel(measured[i, j], predicted[i, j])
     return AnomalyGrid(grid.spec, fit.relation, abs_cap, rel_cap, measured, predicted,
-                       a_abs, a_rel, ~usable, rule)
+                       measured - predicted, a_rel, ~usable)
 
 
 def youth_fit(grid: DensityGrid, min_tweets: float = 1.0,

@@ -262,7 +262,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list]:
-    """Check the grid settings for each side in xs and the bot threshold,
+    """Check the grid settings for each side in xs and the corpus filters,
     then load the land and population layers: everything that can fail
     before the corpus is read.  Returns the grid specs, the land and the
     population units."""
@@ -271,6 +271,7 @@ def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list
     if not xs:
         raise ConfigError("x_list must be non-empty")
     ingest.check_bot_threshold(cfg.bot_threshold)
+    ingest.check_min_tweets(cfg.min_user_tweets)
     specs = [GridSpec(cfg.study_rect(), x) for x in xs]
     land = load_land(cfg.land)
     units = load_population(cfg.population) if cfg.population else []
@@ -341,6 +342,8 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_anomaly(cfg: RunConfig) -> int:
+    anomaly_mod.check_map_settings(cfg.abs_cap, cfg.rel_cap, cfg.mask_t_density,
+                                   cfg.mask_p_density)
     grid = _load_grid(cfg)[0]
     out = _outdir(cfg)
     made = {}
@@ -400,6 +403,7 @@ def cmd_synth(cfg: RunConfig) -> int:
     scfg = synth.SynthConfig(**{
         f.name: cfg.study_rect() if f.name == "study" else getattr(cfg, f.name)
         for f in dataclasses.fields(synth.SynthConfig)})
+    synth.check_bot_settings(cfg.bots, cfg.bot_fraction)
     fc, gt = synth.gen_population(scfg)
     out = _outdir(cfg)
     n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",

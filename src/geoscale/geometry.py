@@ -209,15 +209,16 @@ def _dedupe(coords):
 
 def _clip_to_column(coords, min_lon: float, max_lon: float) -> list:
     """The part of an open coordinate list between two meridians: the
-    first two Sutherland-Hodgman steps of :func:`clip_ring_to_rect`."""
+    first two Sutherland-Hodgman steps of a clip to a rect."""
     coords = _clip_half_plane(coords, 0, min_lon, keep_below=False)
     return _clip_half_plane(coords, 0, max_lon, keep_below=True)
 
 
 def _clip_to_band(coords, min_lat: float, max_lat: float):
-    """Clip a column piece between two parallels: the last two steps of
-    :func:`clip_ring_to_rect`.  Returns (coords, absolute area), or None when
-    there is no overlap or the remainder is a sliver below 1e-12 km^2."""
+    """Clip a column piece between two parallels: the last two
+    Sutherland-Hodgman steps of a clip to a rect.  Returns (coords, absolute
+    area), or None when there is no overlap or the remainder is a sliver
+    below 1e-12 km^2."""
     coords = _clip_half_plane(coords, 1, min_lat, keep_below=False)
     coords = _clip_half_plane(coords, 1, max_lat, keep_below=True)
     coords = _dedupe(coords)
@@ -229,47 +230,15 @@ def _clip_to_band(coords, min_lat: float, max_lat: float):
     return coords, area
 
 
-def clip_ring_to_rect(r: Ring, rect: LonLatRect) -> Ring | None:
-    """Sutherland-Hodgman clip of a ring against an axis-aligned rect.
-
-    Returns None when there is no overlap or the clipped remainder is a
-    sliver below 1e-12 km^2.
-    """
-    piece = _clip_to_band(_clip_to_column(list(r.coords), rect.min_lon, rect.max_lon),
-                          rect.min_lat, rect.max_lat)
-    return None if piece is None else Ring(piece[0])
-
-
-def clip_multipolygon_to_rect(m: Geometry, rect: LonLatRect) -> MultiPolygon:
-    """Clip every outer ring and every hole independently against the rect."""
-    if isinstance(m, PolygonWithHoles):
-        m = MultiPolygon((m,))
-    out = []
-    for poly in m.polygons:
-        outer = clip_ring_to_rect(poly.outer, rect)
-        if outer is None:
-            continue
-        holes = tuple(h for h in (clip_ring_to_rect(hole, rect) for hole in poly.holes)
-                      if h is not None)
-        out.append(PolygonWithHoles(outer, holes))
-    return MultiPolygon(tuple(out))
-
-
-def intersection_area(m: Geometry, rect: LonLatRect) -> float:
-    """Area of the overlap between a (multi)polygon and a rect, km^2."""
-    return max(polygon_area(clip_multipolygon_to_rect(m, rect)), 0.0)
-
-
 def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
                             ) -> list[list[float]]:
-    """``intersection_area`` of the (multi)polygon with every cell of the
+    """Area of the overlap between the (multi)polygon and every cell of the
     grid given by its edges: ``areas[i][j]`` for the cell between
     lon_edges[i:i+2] and lat_edges[j:j+2], km^2.
 
     Each ring is clipped once per column against the column's meridians and
-    the piece once per cell against the cell's parallels, with the same
-    arithmetic as the per-cell clip, so every area equals
-    ``intersection_area`` exactly.
+    the piece once per cell against the cell's parallels.  A hole is clipped
+    like its outer ring and its area subtracted from the outer piece's.
     """
     polys = m.polygons if isinstance(m, MultiPolygon) else (m,)
     rings = [(list(p.outer.coords), [list(h.coords) for h in p.holes])
@@ -299,6 +268,13 @@ def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
             column.append(max(fsum(net), 0.0))
         areas.append(column)
     return areas
+
+
+def intersection_area(m: Geometry, rect: LonLatRect) -> float:
+    """Area of the overlap between a (multi)polygon and a rect, km^2: the
+    one cell of :func:`grid_intersection_areas` over the rect."""
+    return grid_intersection_areas(m, [rect.min_lon, rect.max_lon],
+                                   [rect.min_lat, rect.max_lat])[0][0]
 
 
 def _rect_corners(rect: LonLatRect) -> list:

@@ -9,7 +9,6 @@ FeatureCollection with a numeric ``population`` property per feature.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 from array import array
@@ -399,23 +398,22 @@ def corpus_stats(rows: Iterable[tuple], study: LonLatRect
         user_ids=[ids[k] for k in order], sources=list(source_codes))
 
 
-def _keep(records, keep: np.ndarray):
-    """The records where keep is true, as the same kind of collection."""
-    if isinstance(records, Corpus):
-        return records.take(keep)
-    return list(itertools.compress(records, keep.tolist()))
-
-
 def check_bot_threshold(threshold_fraction: float) -> None:
     """Raise ConfigError unless the bot threshold is in (0, 1]."""
     if not 0.0 < threshold_fraction <= 1.0:
         raise ConfigError("threshold_fraction must be in (0, 1]")
 
 
-def filter_bots(records, threshold_fraction: float = 0.01) -> tuple:
+def check_min_tweets(min_count: int) -> None:
+    """Raise ConfigError unless the minimum records per user is >= 1."""
+    if not min_count >= 1:
+        raise ConfigError("min_user_tweets must be >= 1")
+
+
+def filter_bots(records, threshold_fraction: float = 0.01) -> tuple[Corpus, list]:
     """Drop every record of users whose share of the corpus strictly exceeds
-    the threshold; records are a Corpus or LocatedRecords, and come back as
-    the same kind.  Returns them and the sorted ids of the removed users.
+    the threshold.  Returns the Corpus of the kept records (records are a
+    Corpus or LocatedRecords) and the sorted ids of the removed users.
 
     The threshold is computed once against the pre-filter total (single
     pass, no re-thresholding), so the filter is idempotent.
@@ -424,16 +422,15 @@ def filter_bots(records, threshold_fraction: float = 0.01) -> tuple:
     corpus = Corpus.of(records)
     bots = corpus.user_counts() > threshold_fraction * len(corpus)
     removed = [corpus.user_ids[k] for k in np.flatnonzero(bots).tolist()]
-    return _keep(records, ~bots[corpus.user]), removed
+    return corpus.take(~bots[corpus.user]), removed
 
 
-def filter_min_tweets(records, min_count: int = 10):
-    """Keep only records of users with at least ``min_count`` located
-    records (a Corpus or LocatedRecords, returned as the same kind)."""
-    if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+def filter_min_tweets(records, min_count: int = 10) -> Corpus:
+    """The Corpus of the records (a Corpus or LocatedRecords) of users with
+    at least ``min_count`` located records."""
+    check_min_tweets(min_count)
     corpus = Corpus.of(records)
-    return _keep(records, corpus.user_counts()[corpus.user] >= min_count)
+    return corpus.take(corpus.user_counts()[corpus.user] >= min_count)
 
 
 def source_ranking(records, k: int) -> list[tuple[str, int, float]]:

@@ -74,6 +74,9 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     n = len(points)
     if n < 3:
         raise InsufficientDataError(f"need >= 3 points, got {n}")
+    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
+    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
+    # the bytes of fits.csv.
     lx, ly = [], []
     for px, py in points:
         if px <= 0 or py <= 0:

@@ -48,10 +48,13 @@ class SynthConfig:
     commuter_fraction: float = 0.0   # share of users whose tweets split across two cells
 
     def __post_init__(self) -> None:
-        if self.beta_true <= 0 or self.gamma_true <= 0:
-            raise ConfigError("exponents must be > 0")
-        if self.b_true <= 0 or self.c_true <= 0:
-            raise ConfigError("prefactors must be > 0")
+        if not all(0 < v < math.inf for v in (self.beta_true, self.gamma_true,
+                                              self.b_true, self.c_true)):
+            raise ConfigError("exponents and prefactors must be finite and > 0")
+        if not math.isfinite(self.pop_log10_mean):
+            raise ConfigError("pop_log10_mean must be finite")
+        if not (0 <= self.pop_log10_sigma < math.inf and 0 <= self.noise_dex < math.inf):
+            raise ConfigError("pop_log10_sigma and noise_dex must be finite and >= 0")
         if not 0.0 <= self.emit_boxes_fraction <= 1.0:
             raise ConfigError("emit_boxes_fraction must be in [0, 1]")
         if not 0.0 <= self.commuter_fraction <= 1.0:
@@ -256,10 +259,17 @@ def gen_activity(config: SynthConfig, gt: GroundTruth) -> list[dict]:
     return _parsed(_activity_columns(config, gt))
 
 
+def check_bot_settings(n_bots: int, bot_tweet_fraction: float) -> None:
+    """Raise ConfigError unless n_bots >= 0 and, when there are bots, the
+    fraction is finite and > 0."""
+    if n_bots < 0:
+        raise ConfigError("bots must be >= 0")
+    if n_bots > 0 and not 0 < bot_tweet_fraction < math.inf:
+        raise ConfigError("bot_tweet_fraction must be finite and > 0")
+
+
 def _bot_columns(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
                  total_records: int):
-    if bot_tweet_fraction <= 0:
-        raise ConfigError("bot_tweet_fraction must be > 0")
     rng = np.random.default_rng(mix_seed(config.seed, _BOT_STREAM))
     s = config.study
     per_bot = max(1, round(bot_tweet_fraction * total_records))
@@ -276,6 +286,7 @@ def gen_bots(config: SynthConfig, n_bots: int, bot_tweet_fraction: float,
              total_records: int) -> list[dict]:
     """Records for very active automated accounts, each posting
     round(bot_tweet_fraction * total_records) tweets from one fixed point."""
+    check_bot_settings(n_bots, bot_tweet_fraction)
     return _parsed(_bot_columns(config, n_bots, bot_tweet_fraction, total_records))
 
 
@@ -306,8 +317,7 @@ def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
     n_bots, bot_tweet_fraction, len(activity))) byte for byte.  Returns the
     number of records written.
     """
-    if n_bots > 0 and bot_tweet_fraction <= 0:
-        raise ConfigError("bot_tweet_fraction must be > 0")
+    check_bot_settings(n_bots, bot_tweet_fraction)
     with open(path, "w") as fh:
         for columns in _activity_columns(config, gt):
             fh.write(_lines(columns))

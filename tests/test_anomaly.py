@@ -13,7 +13,12 @@ from geoscale.anomaly import (
     predict,
     youth_fit,
 )
-from geoscale.errors import DomainError, InsufficientDataError, UnavailableError
+from geoscale.errors import (
+    ConfigError,
+    DomainError,
+    InsufficientDataError,
+    UnavailableError,
+)
 from geoscale.geometry import LonLatRect
 from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.scaling import FitResult, fit_all
@@ -117,6 +122,34 @@ class TestAnomalyMap:
         assert amap.a_abs[0, 0] > 1000.0
         assert amap.a_abs_capped[0, 0] == 1000.0
         assert amap.a_rel_capped[0, 0] <= 2.0
+
+    @pytest.mark.parametrize("settings", [
+        {"abs_cap": -5.0}, {"abs_cap": 0.0}, {"rel_cap": math.nan},
+        {"min_t_density": -1.0}, {"min_p_density": math.nan},
+    ])
+    def test_bad_cap_or_mask_density_is_a_config_error(self, settings):
+        with pytest.raises(ConfigError):
+            anomaly_map(law_grid(), fit_all(law_grid())["gamma"], **settings)
+
+    def test_infinite_caps_leave_values_unclipped(self):
+        grid = law_grid()
+        grid.n_t[0, 0] *= 1e6
+        densities(grid)
+        amap = anomaly_map(grid, fit_all(law_grid())["gamma"],
+                           abs_cap=math.inf, rel_cap=math.inf)
+        assert np.array_equal(amap.a_abs_capped, amap.a_abs, equal_nan=True)
+        assert np.array_equal(amap.a_rel_capped, amap.a_rel, equal_nan=True)
+
+    def test_relative_anomaly_is_anomaly_rel_on_unmasked_cells(self):
+        grid = law_grid()
+        grid.n_t[1, 2] *= 3.0
+        grid.n_t[2, 2] = 0.5
+        densities(grid)
+        amap = anomaly_map(grid, fit(exponent=1.2, log10_prefactor=0.1))
+        assert amap.masked[2, 2] and np.isnan(amap.a_rel[2, 2])
+        for i, j in zip(*np.nonzero(~amap.masked)):
+            assert amap.a_rel[i, j] == anomaly_rel(amap.measured[i, j],
+                                                   amap.predicted[i, j])
 
     def test_yp_relation_requires_youth(self):
         grid = law_grid()

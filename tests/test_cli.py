@@ -251,7 +251,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, extra", [
         ("synth", ["--bots", "1", "--bot-fraction", "0"]),
+        ("synth", ["--bots", "1", "--bot-fraction", "nan"]),
+        ("synth", ["--bots", "-2"]),
         ("synth", ["--beta-true", "0"]),
+        ("synth", ["--beta-true", "nan"]),
+        ("synth", ["--pop-log10-mean", "inf"]),
+        ("synth", ["--pop-log10-sigma", "-1"]),
         ("synth", ["--emit-boxes-fraction", "2"]),
         ("fit", ["--x", "0"]),
         ("fit", ["--bot-threshold", "0"]),
@@ -261,12 +266,14 @@ class TestExitCodes:
     ])
     def test_invalid_setting_is_a_config_error(self, tmp_path, corpus, capsys,
                                                command, extra):
+        out = tmp_path / "out"
         if command == "synth":
-            code = main(SMALL_SYNTH + ["--out", str(tmp_path), *extra])
+            code = main(SMALL_SYNTH + ["--out", str(out), *extra])
         else:
-            code = run_cmd(corpus, tmp_path, command, *extra)
+            code = run_cmd(corpus, out, command, *extra)
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("grid", ["--study=-inf,-inf,inf,inf"]),
@@ -295,6 +302,10 @@ class TestExitCodes:
         ("fit", ["--x", "0"]),
         ("fit", ["--bot-threshold", "0"]),
         ("validate", ["--replicates", "0"]),
+        ("anomaly", ["--abs-cap", "-5", "--rel-cap", "nan"]),
+        ("anomaly", ["--rel-cap", "0"]),
+        ("anomaly", ["--mask-t-density", "-1"]),
+        ("anomaly", ["--mask-p-density", "nan"]),
     ])
     def test_bad_setting_is_reported_before_the_corpus_is_read(
             self, tmp_path, corpus, monkeypatch, command, extra):
@@ -309,11 +320,16 @@ class TestExitCodes:
         assert run_cmd(corpus, tmp_path, command, *extra) == 1
         assert calls == []
 
-    def test_bad_bot_threshold_is_reported_before_a_missing_corpus(
-            self, tmp_path, corpus, capsys):
-        code = main(["fit", "--bot-threshold", "0",
-                     "--tweets", str(tmp_path / "missing.jsonl"),
-                     "--land", str(corpus / "land.geojson"), "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--bot-threshold", "0"],
+        ["grid", "--min-user-tweets", "0"],
+        ["grid", "--min-user-tweets", "-3"],
+    ], ids=["bot_threshold_0", "min_user_tweets_0", "min_user_tweets_-3"])
+    def test_bad_filter_setting_is_reported_before_a_missing_corpus(
+            self, tmp_path, corpus, capsys, argv):
+        code = main(argv + ["--tweets", str(tmp_path / "missing.jsonl"),
+                             "--land", str(corpus / "land.geojson"),
+                             "--out", str(tmp_path)])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error:")
 

@@ -10,8 +10,6 @@ from geoscale.geometry import (
     MultiPolygon,
     PolygonWithHoles,
     Ring,
-    clip_multipolygon_to_rect,
-    clip_ring_to_rect,
     geometry_from_geojson,
     grid_intersection_areas,
     intersection_area,
@@ -93,29 +91,28 @@ class TestPolygonArea:
             polygon_area(PolygonWithHoles(outer, (big_hole,)))
 
 
+def _poly(ring: Ring) -> MultiPolygon:
+    return MultiPolygon.of(PolygonWithHoles(ring))
+
+
 class TestClipping:
-    def test_ring_fully_inside_unchanged(self):
-        ring = rect_ring(LonLatRect(1, 1, 2, 2))
-        clipped = clip_ring_to_rect(ring, LonLatRect(0, 0, 5, 5))
-        assert clipped is not None
-        assert set(clipped.coords) == set(ring.coords)
+    def test_ring_fully_inside_keeps_its_area(self):
+        m = _poly(rect_ring(LonLatRect(1, 1, 2, 2)))
+        assert intersection_area(m, LonLatRect(0, 0, 5, 5)) == polygon_area(m)
 
     def test_ring_fully_outside_empty(self):
-        ring = rect_ring(LonLatRect(10, 10, 11, 11))
-        assert clip_ring_to_rect(ring, LonLatRect(0, 0, 5, 5)) is None
+        m = _poly(rect_ring(LonLatRect(10, 10, 11, 11)))
+        assert intersection_area(m, LonLatRect(0, 0, 5, 5)) == 0.0
 
     def test_half_overlap_halves_area(self):
-        ring = rect_ring(LonLatRect(0, 0, 1, 1))
-        clipped = clip_ring_to_rect(ring, LonLatRect(0.5, -1, 9, 9))
-        assert clipped is not None
-        assert ring_area(clipped) == pytest.approx(0.5 * ring_area(ring), rel=1e-9)
+        m = _poly(rect_ring(LonLatRect(0, 0, 1, 1)))
+        assert intersection_area(m, LonLatRect(0.5, -1, 9, 9)) == pytest.approx(
+            0.5 * polygon_area(m), rel=1e-9)
 
     def test_triangle_clip(self):
-        tri = Ring([(0, 0), (2, 0), (0, 2)])
-        clipped = clip_ring_to_rect(tri, LonLatRect(0, 0, 3, 1))
-        assert clipped is not None
+        tri = _poly(Ring([(0, 0), (2, 0), (0, 2)]))
         # trapezoid (0,0),(2,0),(1,1),(0,1): shoelace gives 1.5 unit squares
-        assert ring_area(clipped) == pytest.approx(
+        assert intersection_area(tri, LonLatRect(0, 0, 3, 1)) == pytest.approx(
             1.5 * ring_area(rect_ring(LonLatRect(0, 0, 1, 1))), rel=1e-3)
 
     def test_multipolygon_hole_clipping(self):
@@ -123,10 +120,9 @@ class TestClipping:
         hole = rect_ring(LonLatRect(0.5, 0.5, 1.5, 1.5))
         m = MultiPolygon.of(PolygonWithHoles(outer, (hole,)))
         rect = LonLatRect(0, 0, 1, 2)
-        clipped = clip_multipolygon_to_rect(m, rect)
-        expected = (intersection_area(MultiPolygon.of(PolygonWithHoles(outer)), rect)
-                    - intersection_area(MultiPolygon.of(PolygonWithHoles(hole)), rect))
-        assert polygon_area(clipped) == pytest.approx(expected, rel=1e-9)
+        expected = (intersection_area(_poly(outer), rect)
+                    - intersection_area(_poly(hole), rect))
+        assert intersection_area(m, rect) == pytest.approx(expected, rel=1e-9)
 
 
 class TestIntersectionArea:
@@ -199,22 +195,51 @@ SWEEP_GEOMETRIES = {
 
 
 class TestGridIntersectionAreas:
-    """The column sweep returns exactly the per-cell intersection_area."""
-
     @pytest.mark.parametrize("name", sorted(SWEEP_GEOMETRIES))
     @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (4, 4), (8, 8), (13, 7)])
-    def test_equals_per_cell_intersection_area(self, name, nx, ny):
+    def test_cells_sum_to_the_polygon_area(self, name, nx, ny):
+        """Every geometry lies inside (-0.5, -0.5)-(4.6, 4.0), so the cells
+        of any grid over that rect share out its whole area, which
+        polygon_area finds without clipping."""
+        m = SWEEP_GEOMETRIES[name]
+        areas = grid_intersection_areas(m, np.linspace(-0.5, 4.6, nx + 1).tolist(),
+                                        np.linspace(-0.5, 4.0, ny + 1).tolist())
+        assert [len(column) for column in areas] == [ny] * nx
+        assert math.fsum(map(math.fsum, areas)) == pytest.approx(polygon_area(m),
+                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_GEOMETRIES))
+    @pytest.mark.parametrize("nx, ny", [(3, 5), (4, 4), (8, 8), (13, 7)])
+    def test_equals_the_one_cell_sweep(self, name, nx, ny):
+        """Sweeping a whole grid gives each cell the area intersection_area
+        finds for that cell alone."""
         m = SWEEP_GEOMETRIES[name]
         lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
         lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
         areas = grid_intersection_areas(m, lon_edges, lat_edges)
-        assert len(areas) == nx
         for i in range(nx):
-            assert len(areas[i]) == ny
             for j in range(ny):
                 cell = LonLatRect(lon_edges[i], lat_edges[j],
                                   lon_edges[i + 1], lat_edges[j + 1])
                 assert areas[i][j] == intersection_area(m, cell)
+
+    def test_rect_overlaps_are_the_closed_form(self):
+        """A rect polygon overlaps a cell in a rect, whose area
+        spherical_rect_area gives without clipping."""
+        rng = np.random.default_rng(7)
+        lon_edges = np.linspace(-5.8, -1.2, 9).tolist()
+        lat_edges = np.linspace(49.9, 52.2, 6).tolist()
+        for _ in range(40):
+            lons = np.sort(rng.uniform(-6.5, -0.5, 2))
+            lats = np.sort(rng.uniform(49.5, 52.6, 2))
+            rect = LonLatRect(lons[0], lats[0], lons[1], lats[1])
+            areas = grid_intersection_areas(_poly(rect_ring(rect)), lon_edges, lat_edges)
+            for i in range(len(lon_edges) - 1):
+                for j in range(len(lat_edges) - 1):
+                    overlap = rect.intersect(LonLatRect(lon_edges[i], lat_edges[j],
+                                                        lon_edges[i + 1], lat_edges[j + 1]))
+                    expected = 0.0 if overlap is None else spherical_rect_area(overlap)
+                    assert areas[i][j] == pytest.approx(expected, rel=1e-12, abs=1e-9)
 
 
 class TestGeoJson:

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from geoscale.cli import main
+from geoscale.errors import ConfigError
 from geoscale.geometry import LonLatRect, geometry_from_geojson, polygon_area
 from geoscale.gridding import GridSpec, run_grid_pipeline
 from geoscale.ingest import corpus_stats, parse_population, parse_tweets
@@ -32,6 +34,16 @@ class TestConfig:
             SynthConfig(beta_true=0.0)
         with pytest.raises(ValueError):
             SynthConfig(c_true=-1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("beta_true", math.nan), ("gamma_true", math.inf), ("b_true", math.nan),
+        ("c_true", math.inf), ("pop_log10_mean", math.inf),
+        ("pop_log10_mean", math.nan), ("pop_log10_sigma", -1.0),
+        ("pop_log10_sigma", math.inf), ("noise_dex", -0.1), ("noise_dex", math.nan),
+    ])
+    def test_rejects_non_finite_values_and_bad_signs(self, name, value):
+        with pytest.raises(ConfigError):
+            SynthConfig(**{name: value})
 
     def test_rejects_bad_fractions(self):
         with pytest.raises(ValueError):
@@ -165,6 +177,13 @@ class TestGenBots:
     def test_fraction_must_be_positive(self):
         with pytest.raises(ValueError):
             gen_bots(SMALL, 1, 0.0, 100)
+
+    @pytest.mark.parametrize("n_bots, fraction", [(-2, 0.02), (1, math.nan), (2, 0.0)])
+    def test_bad_settings_write_no_file(self, tmp_path, n_bots, fraction):
+        _, gt = gen_population(SMALL)
+        with pytest.raises(ConfigError):
+            write_corpus(SMALL, gt, tmp_path / "tweets.jsonl", n_bots, fraction)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOutputs:
