@@ -261,33 +261,36 @@ def cmd_stats(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _grid_inputs(cfg: RunConfig, xs) -> tuple[list[GridSpec], MultiPolygon, list]:
-    """Check the grid settings for each side in xs and the corpus filters,
-    then load the land and population layers: everything that can fail
-    before the corpus is read.  Returns the grid specs, the land and the
-    population units."""
+def _grid_inputs(cfg: RunConfig, xs, fitted: bool = True
+                 ) -> tuple[list[GridSpec], MultiPolygon, list]:
+    """Check the grid settings for each side in xs, the corpus filters and,
+    for a command that fits, the fit thresholds, then load the land and
+    population layers: everything that can fail before the corpus is read.
+    Returns the grid specs, the land and the population units."""
     if not cfg.land:
         raise ConfigError("--land is required for this command")
     if not xs:
         raise ConfigError("x_list must be non-empty")
     ingest.check_bot_threshold(cfg.bot_threshold)
     ingest.check_min_tweets(cfg.min_user_tweets)
+    if fitted:
+        scaling.check_fit_thresholds(cfg.fit_min_tweets, cfg.fit_min_population)
     specs = [GridSpec(cfg.study_rect(), x) for x in xs]
     land = load_land(cfg.land)
     units = load_population(cfg.population) if cfg.population else []
     return specs, land, units
 
 
-def _load_grid(cfg: RunConfig):
+def _load_grid(cfg: RunConfig, fitted: bool = True):
     """Check the inputs, read the corpus and bin it with the layers on the
     X grid.  Returns the grid, the records, the land and the units."""
-    [spec], land, units = _grid_inputs(cfg, [cfg.x])
+    [spec], land, units = _grid_inputs(cfg, [cfg.x], fitted)
     _, records = load_records(cfg)
     return run_grid_pipeline(spec, land, records, units), records, land, units
 
 
 def cmd_grid(cfg: RunConfig) -> int:
-    grid = _load_grid(cfg)[0]
+    grid = _load_grid(cfg, fitted=False)[0]
     out = _outdir(cfg)
     grid_to_csv(grid, out / "grid.csv")
     print(f"grid X={cfg.x}: {int((grid.land_area > 0).sum())} land cells, "

@@ -9,6 +9,7 @@ FeatureCollection with a numeric ``population`` property per feature.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from array import array
@@ -289,26 +290,27 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     """Parse newline-delimited JSON tweets from a path or an iterable of
     lines into rows (see _fields), one record at a time.
 
-    A path is read line by line and split as str.splitlines splits it.
+    A path is read line by line as UTF-8 and split as str.splitlines splits
+    it; a line that is not UTF-8 is one skip (UnicodeDecodeError).
     Malformed records are skipped and counted in ``diags`` by exception
     name (RecursionError for one nested too deeply to read); they never
     abort the stream.
     """
     if isinstance(source, (str, Path)):
         try:
-            fh = open(source)
+            fh = open(source, "rb")
         except OSError as exc:
             raise DataError(f"cannot read tweets from {source}: {exc}") from exc
         with fh:
-            yield from iter_tweets(
-                (line for chunk in fh for line in chunk.splitlines()), diags)
+            yield from iter_tweets(_text_lines(fh, diags), diags)
         return
+    loads = _line_decoder()
     for line in source:
         line = line.strip()
         if not line:
             continue
         try:
-            row = _fields(_loads(line))
+            row = _fields(loads(line))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             diags.skip(type(exc).__name__)
             continue
@@ -316,10 +318,22 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         yield row
 
 
+def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
+    """The lines of a binary file as str.splitlines splits its UTF-8 text;
+    a physical line that is not UTF-8 is skipped and counted."""
+    for raw in fh:
+        try:
+            text = raw.decode()
+        except UnicodeDecodeError as exc:
+            diags.skip(type(exc).__name__)
+            continue
+        yield from text.splitlines()
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _loads(line):
+def _json_loads(line):
     """json.loads of a stripped line, without its two whitespace scans."""
     if type(line) is not str:
         return json.loads(line)
@@ -327,6 +341,47 @@ def _loads(line):
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, end)
     return obj
+
+
+# json raises RecursionError on arrays and objects nested about as deep as
+# the recursion limit allows below its caller, and orjson reads any depth: a
+# line with this many brackets, as any line nested that deep has, is left to
+# json
+_DEEP = 200
+
+
+@functools.cache
+def _line_decoder():
+    """The decoder of a stripped tweet line: orjson's, with json's result
+    wherever the two differ, if orjson can be imported; else json's.
+    orjson is imported here, on the first read, and not with this module,
+    so commands that read no tweets do not load it."""
+    try:
+        import orjson
+    except ImportError:
+        return _json_loads
+    fast, rejected = orjson.loads, orjson.JSONDecodeError
+
+    def loads(line):
+        """orjson.loads of the line, or json's where the two could differ:
+        bytes (json reads other encodings too), a line that may be nested
+        too deep for json, a line orjson rejects (json reads NaN, Infinity,
+        1e400 and lone surrogates) and a numeric user id."""
+        if type(line) is str and (len(line) < 2 * _DEEP
+                                  or line.count("[") + line.count("{") < _DEEP):
+            try:
+                obj = fast(line)
+            except rejected:
+                return _json_loads(line)
+            # orjson reads an integer outside the 64-bit range as a float,
+            # which changes a row only in a user id read from user.id
+            user = obj.get("user") if type(obj) is dict else None
+            if not (type(user) is dict and not user.get("id_str")
+                    and type(user.get("id")) is float):
+                return obj
+        return _json_loads(line)
+
+    return loads
 
 
 def parse_tweets(source) -> tuple[list[tuple], ParseDiagnostics]:

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateFitError,
     DomainError,
     InsufficientDataError,
@@ -104,6 +105,12 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + mx * mx / sxx))
     return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
+
+
+def check_fit_thresholds(min_tweets: float, min_population: float) -> None:
+    """Raise ConfigError if a cell threshold is NaN, which no count meets."""
+    if math.isnan(min_tweets) or math.isnan(min_population):
+        raise ConfigError("fit_min_tweets and fit_min_population must not be NaN")
 
 
 def cell_indices(grid: DensityGrid, min_tweets: float = 1.0,

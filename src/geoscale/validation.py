@@ -151,12 +151,15 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
             return fit_cells(grid, [cells[int(i)] for i in
                                     rng.choice(n, size=m, replace=False)])
         pool, chosen = list(range(n)), []   # m <= n, so the pool never runs dry
+        # blocked[i + 1, j + 1]: cell (i, j) touches a chosen cell
+        blocked = np.zeros((grid.spec.x + 2, grid.spec.x + 2), dtype=bool)
         while len(chosen) < m:
             for _attempt in range(_MAX_RETRIES):
                 pick = int(rng.integers(len(pool)))
                 i, j = cells[pool[pick]]
-                if all(max(abs(i - ci), abs(j - cj)) >= 2 for ci, cj in chosen):
+                if not blocked[i + 1, j + 1]:
                     chosen.append(cells[pool.pop(pick)])
+                    blocked[i:i + 3, j:j + 3] = True
                     break
             else:
                 return None

@@ -237,6 +237,14 @@ class TestExitCodes:
         assert main(["stats", "--tweets", str(tmp_path / "missing.jsonl"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_tweets_line_not_utf8_is_a_counted_skip(self, tmp_path, corpus, capsys):
+        first, second = (corpus / "tweets.jsonl").read_bytes().splitlines(True)[:2]
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_bytes(first.replace(b'"source":"', b'"source":"\xff') + second)
+        assert main(["stats", "--tweets", str(tweets), "--out", str(tmp_path)]) == 0
+        assert "tweets: skipped 1 malformed records" in capsys.readouterr().err
+        assert json.loads((tmp_path / "stats.json").read_text())["total_records"] == 1
+
     def test_insufficient_data(self, tmp_path, corpus):
         tiny = tmp_path / "tiny.jsonl"
         with open(corpus / "tweets.jsonl") as fh:
@@ -263,6 +271,11 @@ class TestExitCodes:
         ("fit", ["--study=1,2,0,3"]),
         ("validate", ["--replicates", "0"]),
         ("validate", ["--area-fraction", "0"]),
+        ("fit", ["--fit-min-tweets", "nan"]),
+        ("fit", ["--fit-min-population", "nan"]),
+        ("scan", ["--x-list", "3,6", "--fit-min-tweets", "nan"]),
+        ("anomaly", ["--fit-min-population", "nan"]),
+        ("validate", ["--fit-min-tweets", "nan"]),
     ])
     def test_invalid_setting_is_a_config_error(self, tmp_path, corpus, capsys,
                                                command, extra):
@@ -306,6 +319,10 @@ class TestExitCodes:
         ("anomaly", ["--rel-cap", "0"]),
         ("anomaly", ["--mask-t-density", "-1"]),
         ("anomaly", ["--mask-p-density", "nan"]),
+        ("fit", ["--fit-min-tweets", "nan"]),
+        ("fit", ["--fit-min-population", "nan"]),
+        ("scan", ["--fit-min-population", "nan"]),
+        ("validate", ["--fit-min-population", "nan"]),
     ])
     def test_bad_setting_is_reported_before_the_corpus_is_read(
             self, tmp_path, corpus, monkeypatch, command, extra):

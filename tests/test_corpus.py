@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +161,77 @@ def test_direct_index_path_and_general_walk_agree(mutants, monkeypatch, tmp_path
     assert len(non_finite) >= 10
     for outcomes in (both, general):
         assert all(isinstance(outcomes[k], dict) for k in non_finite)
+
+
+def edge_lines() -> list:
+    """Lines that orjson rejects or reads otherwise than json: NaN and
+    Infinity, 1e400, 2**64 and -2**63 - 1 as a user id and 2**64 as
+    coordinates, a lone surrogate escape, nesting 1,100 deep and a trailing
+    NUL."""
+    point, box = json.dumps(BASES[2]), json.dumps(BASES[1])
+    numeric_user = ('{"id_str":"t1","user":{"id":%d},"coordinates":'
+                    '{"type":"Point","coordinates":[-5.7,50.1]}}')
+    deep = "[" * 1100 + "]" * 1100
+    return [point.replace("-5.718396", "NaN"),
+            point.replace("50.072783", "-Infinity"),
+            box.replace("49.95", "Infinity"),
+            point.replace("50.072783", "1e400"),
+            box.replace("-5.75", "1e400"),
+            numeric_user % 2 ** 64,
+            numeric_user % (-2 ** 63 - 1),
+            point.replace("-5.718396", str(2 ** 64)),
+            box.replace("-5.75", str(2 ** 64)),
+            point.replace("app_alpha", "\\ud800"),
+            point[:-1] + ', "x": %s}' % deep,
+            box.replace('[[[-5.75', deep[:1100] + '[[[-5.75').replace(
+                ']]]', ']]]' + deep[1100:]),
+            point + "\x00"]
+
+
+def orjson_alone_differs(orjson, line: str) -> bool:
+    """Whether orjson rejects the line or reads it otherwise than json."""
+    try:
+        theirs = orjson.loads(line)
+    except orjson.JSONDecodeError:
+        return True
+    try:
+        ours = json.loads(line)
+    except RecursionError:
+        return True
+    return repr(theirs) != repr(ours)
+
+
+@pytest.fixture
+def fresh_decoder():
+    """The line decoder looked up again on the next read, and after the test."""
+    ingest._line_decoder.cache_clear()
+    yield
+    ingest._line_decoder.cache_clear()
+
+
+def test_orjson_and_json_decode_alike(mutants, tmp_path, monkeypatch,
+                                      fresh_decoder):
+    """Rows and skip reasons read with orjson, where it falls back to json,
+    equal those read with json alone, line by line and from a file."""
+    orjson = pytest.importorskip("orjson")
+    edges = edge_lines()
+    assert all(orjson_alone_differs(orjson, line) for line in edges)
+    lines = mutants + edges
+    path = tmp_path / "lines.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+
+    def read():
+        ingest._line_decoder.cache_clear()
+        return [outcome(line) for line in lines], parse_tweets(path)
+
+    both = read()
+    assert ingest._line_decoder() is not ingest._json_loads
+    monkeypatch.setitem(sys.modules, "orjson", None)
+    json_only = read()
+    assert ingest._line_decoder() is ingest._json_loads
+    assert both[0] == json_only[0]
+    assert repr(both[1][0]) == repr(json_only[1][0])
+    assert both[1][1] == json_only[1][1]
 
 
 def sample_lines(n=3000, seed=5):

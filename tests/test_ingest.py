@@ -140,6 +140,16 @@ class TestParseTweets:
         assert len(records) == 1
         assert diags.reasons == {"RecursionError": 1}
 
+    def test_line_that_is_not_utf8_is_a_counted_skip(self, tmp_path):
+        good = tweet_json(coords=[-3.5, 51.0])
+        path = tmp_path / "tweets.jsonl"
+        # the first line's source is "ap" and a byte that is not UTF-8
+        path.write_bytes(good.encode().replace(b"app", b"ap\xff") + b"\n"
+                         + good.encode() + b"\n")
+        records, diags = parse_tweets(path)
+        assert len(records) == 1
+        assert diags.reasons == {"UnicodeDecodeError": 1}
+
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
                           quoted_status_id_str="8")
