@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InsufficientDataError
+from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import rect_geojson
 from .gridding import DensityGrid, GridSpec, cells_to_csv
 from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
@@ -20,7 +20,7 @@ from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
 def predict(fit: FitResult, x: float) -> float:
     """Trend prediction 10^log10_prefactor * x^exponent."""
     if x <= 0:
-        raise DomainError(f"prediction needs x > 0, got {x}")
+        raise DataError(f"prediction needs x > 0, got {x}")
     # One value at a time through the C library's pow (float and numpy-scalar
     # ** alike): the vectorised np.power (numpy 2.4, AVX-512) differs from it
     # in about 5% of float64 inputs, which would change the bytes of
@@ -33,7 +33,7 @@ def anomaly_rel(measured: float, predicted: float) -> float:
     rural 4-vs-2 cell is exactly as anomalous as an urban 40000-vs-20000
     one."""
     if measured <= 0 or predicted <= 0:
-        raise DomainError("relative anomaly needs both values > 0")
+        raise DataError("relative anomaly needs both values > 0")
     return (measured - predicted) / math.sqrt(predicted * measured)
 
 

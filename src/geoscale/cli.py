@@ -21,14 +21,7 @@ from pathlib import Path
 
 from . import anomaly as anomaly_mod
 from . import ingest, scaling, synth, validation
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateFitError,
-    GeoscaleError,
-    InsufficientDataError,
-    UnavailableError,
-)
+from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import LonLatRect, MultiPolygon, geometry_from_geojson
 from .gridding import GridSpec, grid_to_csv, run_grid_pipeline, write_csv
 
@@ -199,9 +192,11 @@ def _load_corpus(cfg: RunConfig):
     configured tag kind.  Returns the funnel counts and the Corpus."""
     if not cfg.tweets:
         raise ConfigError("--tweets is required for this command")
+    study = cfg.study_rect()
+    if any(map(math.isnan, cfg.study)):   # no record is inside such a rect
+        raise ConfigError(f"study rect {cfg.study} has a NaN bound")
     diags = ingest.ParseDiagnostics()
-    stats, corpus = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags),
-                                        cfg.study_rect())
+    stats, corpus = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags), study)
     if diags.skipped:
         print(f"tweets: skipped {diags.skipped} malformed records",
               file=sys.stderr)
@@ -487,10 +482,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InsufficientDataError, DegenerateFitError, UnavailableError) as exc:
+    except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT
-    except (GeoscaleError, OSError) as exc:   # DataError and any other input fault
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, fsum, isfinite, radians, sin
-from typing import Iterable, Union
+from typing import Iterable
 
-from .errors import DegenerateGeometryError, InvariantViolationError
+from .errors import DataError
 
 # Authalic sphere radius: areas come out in true km^2.
 EARTH_RADIUS_KM = 6371.0072
@@ -80,12 +80,12 @@ class Ring:
         except OverflowError:   # an integer too large for a float
             finite = False
         if not finite:
-            raise DegenerateGeometryError("ring has a vertex that is not two finite numbers")
+            raise DataError("ring has a vertex that is not two finite numbers")
         coords = [(float(lon), float(lat)) for lon, lat in coords]
         if len(coords) > 1 and coords[0] == coords[-1]:
             coords = coords[:-1]
         if len(set(coords)) < 3:
-            raise DegenerateGeometryError(
+            raise DataError(
                 f"ring needs at least 3 distinct vertices, got {len(set(coords))}")
         self.coords = tuple(coords)
 
@@ -141,34 +141,25 @@ def _signed_area(coords) -> float:
 
 def ring_area(r: Ring) -> float:
     """Absolute area of a ring whose edges are straight in lon/lat, km^2."""
-    if len(r.coords) < 3:
-        raise DegenerateGeometryError("ring has fewer than 3 vertices")
     return abs(_signed_area(r.coords))
 
 
-Geometry = Union[PolygonWithHoles, MultiPolygon]
-
-
-def polygon_area(p: Geometry) -> float:
-    """Area of a polygon (outer minus holes) or sum over a MultiPolygon, km^2."""
-    if isinstance(p, MultiPolygon):
-        return fsum(polygon_area(poly) for poly in p.polygons)
-    return _net_area(ring_area(p.outer), fsum(ring_area(h) for h in p.holes))
+def polygon_area(p: MultiPolygon) -> float:
+    """Sum over the polygons of outer-ring area minus hole areas, km^2."""
+    return fsum(_net_area(ring_area(poly.outer), fsum(ring_area(h) for h in poly.holes))
+                for poly in p.polygons)
 
 
 def _net_area(outer: float, holes: float) -> float:
     """Outer-ring area less the summed hole areas, floored at zero."""
     result = outer - holes
     if result < -1e-9 * max(outer, 1.0):
-        raise InvariantViolationError(
-            f"hole area {holes} exceeds outer area {outer}")
+        raise DataError(f"hole area {holes} exceeds outer area {outer}")
     return max(result, 0.0)
 
 
 def _clip_half_plane(coords, axis: int, bound: float, keep_below: bool):
     """Clip an open coordinate list against one axis-aligned half-plane."""
-    if not coords:
-        return []
     out = []
     n = len(coords)
     for k in range(n):
@@ -230,9 +221,9 @@ def _clip_to_band(coords, min_lat: float, max_lat: float):
     return coords, area
 
 
-def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
+def grid_intersection_areas(m: MultiPolygon, lon_edges: list, lat_edges: list
                             ) -> list[list[float]]:
-    """Area of the overlap between the (multi)polygon and every cell of the
+    """Area of the overlap between the multipolygon and every cell of the
     grid given by its edges: ``areas[i][j]`` for the cell between
     lon_edges[i:i+2] and lat_edges[j:j+2], km^2.
 
@@ -240,9 +231,8 @@ def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
     the piece once per cell against the cell's parallels.  A hole is clipped
     like its outer ring and its area subtracted from the outer piece's.
     """
-    polys = m.polygons if isinstance(m, MultiPolygon) else (m,)
     rings = [(list(p.outer.coords), [list(h.coords) for h in p.holes])
-             for p in polys]
+             for p in m.polygons]
     bands = list(zip(lat_edges[:-1], lat_edges[1:]))
     areas = []
     for min_lon, max_lon in zip(lon_edges[:-1], lon_edges[1:]):
@@ -270,8 +260,8 @@ def grid_intersection_areas(m: Geometry, lon_edges: list, lat_edges: list
     return areas
 
 
-def intersection_area(m: Geometry, rect: LonLatRect) -> float:
-    """Area of the overlap between a (multi)polygon and a rect, km^2: the
+def intersection_area(m: MultiPolygon, rect: LonLatRect) -> float:
+    """Area of the overlap between a multipolygon and a rect, km^2: the
     one cell of :func:`grid_intersection_areas` over the rect."""
     return grid_intersection_areas(m, [rect.min_lon, rect.max_lon],
                                    [rect.min_lat, rect.max_lat])[0][0]
@@ -294,14 +284,12 @@ def rect_geojson(rect: LonLatRect) -> dict:
     return {"type": "Polygon", "coordinates": [corners + corners[:1]]}
 
 
-def geometry_bounds(m: Geometry) -> LonLatRect:
+def geometry_bounds(m: MultiPolygon) -> LonLatRect:
     """Envelope of all outer-ring vertices."""
-    if isinstance(m, PolygonWithHoles):
-        m = MultiPolygon((m,))
     lons = [lon for poly in m.polygons for lon, _ in poly.outer.coords]
     lats = [lat for poly in m.polygons for _, lat in poly.outer.coords]
     if not lons:
-        raise DegenerateGeometryError("empty geometry has no bounds")
+        raise DataError("empty geometry has no bounds")
     return LonLatRect(min(lons), min(lats), max(lons), max(lats))
 
 
@@ -312,14 +300,14 @@ def geometry_from_geojson(geom: dict) -> MultiPolygon:
     outer boundary and the rest are holes.
     """
     if not isinstance(geom, dict):
-        raise DegenerateGeometryError("geometry is not a GeoJSON object")
+        raise DataError("geometry is not a GeoJSON object")
     gtype = geom.get("type")
     if gtype == "Polygon":
         poly_coords = [geom["coordinates"]]
     elif gtype == "MultiPolygon":
         poly_coords = geom["coordinates"]
     else:
-        raise DegenerateGeometryError(f"unsupported geometry type: {gtype!r}")
+        raise DataError(f"unsupported geometry type: {gtype!r}")
     polygons = []
     for rings in poly_coords:
         if not rings:

@@ -18,11 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGeometryError
+from .errors import ConfigError, DataError
 from .geometry import (
     MIN_AREA_KM2,
-    Geometry,
     LonLatRect,
+    MultiPolygon,
     geometry_bounds,
     grid_intersection_areas,
 )
@@ -88,7 +88,7 @@ class DensityGrid:
         self.y: Optional[np.ndarray] = None
 
 
-def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
+def build_grid(spec: GridSpec, land: MultiPolygon) -> DensityGrid:
     """Compute per-cell land area from the land geometry; accumulators zeroed.
 
     Cells over open water (including slivers below 1e-9 km^2) get area 0.
@@ -98,7 +98,7 @@ def build_grid(spec: GridSpec, land: Geometry) -> DensityGrid:
     grid = DensityGrid(spec, area)
     try:
         bounds = geometry_bounds(land)
-    except DegenerateGeometryError:   # no land at all
+    except DataError:   # no land at all
         return grid
     cells, a = _cell_areas(grid, land, bounds)
     area[cells] = np.where(a >= MIN_AREA_KM2, a, 0.0)
@@ -118,7 +118,7 @@ def _cell_index_range(grid: DensityGrid, rect: LonLatRect
             max(j0, 0), min(max(j1, j0), x - 1))
 
 
-def _cell_areas(grid: DensityGrid, geom: Geometry, bounds: LonLatRect
+def _cell_areas(grid: DensityGrid, geom: MultiPolygon, bounds: LonLatRect
                 ) -> tuple[tuple[slice, slice], np.ndarray]:
     """Intersection areas of a geometry with the cells its bounds can
     overlap: the cells as a pair of slices, and the areas over them."""
@@ -270,7 +270,7 @@ def densities(grid: DensityGrid) -> list[str]:
     return diags
 
 
-def run_grid_pipeline(spec: GridSpec, land: Geometry, records,
+def run_grid_pipeline(spec: GridSpec, land: MultiPolygon, records,
                       units: Sequence[PopulationUnit]) -> DensityGrid:
     """Build the grid, accumulate tweets, users and population from records
     (a Corpus or LocatedRecords), and derive densities."""

@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, DataError
 from .geometry import (
     EARTH_RADIUS_KM,
     MIN_AREA_KM2,
@@ -164,7 +165,7 @@ class Corpus:
                 box = r.point + r.point      # a point place: a zero-area box
             elif box is not None:
                 if spherical_rect_area(box) <= 0.0:
-                    raise DomainError("zero-area box must arrive as a point")
+                    raise DataError("zero-area box must arrive as a point")
                 box = dataclasses.astuple(box)
             rows.append((r.user_id, None if box else r.point, None, box,
                          r.source, r.is_reply, r.is_quote))
@@ -293,8 +294,9 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     A path is read line by line as UTF-8 and split as str.splitlines splits
     it; a line that is not UTF-8 is one skip (UnicodeDecodeError).
     Malformed records are skipped and counted in ``diags`` by exception
-    name (RecursionError for one nested too deeply to read); they never
-    abort the stream.
+    name (RecursionError for one nested more than _MAX_DEPTH deep); they
+    never abort the stream.  A line of bytes is decoded as json.loads
+    decodes it.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -310,6 +312,11 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         if not line:
             continue
         try:
+            if type(line) is not str:
+                line = line.decode(json.detect_encoding(line), "surrogatepass")
+                line = line.strip(" \t\n\r")   # JSON's whitespace
+            if len(line) > _MAX_DEPTH:
+                _check_depth(line)
             row = _fields(loads(line))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             diags.skip(type(exc).__name__)
@@ -330,24 +337,38 @@ def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
         yield from text.splitlines()
 
 
+# json raises RecursionError on arrays and objects nested about as deep as
+# the recursion limit allows below its caller, and orjson reads any depth: a
+# line nested deeper than this is a RecursionError skip on both decoders,
+# however deep in the stack it is read
+_MAX_DEPTH = 500
+# a JSON string, or an unterminated one to the end of the line
+_STRING = re.compile(r'"(?:[^"\\]|\\.?)*(?:"|\Z)', re.S)
+_BRACKET = re.compile(r"[][{}]")
+
+
+def _check_depth(line: str) -> None:
+    """Raise RecursionError if the line nests arrays and objects more than
+    _MAX_DEPTH deep outside its strings.  Only a line with more opening
+    brackets than that can, and only such a line is scanned."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+        return
+    depth = 0
+    for bracket in _BRACKET.findall(_STRING.sub("", line)):
+        depth += 1 if bracket in "[{" else -1
+        if depth > _MAX_DEPTH:
+            raise RecursionError(f"nested more than {_MAX_DEPTH} deep")
+
+
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _json_loads(line):
+def _json_loads(line: str):
     """json.loads of a stripped line, without its two whitespace scans."""
-    if type(line) is not str:
-        return json.loads(line)
     obj, end = _raw_decode(line)
     if end != len(line):
         raise json.JSONDecodeError("Extra data", line, end)
     return obj
-
-
-# json raises RecursionError on arrays and objects nested about as deep as
-# the recursion limit allows below its caller, and orjson reads any depth: a
-# line with this many brackets, as any line nested that deep has, is left to
-# json
-_DEEP = 200
 
 
 @functools.cache
@@ -363,23 +384,20 @@ def _line_decoder():
     fast, rejected = orjson.loads, orjson.JSONDecodeError
 
     def loads(line):
-        """orjson.loads of the line, or json's where the two could differ:
-        bytes (json reads other encodings too), a line that may be nested
-        too deep for json, a line orjson rejects (json reads NaN, Infinity,
-        1e400 and lone surrogates) and a numeric user id."""
-        if type(line) is str and (len(line) < 2 * _DEEP
-                                  or line.count("[") + line.count("{") < _DEEP):
-            try:
-                obj = fast(line)
-            except rejected:
-                return _json_loads(line)
-            # orjson reads an integer outside the 64-bit range as a float,
-            # which changes a row only in a user id read from user.id
-            user = obj.get("user") if type(obj) is dict else None
-            if not (type(user) is dict and not user.get("id_str")
-                    and type(user.get("id")) is float):
-                return obj
-        return _json_loads(line)
+        """orjson.loads of the line, or json's where the two could differ: a
+        line orjson rejects (json reads NaN, Infinity, 1e400 and lone
+        surrogates) and a numeric user id."""
+        try:
+            obj = fast(line)
+        except rejected:
+            return _json_loads(line)
+        # orjson reads an integer outside the 64-bit range as a float,
+        # which changes a row only in a user id read from user.id
+        user = obj.get("user") if type(obj) is dict else None
+        if (type(user) is dict and not user.get("id_str")
+                and type(user.get("id")) is float):
+            return _json_loads(line)
+        return obj
 
     return loads
 

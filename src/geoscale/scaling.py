@@ -13,14 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    DomainError,
-    InsufficientDataError,
-    UnavailableError,
-)
-from .geometry import Geometry, spherical_rect_area
+from .errors import ConfigError, DataError, InsufficientDataError
+from .geometry import MultiPolygon, spherical_rect_area
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
@@ -89,7 +83,7 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     my = math.fsum(ly) / n
     sxx = math.fsum((v - mx) ** 2 for v in lx)
     if sxx == 0.0:
-        raise DegenerateFitError("zero variance in x")
+        raise InsufficientDataError("zero variance in x")
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
     slope = sxy / sxx
     intercept = my - slope * mx
@@ -127,16 +121,16 @@ def cell_indices(grid: DensityGrid, min_tweets: float = 1.0,
 def relation_densities(grid: DensityGrid, relation: str
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The (y, x) density arrays of relation "Y_vs_X", each letter one of
-    T, U, P and Y.  Raises UnavailableError for Y on a grid without youth
-    counts and DomainError for any other relation or before densities."""
+    T, U, P and Y.  Raises InsufficientDataError for Y on a grid without
+    youth counts and DataError for any other relation or before densities."""
     letters = relation.split("_vs_")
     if len(letters) != 2 or not set(letters) <= _DENSITY.keys():
-        raise DomainError(f"unknown relation: {relation!r}")
+        raise DataError(f"unknown relation: {relation!r}")
     if "Y" in letters and not grid.has_youth:
-        raise UnavailableError("grid has no youth population data")
+        raise InsufficientDataError("grid has no youth population data")
     ys, xs = (getattr(grid, _DENSITY[d]) for d in letters)
     if ys is None or xs is None:
-        raise DomainError("densities must be computed first")
+        raise DataError("densities must be computed first")
     return ys, xs
 
 
@@ -169,7 +163,7 @@ def mean_cell_area(spec: GridSpec) -> float:
     return spherical_rect_area(spec.study) / (spec.x * spec.x)
 
 
-def scan_resolutions(records, units, land: Geometry, specs: Sequence[GridSpec],
+def scan_resolutions(records, units, land: MultiPolygon, specs: Sequence[GridSpec],
                      min_tweets: float = 1.0, min_population: float = 1.0
                      ) -> ScanResult:
     """Rebuild the grid and refit for every spec, in the given order.
@@ -181,7 +175,7 @@ def scan_resolutions(records, units, land: Geometry, specs: Sequence[GridSpec],
         result.mean_cell_area[x] = mean_cell_area(spec)
         try:
             result.fits[x] = fit_all(grid, min_tweets, min_population)
-        except (InsufficientDataError, DegenerateFitError):
+        except InsufficientDataError:
             pass
     return result
 

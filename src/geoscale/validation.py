@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateFitError, InsufficientDataError
-from .geometry import Geometry, LonLatRect
+from .errors import ConfigError, InsufficientDataError
+from .geometry import LonLatRect, MultiPolygon
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline, write_csv
 from .ingest import Corpus
 from .scaling import EXPONENTS, cell_indices, fit_all, fit_cells
@@ -90,7 +90,7 @@ def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution
         rng = np.random.default_rng(mix_seed(config.master_seed, k))
         try:
             fits = draw(rng)
-        except (InsufficientDataError, DegenerateFitError):
+        except InsufficientDataError:
             fits = None
         rows.append((k, *(fits[name].exponent if fits else None for name in EXPONENTS)))
     dist = ResampleDistribution(mode, rows, dropped=sum(row[1] is None for row in rows))
@@ -99,7 +99,7 @@ def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution
     return dist
 
 
-def subarea_resample(records, units, land: Geometry, study: LonLatRect,
+def subarea_resample(records, units, land: MultiPolygon, study: LonLatRect,
                      x: int, config: ResampleConfig,
                      min_tweets: float = 1.0, min_population: float = 1.0
                      ) -> ResampleDistribution:

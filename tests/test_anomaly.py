@@ -13,12 +13,7 @@ from geoscale.anomaly import (
     predict,
     youth_fit,
 )
-from geoscale.errors import (
-    ConfigError,
-    DomainError,
-    InsufficientDataError,
-    UnavailableError,
-)
+from geoscale.errors import ConfigError, DataError, InsufficientDataError
 from geoscale.geometry import LonLatRect
 from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.scaling import FitResult, fit_all
@@ -36,7 +31,7 @@ class TestPredict:
         assert predict(f, 5.0) == pytest.approx(75.0, rel=1e-12)
 
     def test_nonpositive_input_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match=r"prediction needs x > 0, got 0\.0"):
             predict(fit(), 0.0)
 
 
@@ -55,7 +50,7 @@ class TestAnomalyValues:
         assert anomaly_rel(7.0, 7.0) == 0.0
 
     def test_rel_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match="relative anomaly needs both values > 0"):
             anomaly_rel(0.0, 1.0)
 
 
@@ -153,11 +148,11 @@ class TestAnomalyMap:
 
     def test_yp_relation_requires_youth(self):
         grid = law_grid()
-        with pytest.raises(UnavailableError):
+        with pytest.raises(InsufficientDataError, match="has no youth population data"):
             anomaly_map(grid, fit(relation="Y_vs_P"))
 
     def test_unknown_relation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match="unknown relation: 'XY'"):
             anomaly_map(law_grid(), fit(relation="XY"))
 
     def test_yp_relation_maps_youth_against_population(self):
@@ -176,7 +171,7 @@ class TestYouthFit:
         assert f.exponent == pytest.approx(0.9, abs=1e-10)
 
     def test_unavailable_without_youth(self):
-        with pytest.raises(UnavailableError):
+        with pytest.raises(InsufficientDataError, match="has no youth population data"):
             youth_fit(law_grid())
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from geoscale import cli
 from geoscale.cli import RunConfig, build_parser, load_config_file, main, resolve_config
+from geoscale.errors import ConfigError, DataError, GeoscaleError, InsufficientDataError
 from geoscale.geometry import LonLatRect
 from geoscale.synth import (
     SynthConfig,
@@ -227,6 +228,18 @@ def _layer_text(population="5", depth=0):
 
 
 class TestExitCodes:
+    def test_each_error_class_has_one_exit_code(self, monkeypatch, capsys):
+        table = {ConfigError: (1, "config error: "), DataError: (2, "data error: "),
+                 InsufficientDataError: (3, "insufficient data: ")}
+        assert set(GeoscaleError.__subclasses__()) == set(table)
+        assert all(cls.__subclasses__() == [] for cls in table)
+        for cls, (code, prefix) in table.items():
+            def fail(cfg):
+                raise cls("the reason")
+            monkeypatch.setitem(cli._COMMANDS, "stats", (fail, cli._CORPUS))
+            assert main(["stats"]) == code
+            assert capsys.readouterr().err == prefix + "the reason\n"
+
     def test_unknown_flag(self):
         assert main(["fit", "--bogus"]) == 1
 
@@ -299,13 +312,16 @@ class TestExitCodes:
         ("grid", ["--study=-3,50,-2,130"]),
         ("grid", ["--study=-3,-91,-2,51"]),
         ("synth", ["--study=-3,80,-2,120"]),
+        ("stats", ["--study=nan,50,-2,51"]),
+        ("stats", ["--study=-3,50,-2,nan"]),
     ])
     def test_non_finite_study_or_bad_generation_grid_is_a_config_error(
             self, tmp_path, corpus, capsys, command, extra):
         if command == "synth":
             code = main(SMALL_SYNTH + ["--out", str(tmp_path), *extra])
         else:
-            code = run_cmd(corpus, tmp_path, command, "--x", "4", *extra)
+            x = ["--x", "4"] if command == "grid" else []
+            code = run_cmd(corpus, tmp_path, command, *x, *extra)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1

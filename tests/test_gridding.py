@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoscale.errors import DomainError
+from geoscale.errors import DataError
 from geoscale.geometry import (
     LonLatRect,
     MultiPolygon,
@@ -139,7 +139,7 @@ class TestAccumulateTweets:
 
     def test_zero_area_box_rejected(self):
         grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match="zero-area box must arrive as a point"):
             accumulate_tweets(grid, [box_rec(LonLatRect(1, 1, 1, 1))])
 
     @pytest.mark.parametrize("box", [LonLatRect(1, 1, 1, 2), LonLatRect(1, 1, 2, 1)],
@@ -147,7 +147,7 @@ class TestAccumulateTweets:
     def test_line_shaped_box_rejected(self, box):
         grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
         records = [box_rec(LonLatRect(0.5, 0.5, 1.5, 1.5)), box_rec(box)]
-        with pytest.raises(DomainError):
+        with pytest.raises(DataError, match="zero-area box must arrive as a point"):
             accumulate_tweets(grid, records)
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from geoscale import ingest
 from geoscale.geometry import LonLatRect
 from geoscale.ingest import (
     _COLUMNS,
@@ -35,6 +37,13 @@ def tweet_json(tweet_id="1", user_id="u1", coords=None, place_type=None,
         }
     obj.update(extra)
     return json.dumps(obj)
+
+
+def nested_box_line(depth: int) -> str:
+    """A tweet whose box is a point wrapped in ``depth`` arrays."""
+    box = "[" * depth + "[-3.5,51.0]" + "]" * depth
+    return ('{"id_str":"1","user":{"id_str":"u"},"place":{"place_type":"city",'
+            '"bounding_box":{"type":"Polygon","coordinates":%s}}}' % box)
 
 
 def assert_same_corpus(a, b):
@@ -133,12 +142,40 @@ class TestParseTweets:
 
     @pytest.mark.parametrize("depth", [1000, 50000])
     def test_deeply_nested_box_is_a_counted_skip(self, depth):
-        box = "[" * depth + "[-3.5,51.0]" + "]" * depth
-        line = ('{"id_str":"1","user":{"id_str":"u"},"place":{"place_type":"city",'
-                '"bounding_box":{"type":"Polygon","coordinates":%s}}}' % box)
-        records, diags = parse_tweets([line, tweet_json(coords=[-3.5, 51.0])])
+        records, diags = parse_tweets([nested_box_line(depth),
+                                       tweet_json(coords=[-3.5, 51.0])])
         assert len(records) == 1
         assert diags.reasons == {"RecursionError": 1}
+
+    def test_brackets_inside_strings_do_not_nest(self):
+        # each quote in the source is escaped, so the brackets stay inside it
+        line = tweet_json(coords=[-3.5, 51.0], source='"[{' * 1000)
+        records, diags = parse_tweets([line])
+        assert len(records) == 1 and diags.skipped == 0
+
+    @pytest.mark.parametrize("decoder", ["orjson", "json"])
+    @pytest.mark.parametrize("depth", [400, 890, 950, 990])
+    def test_nested_line_reads_alike_at_any_stack_depth(self, monkeypatch, request,
+                                                        decoder, depth):
+        """json's limit counts the frames below it; the nesting limit does
+        not, so the same line is a row (nested less than 500 deep) or a
+        RecursionError skip wherever it is read."""
+        if decoder == "orjson":
+            pytest.importorskip("orjson")
+        else:
+            monkeypatch.setitem(sys.modules, "orjson", None)
+        ingest._line_decoder.cache_clear()   # looked up again, here and after
+        request.addfinalizer(ingest._line_decoder.cache_clear)
+        line = nested_box_line(depth)
+
+        def outcome(frames: int):
+            if frames:
+                return outcome(frames - 1)
+            records, diags = parse_tweets([line])
+            return len(records), dict(diags.reasons)
+
+        expected = (1, {}) if depth < 500 else (0, {"RecursionError": 1})
+        assert outcome(0) == outcome(150) == expected
 
     def test_line_that_is_not_utf8_is_a_counted_skip(self, tmp_path):
         good = tweet_json(coords=[-3.5, 51.0])
