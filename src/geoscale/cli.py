@@ -146,11 +146,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_json(path, what: str) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        ingest.check_depth(text)
+        return json.loads(text)
     except OSError as exc:
         raise DataError(f"cannot read {what} from {path}: {exc}") from exc
     # ValueError: bad JSON, or an integer too long to read; RecursionError:
-    # arrays or objects nested too deeply
+    # arrays or objects nested too deeply (see ingest.check_depth)
     except (ValueError, RecursionError) as exc:
         raise DataError(f"invalid JSON in {what} file {path}: {exc}") from exc
 
@@ -377,7 +379,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     reference = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     if cfg.mode == "subarea":
         dist = validation.subarea_resample(
-            records, units, land, cfg.study_rect(), cfg.x, rcfg,
+            records, units, land, grid.spec, rcfg,
             cfg.fit_min_tweets, cfg.fit_min_population)
     else:
         dist = validation.subset_resample(

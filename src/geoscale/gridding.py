@@ -270,14 +270,13 @@ def densities(grid: DensityGrid) -> list[str]:
     return diags
 
 
-def run_grid_pipeline(spec: GridSpec, land: MultiPolygon, records,
+def run_grid_pipeline(spec: GridSpec, land: MultiPolygon, records: Corpus,
                       units: Sequence[PopulationUnit]) -> DensityGrid:
-    """Build the grid, accumulate tweets, users and population from records
-    (a Corpus or LocatedRecords), and derive densities."""
-    corpus = Corpus.of(records)
+    """Build the grid, accumulate tweets, users and population from the
+    records, and derive densities."""
     grid = build_grid(spec, land)
-    accumulate_tweets(grid, corpus)
-    _accumulate_user_mass(grid, corpus)
+    accumulate_tweets(grid, records)
+    _accumulate_user_mass(grid, records)
     apportion_population(grid, units)
     densities(grid)
     return grid

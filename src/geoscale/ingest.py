@@ -295,8 +295,8 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     it; a line that is not UTF-8 is one skip (UnicodeDecodeError).
     Malformed records are skipped and counted in ``diags`` by exception
     name (RecursionError for one nested more than _MAX_DEPTH deep); they
-    never abort the stream.  A line of bytes is decoded as json.loads
-    decodes it.
+    never abort the stream.  Lines from an iterable must be str: any other
+    line is one TypeError skip.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -308,15 +308,15 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         return
     loads = _line_decoder()
     for line in source:
+        if not isinstance(line, str):   # orjson would read bytes that json skips
+            diags.skip("TypeError")
+            continue
         line = line.strip()
         if not line:
             continue
         try:
-            if type(line) is not str:
-                line = line.decode(json.detect_encoding(line), "surrogatepass")
-                line = line.strip(" \t\n\r")   # JSON's whitespace
             if len(line) > _MAX_DEPTH:
-                _check_depth(line)
+                check_depth(line)
             row = _fields(loads(line))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             diags.skip(type(exc).__name__)
@@ -339,22 +339,22 @@ def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
 
 # json raises RecursionError on arrays and objects nested about as deep as
 # the recursion limit allows below its caller, and orjson reads any depth: a
-# line nested deeper than this is a RecursionError skip on both decoders,
-# however deep in the stack it is read
+# document nested deeper than this is rejected on both decoders, however
+# deep in the stack it is read
 _MAX_DEPTH = 500
 # a JSON string, or an unterminated one to the end of the line
 _STRING = re.compile(r'"(?:[^"\\]|\\.?)*(?:"|\Z)', re.S)
 _BRACKET = re.compile(r"[][{}]")
 
 
-def _check_depth(line: str) -> None:
-    """Raise RecursionError if the line nests arrays and objects more than
-    _MAX_DEPTH deep outside its strings.  Only a line with more opening
-    brackets than that can, and only such a line is scanned."""
-    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+def check_depth(text: str) -> None:
+    """Raise RecursionError if the JSON text nests arrays and objects more
+    than _MAX_DEPTH deep outside its strings.  Only a text with more opening
+    brackets than that can, and only such a text is scanned."""
+    if text.count("[") + text.count("{") <= _MAX_DEPTH:
         return
     depth = 0
-    for bracket in _BRACKET.findall(_STRING.sub("", line)):
+    for bracket in _BRACKET.findall(_STRING.sub("", text)):
         depth += 1 if bracket in "[{" else -1
         if depth > _MAX_DEPTH:
             raise RecursionError(f"nested more than {_MAX_DEPTH} deep")
@@ -483,19 +483,18 @@ def check_min_tweets(min_count: int) -> None:
         raise ConfigError("min_user_tweets must be >= 1")
 
 
-def filter_bots(records, threshold_fraction: float = 0.01) -> tuple[Corpus, list]:
+def filter_bots(records: Corpus, threshold_fraction: float = 0.01) -> tuple[Corpus, list]:
     """Drop every record of users whose share of the corpus strictly exceeds
-    the threshold.  Returns the Corpus of the kept records (records are a
-    Corpus or LocatedRecords) and the sorted ids of the removed users.
+    the threshold.  Returns the Corpus of the kept records and the sorted
+    ids of the removed users.
 
     The threshold is computed once against the pre-filter total (single
     pass, no re-thresholding), so the filter is idempotent.
     """
     check_bot_threshold(threshold_fraction)
-    corpus = Corpus.of(records)
-    bots = corpus.user_counts() > threshold_fraction * len(corpus)
-    removed = [corpus.user_ids[k] for k in np.flatnonzero(bots).tolist()]
-    return corpus.take(~bots[corpus.user]), removed
+    bots = records.user_counts() > threshold_fraction * len(records)
+    removed = [records.user_ids[k] for k in np.flatnonzero(bots).tolist()]
+    return records.take(~bots[records.user]), removed
 
 
 def filter_min_tweets(records, min_count: int = 10) -> Corpus:
@@ -506,14 +505,13 @@ def filter_min_tweets(records, min_count: int = 10) -> Corpus:
     return corpus.take(corpus.user_counts()[corpus.user] >= min_count)
 
 
-def source_ranking(records, k: int) -> list[tuple[str, int, float]]:
+def source_ranking(corpus: Corpus, k: int) -> list[tuple[str, int, float]]:
     """Top-k sources by record count; proportions are of the whole corpus.
 
     Ties are broken lexicographically by source string.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    corpus = Corpus.of(records)
     total = len(corpus)
     counts = np.bincount(corpus.source, minlength=len(corpus.sources)).tolist()
     ranked = sorted(((s, c) for s, c in zip(corpus.sources, counts) if c),
@@ -521,18 +519,16 @@ def source_ranking(records, k: int) -> list[tuple[str, int, float]]:
     return [(s, c, c / total) for s, c in ranked[:k]]
 
 
-def reply_quote_counts(records) -> tuple[int, int, int]:
+def reply_quote_counts(corpus: Corpus) -> tuple[int, int, int]:
     """Counts of replies, of quotes and of records that are either (a record
     that is both counts once in the union)."""
-    corpus = Corpus.of(records)
     return (int(corpus.reply.sum()), int(corpus.quote.sum()),
             int((corpus.reply | corpus.quote).sum()))
 
 
-def reply_quote_stats(records) -> tuple[int, int, Optional[float]]:
+def reply_quote_stats(corpus: Corpus) -> tuple[int, int, Optional[float]]:
     """Counts of replies and quotes plus the fraction of records that are
     either (see reply_quote_counts); None for no records."""
-    corpus = Corpus.of(records)
     replies, quotes, either = reply_quote_counts(corpus)
     return replies, quotes, either / len(corpus) if len(corpus) else None
 

@@ -9,6 +9,7 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import asdict, astuple, dataclass
@@ -160,9 +161,16 @@ def _lines(columns) -> str:
 
 def _parsed(column_batches) -> list[dict]:
     """The records of the column batches: their lines read back by json, one
-    array per batch."""
-    return [r for columns in column_batches
-            for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
+    array per batch.  The cyclic garbage collector is paused meanwhile: it
+    would scan the growing list of records again and again for no garbage."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return [r for columns in column_batches
+                for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _activity_columns(config: SynthConfig, gt: GroundTruth):

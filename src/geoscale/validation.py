@@ -99,30 +99,29 @@ def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution
     return dist
 
 
-def subarea_resample(records, units, land: MultiPolygon, study: LonLatRect,
-                     x: int, config: ResampleConfig,
+def subarea_resample(records: Corpus, units, land: MultiPolygon, spec: GridSpec,
+                     config: ResampleConfig,
                      min_tweets: float = 1.0, min_population: float = 1.0
                      ) -> ResampleDistribution:
     """Refit exponents on randomly placed sub-rects of the study area.
 
-    Sub-rects keep the study rect's aspect ratio (side scale
-    sqrt(area_fraction)) and the grid resolution is maintained by scaling
+    Sub-rects keep the aspect ratio of the full grid's study rect (side
+    scale sqrt(area_fraction)), and its resolution is maintained by scaling
     the side count accordingly.  Population is re-apportioned from source
-    polygons per replicate.  Records are a Corpus or LocatedRecords; points
-    are kept when inside the sub-rect, boxes only when fully contained
-    (matching the ingest rule).
+    polygons per replicate.  Points are kept when inside the sub-rect,
+    boxes only when fully contained (matching the ingest rule).
     """
-    corpus = Corpus.of(records)
+    study = spec.study
     w = study.width * math.sqrt(config.area_fraction)
     h = study.height * math.sqrt(config.area_fraction)
-    x_sub = subarea_grid_side(x, config.area_fraction)
+    x_sub = subarea_grid_side(spec.x, config.area_fraction)
 
     def draw(rng):
         ox = rng.uniform(study.min_lon, study.max_lon - w)
         oy = rng.uniform(study.min_lat, study.max_lat - h)
         sub = LonLatRect(ox, oy, ox + w, oy + h)
-        kept = corpus.take((corpus.lon0 >= sub.min_lon) & (corpus.lon1 <= sub.max_lon)
-                           & (corpus.lat0 >= sub.min_lat) & (corpus.lat1 <= sub.max_lat))
+        kept = records.take((records.lon0 >= sub.min_lon) & (records.lon1 <= sub.max_lon)
+                            & (records.lat0 >= sub.min_lat) & (records.lat1 <= sub.max_lat))
         grid = run_grid_pipeline(GridSpec(sub, x_sub), land, kept, units)
         return fit_all(grid, min_tweets, min_population)
 

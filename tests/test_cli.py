@@ -370,22 +370,33 @@ class TestExitCodes:
         "[1, 2]",
         '{"type": "FeatureCollection", "features": 5}',
         _layer_text(population="1" + "0" * 5000),
+        _layer_text(depth=890),
+        _layer_text(depth=950),
         _layer_text(depth=1000),
         _layer_text(depth=50000),
     ], ids=["not_an_object", "features_not_a_list", "integer_too_long_to_read",
-            "nested_1000_deep", "nested_50000_deep"])
+            "nested_890_deep", "nested_950_deep", "nested_1000_deep",
+            "nested_50000_deep"])
     @pytest.mark.parametrize("layer", ["population", "land"])
     def test_bad_layer_document_is_a_data_error(self, tmp_path, corpus, capsys,
                                                 layer, document):
+        """The same at the test's own stack depth and 150 frames deeper:
+        json's nesting limit counts the frames below it, the layer check
+        does not."""
         inputs = tmp_path / "inputs"
         inputs.mkdir()
         for name in ("tweets.jsonl", "population.geojson", "land.geojson"):
             (inputs / name).write_bytes((corpus / name).read_bytes())
         (inputs / f"{layer}.geojson").write_text(document)
-        assert run_cmd(inputs, tmp_path / "out", "grid", "--x", "6") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("data error:")
-        assert err.count("\n") == 1
+
+        def outcome(frames: int):
+            if frames:
+                return outcome(frames - 1)
+            code = run_cmd(inputs, tmp_path / "out", "grid", "--x", "6")
+            err = capsys.readouterr().err
+            return code, err.startswith("data error:"), err.count("\n")
+
+        assert outcome(0) == outcome(150) == (2, True, 1)
 
     @pytest.mark.parametrize("land", [
         {"type": "FeatureCollection",

@@ -25,7 +25,7 @@ from geoscale.gridding import (
     group_by_user,
     run_grid_pipeline,
 )
-from geoscale.ingest import LocatedRecord, PopulationUnit
+from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 
 STUDY = LonLatRect(0.0, 0.0, 4.0, 4.0)
 
@@ -392,7 +392,8 @@ class TestPipeline:
                           user=f"u{rng.integers(30)}")
                 for i in range(200)]
         units = [PopulationUnit("a", rect_poly(LonLatRect(0, 0, 4, 4)), 10000)]
-        grid = run_grid_pipeline(GridSpec(STUDY, 4), rect_poly(STUDY), recs, units)
+        grid = run_grid_pipeline(GridSpec(STUDY, 4), rect_poly(STUDY), Corpus.of(recs),
+                                 units)
         assert grid.n_t.sum() == pytest.approx(200, abs=1e-9)
         assert grid.n_p.sum() == pytest.approx(10000, rel=1e-9)
         assert grid.t is not None

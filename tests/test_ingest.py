@@ -46,6 +46,18 @@ def nested_box_line(depth: int) -> str:
             '"bounding_box":{"type":"Polygon","coordinates":%s}}}' % box)
 
 
+@pytest.fixture
+def decoder(request, monkeypatch):
+    """Tweet lines read with orjson ("orjson") or with json alone ("json")."""
+    if request.param == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setitem(sys.modules, "orjson", None)
+    ingest._line_decoder.cache_clear()   # looked up again, here and after
+    yield request.param
+    ingest._line_decoder.cache_clear()
+
+
 def assert_same_corpus(a, b):
     """The same rows, column by column (a Corpus has no ==)."""
     a, b = Corpus.of(a), Corpus.of(b)
@@ -153,19 +165,12 @@ class TestParseTweets:
         records, diags = parse_tweets([line])
         assert len(records) == 1 and diags.skipped == 0
 
-    @pytest.mark.parametrize("decoder", ["orjson", "json"])
+    @pytest.mark.parametrize("decoder", ["orjson", "json"], indirect=True)
     @pytest.mark.parametrize("depth", [400, 890, 950, 990])
-    def test_nested_line_reads_alike_at_any_stack_depth(self, monkeypatch, request,
-                                                        decoder, depth):
+    def test_nested_line_reads_alike_at_any_stack_depth(self, decoder, depth):
         """json's limit counts the frames below it; the nesting limit does
         not, so the same line is a row (nested less than 500 deep) or a
         RecursionError skip wherever it is read."""
-        if decoder == "orjson":
-            pytest.importorskip("orjson")
-        else:
-            monkeypatch.setitem(sys.modules, "orjson", None)
-        ingest._line_decoder.cache_clear()   # looked up again, here and after
-        request.addfinalizer(ingest._line_decoder.cache_clear)
         line = nested_box_line(depth)
 
         def outcome(frames: int):
@@ -176,6 +181,15 @@ class TestParseTweets:
 
         expected = (1, {}) if depth < 500 else (0, {"RecursionError": 1})
         assert outcome(0) == outcome(150) == expected
+
+    @pytest.mark.parametrize("decoder", ["orjson", "json"], indirect=True)
+    def test_line_that_is_not_a_str_is_a_counted_skip(self, decoder):
+        """Lines are str: a bytes line is one TypeError skip before either
+        decoder sees it (orjson would read it, json would not)."""
+        good = tweet_json(coords=[-3.5, 51.0])
+        records, diags = parse_tweets([good.encode(), good])
+        assert len(records) == 1
+        assert diags.reasons == {"TypeError": 1}
 
     def test_line_that_is_not_utf8_is_a_counted_skip(self, tmp_path):
         good = tweet_json(coords=[-3.5, 51.0])
@@ -290,28 +304,28 @@ class TestFilterBots:
     def test_user_over_one_percent_removed(self):
         records = [located(user_id="bot", tweet_id=str(i)) for i in range(11)]
         records += [located(user_id=f"u{i}", tweet_id=f"n{i}") for i in range(989)]
-        kept, removed = filter_bots(records)
+        kept, removed = filter_bots(Corpus.of(records))
         assert removed == ["bot"]
         assert len(kept) == 989
 
     def test_exactly_at_threshold_kept(self):
         records = [located(user_id="busy", tweet_id=str(i)) for i in range(10)]
         records += [located(user_id=f"u{i}", tweet_id=f"n{i}") for i in range(990)]
-        kept, removed = filter_bots(records)
+        kept, removed = filter_bots(Corpus.of(records))
         assert removed == []
         assert len(kept) == 1000
 
     def test_no_user_above_threshold_is_identity(self):
         records = [located(user_id=f"u{i % 200}", tweet_id=str(i))
                    for i in range(1000)]
-        kept, removed = filter_bots(records)
+        kept, removed = filter_bots(Corpus.of(records))
         assert_same_corpus(kept, records)
         assert removed == []
 
     def test_idempotent(self):
         records = [located(user_id="bot", tweet_id=str(i)) for i in range(50)]
         records += [located(user_id=f"u{i}", tweet_id=f"n{i}") for i in range(950)]
-        once, _ = filter_bots(records)
+        once, _ = filter_bots(Corpus.of(records))
         twice, removed_again = filter_bots(once)
         assert_same_corpus(twice, once)
         assert removed_again == []
@@ -333,22 +347,22 @@ class TestSourceRanking:
     def test_simple_ranking(self):
         records = ([located(source="A", tweet_id=str(i)) for i in range(6)]
                    + [located(source="B", tweet_id=f"b{i}") for i in range(4)])
-        ranked = source_ranking(records, 2)
+        ranked = source_ranking(Corpus.of(records), 2)
         assert ranked == [("A", 6, 0.6), ("B", 4, 0.4)]
 
     def test_k_larger_than_distinct_sources(self):
         records = [located(source="A"), located(source="B")]
-        assert len(source_ranking(records, 10)) == 2
+        assert len(source_ranking(Corpus.of(records), 10)) == 2
 
     def test_ties_break_lexicographically(self):
         records = [located(source="zz"), located(source="aa")]
-        ranked = source_ranking(records, 2)
+        ranked = source_ranking(Corpus.of(records), 2)
         assert [r[0] for r in ranked] == ["aa", "zz"]
 
     def test_proportions_non_increasing(self):
         records = ([located(source=s, tweet_id=f"{s}{i}")
                     for s, n in [("A", 5), ("B", 3), ("C", 2)] for i in range(n)])
-        ranked = source_ranking(records, 3)
+        ranked = source_ranking(Corpus.of(records), 3)
         props = [p for _, _, p in ranked]
         assert props == sorted(props, reverse=True)
         assert all(0.0 <= p <= 1.0 for p in props)
@@ -359,21 +373,21 @@ class TestReplyQuoteStats:
         records = ([located(tweet_id=f"r{i}", is_reply=True) for i in range(5)]
                    + [located(tweet_id="q", is_quote=True)]
                    + [located(tweet_id=f"p{i}") for i in range(94)])
-        replies, quotes, frac = reply_quote_stats(records)
+        replies, quotes, frac = reply_quote_stats(Corpus.of(records))
         assert (replies, quotes) == (5, 1)
         assert frac == pytest.approx(0.06)
 
     def test_all_empty(self):
         records = [located(tweet_id=str(i)) for i in range(10)]
-        assert reply_quote_stats(records) == (0, 0, 0.0)
+        assert reply_quote_stats(Corpus.of(records)) == (0, 0, 0.0)
 
     def test_empty_corpus_fraction_absent(self):
-        assert reply_quote_stats([]) == (0, 0, None)
+        assert reply_quote_stats(Corpus.of([])) == (0, 0, None)
 
     def test_both_flags_counted_once_in_union(self):
         records = [located(tweet_id="x", is_reply=True, is_quote=True),
                    located(tweet_id="y")]
-        replies, quotes, frac = reply_quote_stats(records)
+        replies, quotes, frac = reply_quote_stats(Corpus.of(records))
         assert (replies, quotes) == (1, 1)
         assert frac == pytest.approx(0.5)
 

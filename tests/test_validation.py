@@ -7,7 +7,7 @@ import pytest
 from geoscale.errors import InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import DensityGrid, GridSpec, densities
-from geoscale.ingest import LocatedRecord, PopulationUnit
+from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 from geoscale.scaling import fit_all, fit_cells
 from geoscale.validation import (
     EXPONENTS,
@@ -195,8 +195,8 @@ class TestSubareaResample:
         records, units = law_records_and_units()
         cfg = ResampleConfig(mode="subarea", replicates=12, area_fraction=0.25,
                              master_seed=5)
-        a = subarea_resample(records, units, LAND, STUDY, 8, cfg)
-        b = subarea_resample(records, units, LAND, STUDY, 8, cfg)
+        a = subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
+        b = subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
         assert a.rows == b.rows
         betas = a.samples("beta")
         assert len(betas) >= 10
@@ -213,13 +213,13 @@ class TestSubareaResample:
         records, units = law_records_and_units()
         cfg = ResampleConfig(mode="subarea", replicates=3, master_seed=0)
         with pytest.raises(ValueError, match="defect in binning"):
-            subarea_resample(records, units, LAND, STUDY, 8, cfg)
+            subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
 
     def test_subarea_side_keeps_cell_size(self):
         records, units = law_records_and_units()
         cfg = ResampleConfig(mode="subarea", replicates=1, master_seed=0)
         # x=8, fraction 0.25 -> sub-grid side 4; smoke-check it runs
-        dist = subarea_resample(records, units, LAND, STUDY, 8, cfg)
+        dist = subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
         assert len(dist.rows) == 1
 
 
