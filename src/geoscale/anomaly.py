@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import rect_geojson
-from .gridding import DensityGrid, GridSpec, cells_to_csv
+from .gridding import DensityGrid, GridSpec, cells_to_csv, densities
 from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
 
 
@@ -82,13 +82,12 @@ def anomaly_map(grid: DensityGrid, fit: FitResult,
     """
     check_map_settings(abs_cap, rel_cap, min_t_density, min_p_density)
     measured_arr, driver_arr = relation_densities(grid, fit.relation)
+    t, p = densities(grid, "TP")
     x = grid.spec.x
     with np.errstate(invalid="ignore"):
         # NaN densities (water cells) compare False and stay masked
-        density_ok = ((grid.land_area > 0)
-                      & (grid.t >= min_t_density)
-                      & (grid.p >= min_p_density))
-        usable = density_ok & (measured_arr > 0) & (driver_arr > 0)
+        usable = ((t >= min_t_density) & (p >= min_p_density)
+                  & (measured_arr > 0) & (driver_arr > 0))
 
     measured = np.where(usable, measured_arr, np.nan)
     predicted = np.full((x, x), np.nan)

@@ -4,7 +4,8 @@ Tweets contribute 1 unit of mass each, spread over the grid cells their
 bounding box overlaps (f_jb = overlap area / box area).  Users contribute
 1 unit each, spread as f_jb / N_t(i) over their records.  Census population
 is apportioned to cells proportionally to polygon-cell intersection area.
-Densities are the accumulators divided by per-cell land area.
+A grid holds only these counts and its land area; densities derives each
+density from them on demand.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .geometry import (
     MIN_AREA_KM2,
     LonLatRect,
@@ -30,6 +31,8 @@ from .ingest import Corpus, LocatedRecord, PopulationUnit
 
 # Place boxes binned per batch: bounds the (batch, X) overlap arrays.
 _BOX_BATCH = 1024
+# the density of each count: tweets, users, residents and youth
+DENSITY_LETTERS = "TUPY"
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,9 @@ class GridSpec:
 
 
 class DensityGrid:
-    """X-by-X grid of land areas, fractional accumulators and densities.
+    """X-by-X grid of land areas and fractional counts: tweets n_t, users
+    n_u, residents n_p and youth n_y, which is None when no youth counts
+    reached the grid.  Densities come from the counts through densities.
 
     Arrays are indexed [i, j] with i the longitude index and j the latitude
     index, both in [0, X).  Cell membership for points is half-open
@@ -74,70 +79,59 @@ class DensityGrid:
 
     def __init__(self, spec: GridSpec, land_area: np.ndarray) -> None:
         self.spec = spec
-        x = spec.x
         self.lon_edges, self.lat_edges = spec.lon_edges, spec.lat_edges
         self.land_area = land_area
-        self.n_t = np.zeros((x, x))
-        self.n_u = np.zeros((x, x))
-        self.n_p = np.zeros((x, x))
-        self.n_y = np.zeros((x, x))
-        self.has_youth = False
-        self.t: Optional[np.ndarray] = None
-        self.u: Optional[np.ndarray] = None
-        self.p: Optional[np.ndarray] = None
-        self.y: Optional[np.ndarray] = None
+        self.n_t = np.zeros((spec.x, spec.x))
+        self.n_u = np.zeros((spec.x, spec.x))
+        self.n_p = np.zeros((spec.x, spec.x))
+        self.n_y: Optional[np.ndarray] = None
 
 
 def build_grid(spec: GridSpec, land: MultiPolygon) -> DensityGrid:
-    """Compute per-cell land area from the land geometry; accumulators zeroed.
+    """Compute per-cell land area from the land geometry; counts zeroed.
 
     Cells over open water (including slivers below 1e-9 km^2) get area 0.
     """
-    x = spec.x
-    area = np.zeros((x, x))
-    grid = DensityGrid(spec, area)
-    try:
-        bounds = geometry_bounds(land)
-    except DataError:   # no land at all
-        return grid
-    cells, a = _cell_areas(grid, land, bounds)
-    area[cells] = np.where(a >= MIN_AREA_KM2, a, 0.0)
-    return grid
+    area = np.zeros((spec.x, spec.x))
+    if land.polygons:   # else no land at all
+        cells, a = _cell_areas(spec, land, geometry_bounds(land))
+        area[cells] = np.where(a >= MIN_AREA_KM2, a, 0.0)
+    return DensityGrid(spec, area)
 
 
-def _cell_index_range(grid: DensityGrid, rect: LonLatRect
+def _cell_index_range(spec: GridSpec, rect: LonLatRect
                       ) -> tuple[int, int, int, int]:
     """Indices of grid cells whose rect can overlap the given rect (clipped
     to the grid; may be an empty range when disjoint)."""
-    x = grid.spec.x
-    i0 = int(np.searchsorted(grid.lon_edges, rect.min_lon, side="right")) - 1
-    i1 = int(np.searchsorted(grid.lon_edges, rect.max_lon, side="left")) - 1
-    j0 = int(np.searchsorted(grid.lat_edges, rect.min_lat, side="right")) - 1
-    j1 = int(np.searchsorted(grid.lat_edges, rect.max_lat, side="left")) - 1
+    x = spec.x
+    i0 = int(np.searchsorted(spec.lon_edges, rect.min_lon, side="right")) - 1
+    i1 = int(np.searchsorted(spec.lon_edges, rect.max_lon, side="left")) - 1
+    j0 = int(np.searchsorted(spec.lat_edges, rect.min_lat, side="right")) - 1
+    j1 = int(np.searchsorted(spec.lat_edges, rect.max_lat, side="left")) - 1
     return (max(i0, 0), min(max(i1, i0), x - 1),
             max(j0, 0), min(max(j1, j0), x - 1))
 
 
-def _cell_areas(grid: DensityGrid, geom: MultiPolygon, bounds: LonLatRect
+def _cell_areas(spec: GridSpec, geom: MultiPolygon, bounds: LonLatRect
                 ) -> tuple[tuple[slice, slice], np.ndarray]:
     """Intersection areas of a geometry with the cells its bounds can
     overlap: the cells as a pair of slices, and the areas over them."""
-    i0, i1, j0, j1 = _cell_index_range(grid, bounds)
-    areas = grid_intersection_areas(geom, grid.lon_edges[i0:i1 + 2].tolist(),
-                                    grid.lat_edges[j0:j1 + 2].tolist())
+    i0, i1, j0, j1 = _cell_index_range(spec, bounds)
+    areas = grid_intersection_areas(geom, spec.lon_edges[i0:i1 + 2].tolist(),
+                                    spec.lat_edges[j0:j1 + 2].tolist())
     cells = (slice(i0, i1 + 1), slice(j0, j1 + 1))
     return cells, np.array(areas).reshape(i1 + 1 - i0, j1 + 1 - j0)
 
 
-def _accumulate_points(target: np.ndarray, grid: DensityGrid,
+def _accumulate_points(target: np.ndarray, spec: GridSpec,
                        lons: np.ndarray, lats: np.ndarray,
                        weights: np.ndarray) -> None:
-    s = grid.spec.study
+    s = spec.study
     inside = ((lons >= s.min_lon) & (lons <= s.max_lon)
               & (lats >= s.min_lat) & (lats <= s.max_lat))
     lons, lats, weights = lons[inside], lats[inside], weights[inside]
-    np.add.at(target, (_cell_of(lons, grid.lon_edges),
-                       _cell_of(lats, grid.lat_edges)), weights)
+    np.add.at(target, (_cell_of(lons, spec.lon_edges),
+                       _cell_of(lats, spec.lat_edges)), weights)
 
 
 def _cell_of(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -169,7 +163,7 @@ def _overlaps(lo: np.ndarray, hi: np.ndarray, m_lo: np.ndarray,
     return np.maximum(b - a, 0.0)
 
 
-def _accumulate(target: np.ndarray, grid: DensityGrid, corpus: Corpus,
+def _accumulate(target: np.ndarray, spec: GridSpec, corpus: Corpus,
                 weights: np.ndarray) -> None:
     """Add each row's weight: the boxes first, _BOX_BATCH at a time, then the
     points, each in row order.  A box's share of a cell factorises as
@@ -177,19 +171,19 @@ def _accumulate(target: np.ndarray, grid: DensityGrid, corpus: Corpus,
     of its extent in sin(lat), so the cell masses are F_lon^T diag(w) F_lat."""
     box = corpus.is_box
     boxes, box_w = corpus.take(box), weights[box]
-    sin_edges = np.array([_sin_lat(e) for e in grid.lat_edges])
+    sin_edges = np.array([_sin_lat(e) for e in spec.lat_edges])
     for k in range(0, len(boxes), _BOX_BATCH):
         b = slice(k, k + _BOX_BATCH)
         lon0, lon1, lat0, lat1 = boxes.lon0[b], boxes.lon1[b], boxes.lat0[b], boxes.lat1[b]
         s0, s1 = boxes.sin0[b], boxes.sin1[b]
-        f_lon = _overlaps(lon0, lon1, lon0, lon1, grid.lon_edges, grid.lon_edges) \
+        f_lon = _overlaps(lon0, lon1, lon0, lon1, spec.lon_edges, spec.lon_edges) \
             / (lon1 - lon0)[:, None]
-        f_lat = _overlaps(lat0, lat1, s0, s1, grid.lat_edges, sin_edges) \
+        f_lat = _overlaps(lat0, lat1, s0, s1, spec.lat_edges, sin_edges) \
             / (s1 - s0)[:, None]
         target += (f_lon * box_w[b, None]).T @ f_lat
     point = ~box
     if point.any():
-        _accumulate_points(target, grid, corpus.lon0[point], corpus.lat0[point],
+        _accumulate_points(target, spec, corpus.lon0[point], corpus.lat0[point],
                            weights[point])
 
 
@@ -197,7 +191,7 @@ def accumulate_tweets(grid: DensityGrid, records) -> DensityGrid:
     """Add one unit of tweet mass per record (a Corpus or LocatedRecords),
     spread by f_jb for boxes."""
     corpus = Corpus.of(records)
-    _accumulate(grid.n_t, grid, corpus, np.ones(len(corpus)))
+    _accumulate(grid.n_t, grid.spec, corpus, np.ones(len(corpus)))
     return grid
 
 
@@ -205,7 +199,7 @@ def _accumulate_user_mass(grid: DensityGrid, corpus: Corpus) -> None:
     """Add one unit of user mass per user, spread as f_jb / N_t(i), with the
     rows in user-id order."""
     corpus = corpus.take(np.argsort(corpus.user, kind="stable"))
-    _accumulate(grid.n_u, grid, corpus, 1.0 / corpus.user_counts()[corpus.user])
+    _accumulate(grid.n_u, grid.spec, corpus, 1.0 / corpus.user_counts()[corpus.user])
 
 
 def group_by_user(records: Sequence[LocatedRecord]) -> list[tuple[str, list]]:
@@ -231,54 +225,60 @@ def accumulate_users(grid: DensityGrid, groups: Sequence[tuple[str, list]]
 def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
                          ) -> list[str]:
     """Spread each unit's population over cells proportionally to the
-    intersection area with the unit polygon.  Returns diagnostics for
-    skipped zero-area units."""
-    diags: list[str] = []
-    for unit in units:
-        total_area = unit.area
-        if total_area <= MIN_AREA_KM2:
-            diags.append(f"unit {unit.unit_id}: zero geometric area, skipped")
-            continue
-        if unit.bounds.intersect(grid.spec.study) is None:
-            continue
-        cells, a = _cell_areas(grid, unit.geometry, unit.bounds)
-        has_youth = unit.population_18_35 is not None
-        if has_youth:
-            grid.has_youth = True
+    intersection area with the unit polygon.  Youth counts are spread too
+    if every unit that reaches the grid carries one; else grid.n_y becomes
+    None, as a partial youth layer would undercount.  Returns diagnostics
+    for skipped zero-area units."""
+    diags = [f"unit {u.unit_id}: zero geometric area, skipped"
+             for u in units if u.area <= MIN_AREA_KM2]
+    reaching = [u for u in units if u.area > MIN_AREA_KM2
+                and u.bounds.intersect(grid.spec.study) is not None]
+    if any(u.population_18_35 is None for u in reaching):
+        grid.n_y = None
+    elif reaching and grid.n_y is None and not grid.n_p.any():
+        # youth starts only on a grid without population, so that it
+        # covers every unit on it
+        grid.n_y = np.zeros_like(grid.n_p)
+    for unit in reaching:
+        cells, a = _cell_areas(grid.spec, unit.geometry, unit.bounds)
         hit = a > 0.0
-        share = a[hit] / total_area
+        share = a[hit] / unit.area
         grid.n_p[cells][hit] += unit.population * share
-        if has_youth:
+        if grid.n_y is not None:
             grid.n_y[cells][hit] += unit.population_18_35 * share
     return diags
 
 
-def densities(grid: DensityGrid) -> list[str]:
-    """Divide accumulators by land area.  Cells with zero land area carry
-    NaN densities; nonzero mass over water is reported as a diagnostic."""
-    diags: list[str] = []
+def densities(grid: DensityGrid, letters: str = DENSITY_LETTERS
+              ) -> tuple[Optional[np.ndarray], ...]:
+    """The density of each letter's count, in order: T tweets, U users,
+    P residents and Y youth.  A density is count / land area on land and
+    NaN where the land area is 0; Y is None on a grid without youth counts.
+    Derived on each call, so it follows the counts."""
+    counts = {"T": grid.n_t, "U": grid.n_u, "P": grid.n_p, "Y": grid.n_y}
     a = grid.land_area
     live = a > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        grid.t = np.where(live, grid.n_t / a, np.nan)
-        grid.u = np.where(live, grid.n_u / a, np.nan)
-        grid.p = np.where(live, grid.n_p / a, np.nan)
-        grid.y = np.where(live, grid.n_y / a, np.nan) if grid.has_youth else None
-    wet_mass = (~live) & ((grid.n_t > 0) | (grid.n_u > 0) | (grid.n_p > 0))
-    for i, j in zip(*np.nonzero(wet_mass)):
-        diags.append(f"cell ({i},{j}): mass over water (A=0), excluded")
-    return diags
+        return tuple(None if counts[d] is None else np.where(live, counts[d] / a, np.nan)
+                     for d in letters)
+
+
+def water_mass(grid: DensityGrid) -> list[str]:
+    """One diagnostic per cell without land that holds tweet, user or
+    resident mass, which no density counts."""
+    wet = (grid.land_area <= 0.0) & ((grid.n_t > 0) | (grid.n_u > 0) | (grid.n_p > 0))
+    return [f"cell ({i},{j}): mass over water (A=0), excluded"
+            for i, j in zip(*np.nonzero(wet))]
 
 
 def run_grid_pipeline(spec: GridSpec, land: MultiPolygon, records: Corpus,
                       units: Sequence[PopulationUnit]) -> DensityGrid:
-    """Build the grid, accumulate tweets, users and population from the
-    records, and derive densities."""
+    """Build the grid and bin the tweets, users and population of the
+    records and units into its counts."""
     grid = build_grid(spec, land)
     accumulate_tweets(grid, records)
     _accumulate_user_mass(grid, records)
     apportion_population(grid, units)
-    densities(grid)
     return grid
 
 
@@ -314,7 +314,7 @@ def cells_to_csv(spec: GridSpec, layers: dict, path) -> None:
 
 
 def grid_to_csv(grid: DensityGrid, path) -> None:
+    t, u, p, y = densities(grid)
     cells_to_csv(grid.spec, {
         "A_km2": grid.land_area, "N_t": grid.n_t, "N_u": grid.n_u, "N_p": grid.n_p,
-        "N_y": grid.n_y if grid.has_youth else None,
-        "T": grid.t, "U": grid.u, "P": grid.p, "Y": grid.y}, path)
+        "N_y": grid.n_y, "T": t, "U": u, "P": p, "Y": y}, path)

@@ -15,15 +15,13 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import MultiPolygon, spherical_rect_area
-from .gridding import DensityGrid, GridSpec, run_grid_pipeline
+from .gridding import DENSITY_LETTERS, DensityGrid, GridSpec, densities, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
 
 EXPONENTS = ("alpha", "beta", "gamma")
 EXPONENT_RELATION = {"alpha": "T_vs_P", "beta": "U_vs_P",
                      "gamma": "T_vs_U", "delta": "Y_vs_P"}
-# the DensityGrid attribute of each density letter of a relation
-_DENSITY = {"T": "t", "U": "u", "P": "p", "Y": "y"}
 
 
 @dataclass(frozen=True)
@@ -122,16 +120,15 @@ def relation_densities(grid: DensityGrid, relation: str
                        ) -> tuple[np.ndarray, np.ndarray]:
     """The (y, x) density arrays of relation "Y_vs_X", each letter one of
     T, U, P and Y.  Raises InsufficientDataError for Y on a grid without
-    youth counts and DataError for any other relation or before densities."""
+    youth counts and DataError for any other relation."""
     letters = relation.split("_vs_")
-    if len(letters) != 2 or not set(letters) <= _DENSITY.keys():
+    if len(letters) != 2 or not set(letters) <= set(DENSITY_LETTERS):
         raise DataError(f"unknown relation: {relation!r}")
-    if "Y" in letters and not grid.has_youth:
-        raise InsufficientDataError("grid has no youth population data")
-    ys, xs = (getattr(grid, _DENSITY[d]) for d in letters)
-    if ys is None or xs is None:
-        raise DataError("densities must be computed first")
-    return ys, xs
+    if "Y" in letters and grid.n_y is None:
+        raise InsufficientDataError(
+            "grid has no youth population data: every census unit that reaches "
+            "the grid must carry population_18_35")
+    return densities(grid, "".join(letters))
 
 
 def fit_exponent(grid: DensityGrid, cells: Sequence[tuple[int, int]],

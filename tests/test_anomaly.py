@@ -64,9 +64,7 @@ def law_grid(x=4, youth=False):
     grid.n_u[:, :] = u
     grid.n_t[:, :] = t
     if youth:
-        grid.n_y[:, :] = 0.3 * p ** 0.9
-        grid.has_youth = True
-    densities(grid)
+        grid.n_y = 0.3 * p ** 0.9
     return grid
 
 
@@ -84,7 +82,6 @@ class TestAnomalyMap:
         grid = law_grid()
         grid.n_t[0, 0] *= 4.0
         grid.n_t[1, 1] *= 0.25
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         assert amap.a_abs[0, 0] > 0
         assert amap.a_rel[0, 0] > 0
@@ -95,7 +92,6 @@ class TestAnomalyMap:
         grid = law_grid()
         grid.n_t[2, 2] = 0.5   # below 1 tweet / km^2
         grid.n_p[3, 3] = 0.5
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         assert amap.masked[2, 2]
         assert amap.masked[3, 3]
@@ -104,14 +100,12 @@ class TestAnomalyMap:
     def test_water_cells_masked(self):
         grid = law_grid()
         grid.land_area[0, 1] = 0.0
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         assert amap.masked[0, 1]
 
     def test_caps_clip_exports_only(self):
         grid = law_grid()
         grid.n_t[0, 0] *= 1e6
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"],
                            abs_cap=1000.0, rel_cap=2.0)
         assert amap.a_abs[0, 0] > 1000.0
@@ -129,7 +123,6 @@ class TestAnomalyMap:
     def test_infinite_caps_leave_values_unclipped(self):
         grid = law_grid()
         grid.n_t[0, 0] *= 1e6
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"],
                            abs_cap=math.inf, rel_cap=math.inf)
         assert np.array_equal(amap.a_abs_capped, amap.a_abs, equal_nan=True)
@@ -139,7 +132,6 @@ class TestAnomalyMap:
         grid = law_grid()
         grid.n_t[1, 2] *= 3.0
         grid.n_t[2, 2] = 0.5
-        densities(grid)
         amap = anomaly_map(grid, fit(exponent=1.2, log10_prefactor=0.1))
         assert amap.masked[2, 2] and np.isnan(amap.a_rel[2, 2])
         for i, j in zip(*np.nonzero(~amap.masked)):
@@ -160,7 +152,7 @@ class TestAnomalyMap:
         amap = anomaly_map(grid, youth_fit(grid))
         sel = ~amap.masked
         assert amap.relation == "Y_vs_P"
-        np.testing.assert_array_equal(amap.measured[sel], grid.y[sel])
+        np.testing.assert_array_equal(amap.measured[sel], densities(grid, "Y")[0][sel])
         np.testing.assert_allclose(amap.a_rel[sel], 0.0, atol=1e-12)
 
 
@@ -179,7 +171,6 @@ class TestCorrelation:
     def test_identical_grids_correlate_perfectly(self):
         grid = law_grid()
         grid.n_t *= 10 ** np.random.default_rng(2).normal(0, 0.2, (4, 4))
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         res = anomaly_correlation(amap, amap)
         assert res.pearson_r == pytest.approx(1.0, abs=1e-12)
@@ -203,7 +194,6 @@ class TestExports:
     def test_csv_has_all_cells_and_masked_flag(self, tmp_path):
         grid = law_grid()
         grid.n_t[2, 2] = 0.0
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         path = tmp_path / "anomaly.csv"
         anomaly_to_csv(amap, path)
@@ -217,7 +207,6 @@ class TestExports:
     def test_geojson_skips_masked_cells(self):
         grid = law_grid()
         grid.n_t[2, 2] = 0.0
-        densities(grid)
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
         fc = anomaly_to_geojson(amap)
         assert fc["type"] == "FeatureCollection"

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -555,6 +556,49 @@ class TestGridCommand:
         expected = sum(sum(col) for col in gt["n_t"])
         assert total_t == pytest.approx(expected, abs=1e-6)
 
+    def test_grid_csv_bytes_are_pinned(self, tmp_path):
+        """An L-shaped coast leaves cell (1, 1) of a 2 x 2 grid under water,
+        with a GPS tweet and part of a census unit in it; a place box spans
+        all four cells and every unit carries a youth count."""
+        def feature(props, ring):
+            return {"type": "Feature", "properties": props,
+                    "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+        def box(lon0, lat0, lon1, lat1):
+            return [[lon0, lat0], [lon1, lat0], [lon1, lat1], [lon0, lat1]]
+
+        land = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2], [0, 0]]
+        units = [feature({"population": 1200, "population_18_35": 300},
+                         box(0, 0, 1.5, 1.5) + [[0, 0]]),
+                 feature({"population": 800, "population_18_35": 250},
+                         box(0.5, 0.25, 2, 2) + [[0.5, 0.25]])]
+        tweets = [{"id_str": f"g{k}", "user": {"id_str": f"u{k % 3}"},
+                   "coordinates": {"coordinates": [lon, lat]}, "source": "app"}
+                  for k, (lon, lat) in enumerate(
+                      [(0.25, 0.5), (0.75, 1.25), (1.5, 0.5), (1.5, 1.5), (0.3, 1.9)])]
+        tweets.append({"id_str": "b0", "user": {"id_str": "u0"}, "source": "app",
+                       "place": {"place_type": "city", "bounding_box": {
+                           "type": "Polygon", "coordinates": [box(0.5, 0.5, 1.75, 1.25)]}}})
+        (tmp_path / "land.geojson").write_text(json.dumps(
+            {"type": "FeatureCollection", "features": [feature({}, land)]}))
+        (tmp_path / "population.geojson").write_text(json.dumps(
+            {"type": "FeatureCollection", "features": units}))
+        (tmp_path / "tweets.jsonl").write_text(
+            "".join(json.dumps(t) + "\n" for t in tweets))
+        out = tmp_path / "out"
+        assert main(["grid", "--tweets", str(tmp_path / "tweets.jsonl"),
+                     "--population", str(tmp_path / "population.geojson"),
+                     "--land", str(tmp_path / "land.geojson"), "--study=0,0,2,2",
+                     "--x", "2", "--tag-kind", "both", "--bot-threshold", "1",
+                     "--min-user-tweets", "1", "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "grid.csv").open()))
+        water = next(r for r in rows if (r["i"], r["j"]) == ("1", "1"))
+        assert water["A_km2"] == "0.0" and float(water["N_t"]) > 0
+        assert water["T"] == water["P"] == ""
+        assert all(r["N_y"] for r in rows)
+        assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == (
+            "94ba4fe941a51593c609af9f1089ecffb3ea61888bade3547343d84f3a2e4afa")
+
     @pytest.mark.parametrize("command", ["grid", "fit"])
     def test_bad_census_feature_is_a_counted_skip(self, tmp_path, corpus, capsys,
                                                   command):
@@ -660,6 +704,21 @@ class TestAnomalyCommand:
         assert len(rows) == 36
         unmasked = [r for r in rows if r["masked"] == "0"]
         assert unmasked
+
+    def test_youth_map_needs_youth_on_every_unit(self, tmp_path, corpus, capsys):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("tweets.jsonl", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        fc = json.loads((corpus / "population.geojson").read_text())
+        assert all("population_18_35" in f["properties"] for f in fc["features"])
+        del fc["features"][0]["properties"]["population_18_35"]
+        (inputs / "population.geojson").write_text(json.dumps(fc))
+        assert run_cmd(inputs, tmp_path / "yp", "anomaly", "--x", "6", "--kind", "yp") == 3
+        assert capsys.readouterr().err == (
+            "insufficient data: grid has no youth population data: every census "
+            "unit that reaches the grid must carry population_18_35\n")
+        assert run_cmd(inputs, tmp_path / "tu", "anomaly", "--x", "6", "--kind", "tu") == 0
 
     def test_both_kinds_write_correlation(self, tmp_path, corpus):
         assert run_cmd(corpus, tmp_path, "anomaly", "--x", "6",

@@ -24,6 +24,7 @@ from geoscale.gridding import (
     densities,
     group_by_user,
     run_grid_pipeline,
+    water_mass,
 )
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 
@@ -277,8 +278,36 @@ class TestApportionPopulation:
         unit = PopulationUnit("a", rect_poly(LonLatRect(0.2, 0.2, 0.8, 0.8)),
                               500, population_18_35=150)
         apportion_population(grid, [unit])
-        assert grid.has_youth
+        assert grid.n_y is not None
         assert grid.n_y[0, 0] == pytest.approx(150.0, rel=1e-9)
+
+    def test_youth_needs_every_unit_that_reaches_the_grid(self):
+        with_youth = PopulationUnit("a", rect_poly(LonLatRect(0.2, 0.2, 0.8, 0.8)),
+                                    500, population_18_35=150)
+        without = PopulationUnit("b", rect_poly(LonLatRect(2.2, 2.2, 2.8, 2.8)), 400)
+        outside = PopulationUnit("c", rect_poly(LonLatRect(5.0, 5.0, 6.0, 6.0)), 300)
+        for units in ([with_youth, without], [without, with_youth]):
+            grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+            apportion_population(grid, units)
+            assert grid.n_y is None
+            assert grid.n_p.sum() == pytest.approx(900.0, rel=1e-12)
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        apportion_population(grid, [with_youth, outside])
+        assert grid.n_y.sum() == pytest.approx(150.0, rel=1e-12)
+
+    def test_youth_needs_every_unit_across_calls(self):
+        with_youth = PopulationUnit("a", rect_poly(LonLatRect(0.2, 0.2, 0.8, 0.8)),
+                                    500, population_18_35=150)
+        without = PopulationUnit("b", rect_poly(LonLatRect(2.2, 2.2, 2.8, 2.8)), 400)
+        for first, second in ((with_youth, without), (without, with_youth)):
+            grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+            apportion_population(grid, [first])
+            apportion_population(grid, [second])
+            assert grid.n_y is None
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        apportion_population(grid, [with_youth])
+        apportion_population(grid, [with_youth])
+        assert grid.n_y.sum() == pytest.approx(300.0, rel=1e-12)
 
     def test_unit_area_and_bounds_computed_once_across_grids(self, monkeypatch):
         import geoscale.ingest as ingest
@@ -354,20 +383,31 @@ class TestDensities:
     def test_density_is_mass_over_area(self):
         grid = DensityGrid(GridSpec(STUDY, 1), np.array([[5.0]]))
         grid.n_t[0, 0] = 10.0
-        densities(grid)
-        assert grid.t[0, 0] == pytest.approx(2.0)
+        assert densities(grid, "T")[0][0, 0] == pytest.approx(2.0)
 
     def test_zero_mass_zero_density(self):
         grid = DensityGrid(GridSpec(STUDY, 1), np.array([[5.0]]))
-        densities(grid)
-        assert grid.t[0, 0] == 0.0
+        assert densities(grid, "T")[0][0, 0] == 0.0
+        grid.n_t[0, 0] = 10.0   # derived on each call: no stale density
+        assert densities(grid, "T")[0][0, 0] == 2.0
+        assert water_mass(grid) == []
 
     def test_mass_over_water_excluded_with_diagnostic(self):
         grid = DensityGrid(GridSpec(STUDY, 1), np.array([[0.0]]))
         grid.n_t[0, 0] = 3.0
-        diags = densities(grid)
-        assert len(diags) == 1
-        assert np.isnan(grid.t[0, 0])
+        assert water_mass(grid) == ["cell (0,0): mass over water (A=0), excluded"]
+        assert np.isnan(densities(grid, "T")[0][0, 0])
+
+    def test_letters_in_order_and_youth_none_without_counts(self):
+        grid = DensityGrid(GridSpec(STUDY, 2), np.array([[2.0, 4.0], [0.0, 8.0]]))
+        grid.n_t[:, :], grid.n_u[:, :], grid.n_p[:, :] = 1.0, 2.0, 4.0
+        t, u, p, y = densities(grid)
+        np.testing.assert_array_equal(t, [[0.5, 0.25], [np.nan, 0.125]])
+        np.testing.assert_array_equal(u, 2 * t)
+        np.testing.assert_array_equal(p, 4 * t)
+        assert y is None
+        grid.n_y = np.ones((2, 2))
+        np.testing.assert_array_equal(densities(grid, "YT")[0], t)
 
 
 class TestNestingConsistency:
@@ -396,4 +436,4 @@ class TestPipeline:
                                  units)
         assert grid.n_t.sum() == pytest.approx(200, abs=1e-9)
         assert grid.n_p.sum() == pytest.approx(10000, rel=1e-9)
-        assert grid.t is not None
+        assert grid.n_y is None   # the unit carries no youth count

@@ -88,7 +88,6 @@ def grid_with_law(x=6, beta=1.2, gamma=1.35):
             grid.n_p[i, j] = p * a
             grid.n_u[i, j] = u * a
             grid.n_t[i, j] = t * a
-    densities(grid)
     return grid
 
 
@@ -117,7 +116,9 @@ class TestRelationDensities:
     def test_letters_pick_the_density_arrays(self):
         grid = grid_with_law(x=3)
         ys, xs = relation_densities(grid, "T_vs_U")
-        assert ys is grid.t and xs is grid.u
+        t, u = densities(grid, "TU")
+        np.testing.assert_array_equal(ys, t)
+        np.testing.assert_array_equal(xs, u)
 
     def test_youth_unavailable_without_youth_counts(self):
         grid = grid_with_law(x=3)
@@ -130,11 +131,6 @@ class TestRelationDensities:
     def test_unknown_relation_is_a_domain_error(self, relation):
         with pytest.raises(DataError, match=re.escape(f"unknown relation: {relation!r}")):
             relation_densities(grid_with_law(x=3), relation)
-
-    def test_densities_must_be_computed(self):
-        grid = DensityGrid(GridSpec(STUDY, 2), np.ones((2, 2)))
-        with pytest.raises(DataError, match="densities must be computed first"):
-            relation_densities(grid, "T_vs_P")
 
 
 class TestMeanCellArea:

@@ -1,6 +1,7 @@
 """The bench tracer's contract with the package: every function it wraps
-exists, and every parameter a hook binds by name is still a parameter.
-A broken contract makes a traced bench run print a trace-hook warning."""
+exists, every parameter a hook binds by name is still a parameter, and
+every grid attribute a hook reads is still on the grid.  A broken contract
+makes a traced bench run print a trace-hook warning."""
 
 import importlib
 import importlib.util
@@ -8,6 +9,10 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
+from geoscale.gridding import GridSpec, run_grid_pipeline
+from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 
 _TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -47,3 +52,26 @@ def test_each_bound_parameter_exists(tracing, name):
     assert name in tracing._HOOKS
     parameters = inspect.signature(_function(name)).parameters
     assert [p for p in HOOK_PARAMETERS[name] if p not in parameters] == []
+
+
+# the grid attributes the hooks read, from a call's grid argument or result
+GRID_ATTRIBUTES = ("spec", "lon_edges", "lat_edges", "n_t", "n_u", "n_p")
+
+
+def test_grid_hooks_read_what_a_grid_holds(tracing):
+    study = LonLatRect(0.0, 0.0, 2.0, 2.0)
+    land = MultiPolygon.of(PolygonWithHoles(rect_ring(study)))
+    records = Corpus.of([
+        LocatedRecord("t0", "u0", point=(0.5, 0.5), tag_kind="geo"),
+        LocatedRecord("t1", "u1", box=LonLatRect(0.2, 0.2, 1.5, 1.5), tag_kind="place")])
+    units = [PopulationUnit("a", land, 100.0)]
+    grid = run_grid_pipeline(GridSpec(study, 2), land, records, units)
+    assert [a for a in GRID_ATTRIBUTES if not hasattr(grid, a)] == []
+    # called directly, a hook raises what the tracer would count as an error
+    tr = tracing.Tracer("test", (0.0, 0.0, 2.0, 2.0))
+    tracing._h_run_grid_pipeline(tr, -1, (grid.spec, land, records, units), {}, grid)
+    tracing._h_accumulate_tweets(tr, -1, (grid, records), {}, grid)
+    assert tr.violations == []
+    assert tr.counts["bench.grids_checked"] == 1
+    assert tr.counts["gridding.box_records"] == 1
+    assert tr.counts["gridding.box_cells_spanned_computed"] == 4

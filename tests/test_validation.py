@@ -6,7 +6,7 @@ import pytest
 
 from geoscale.errors import InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
-from geoscale.gridding import DensityGrid, GridSpec, densities
+from geoscale.gridding import DensityGrid, GridSpec
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 from geoscale.scaling import fit_all, fit_cells
 from geoscale.validation import (
@@ -108,7 +108,6 @@ def law_grid(x=10, seed=4):
     grid.n_p[:, :] = p
     grid.n_u[:, :] = u
     grid.n_t[:, :] = t
-    densities(grid)
     return grid
 
 
@@ -175,7 +174,6 @@ class TestSubsetResample:
     def test_empty_cell_drops_its_pairs_not_the_replicate(self):
         grid = law_grid(x=4)
         grid.n_t[1, 2] = grid.n_u[1, 2] = 0.0
-        densities(grid)
         dist = subset_resample(grid, self.config(subset_fraction=1.0,
                                                  replicates=3), min_tweets=0)
         assert dist.dropped == 0
