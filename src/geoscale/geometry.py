@@ -7,6 +7,11 @@ across a rectangular partition conserves total area to machine precision.
 For axis-aligned rectangles the integral reduces to the closed form in
 :func:`spherical_rect_area`.
 
+A polygon meets a grid by Sutherland-Hodgman clipping: each ring is clipped
+once per column between its meridians, and each piece once per cell
+between the cell's parallels.  Clipped pieces below 1e-12 km^2 are dropped,
+and a cell with under 1e-9 km^2 of land counts as open water.
+
 Self-intersecting rings are not detected; the signed-area result is taken
 as-is.
 """
@@ -158,11 +163,10 @@ def _net_area(outer: float, holes: float) -> float:
     return max(result, 0.0)
 
 
-def _clip_half_plane(coords, axis: int, bound: float, keep_below: bool):
-    """Clip an open coordinate list against one axis-aligned half-plane."""
+def _clip_half_plane(coords, axis: int, bound: float, keep_below: bool) -> list:
+    """Clip an open coordinate sequence against one axis-aligned half-plane."""
     out = []
-    n = len(coords)
-    for k in range(n):
+    for k in range(len(coords)):
         cur = coords[k]
         prev = coords[k - 1]
         if keep_below:
@@ -172,53 +176,32 @@ def _clip_half_plane(coords, axis: int, bound: float, keep_below: bool):
             cur_in = cur[axis] >= bound
             prev_in = prev[axis] >= bound
         if cur_in != prev_in:
-            # Edge crosses the boundary; interpolate the crossing point.
+            # Edge crosses the boundary: the crossing lies on it, so only
+            # the other coordinate is interpolated.
             t = (bound - prev[axis]) / (cur[axis] - prev[axis])
-            crossing = (
-                prev[0] + t * (cur[0] - prev[0]),
-                prev[1] + t * (cur[1] - prev[1]),
-            )
-            if axis == 0:
-                crossing = (bound, crossing[1])
-            else:
-                crossing = (crossing[0], bound)
-            out.append(crossing)
+            free = prev[1 - axis] + t * (cur[1 - axis] - prev[1 - axis])
+            out.append((bound, free) if axis == 0 else (free, bound))
         if cur_in:
             out.append(cur)
     return out
 
 
-def _dedupe(coords):
-    out = []
-    for c in coords:
-        if not out or c != out[-1]:
-            out.append(c)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
+def _clip_slab(coords, axis: int, lo: float, hi: float) -> list:
+    """The part of an open coordinate sequence with lo <= coordinate <= hi
+    on one axis (0 longitude, 1 latitude): two Sutherland-Hodgman steps."""
+    coords = _clip_half_plane(coords, axis, lo, keep_below=False)
+    return _clip_half_plane(coords, axis, hi, keep_below=True)
 
 
-def _clip_to_column(coords, min_lon: float, max_lon: float) -> list:
-    """The part of an open coordinate list between two meridians: the
-    first two Sutherland-Hodgman steps of a clip to a rect."""
-    coords = _clip_half_plane(coords, 0, min_lon, keep_below=False)
-    return _clip_half_plane(coords, 0, max_lon, keep_below=True)
-
-
-def _clip_to_band(coords, min_lat: float, max_lat: float):
-    """Clip a column piece between two parallels: the last two
-    Sutherland-Hodgman steps of a clip to a rect.  Returns (coords, absolute
-    area), or None when there is no overlap or the remainder is a sliver
-    below 1e-12 km^2."""
-    coords = _clip_half_plane(coords, 1, min_lat, keep_below=False)
-    coords = _clip_half_plane(coords, 1, max_lat, keep_below=True)
-    coords = _dedupe(coords)
+def _band_area(piece, min_lat: float, max_lat: float) -> float:
+    """Absolute area of the part of a column piece between two parallels,
+    km^2: 0.0 when there is no overlap or the remainder is a sliver below
+    1e-12 km^2."""
+    coords = _clip_slab(piece, 1, min_lat, max_lat)
     if len(set(coords)) < 3:
-        return None
+        return 0.0
     area = abs(_signed_area(coords))
-    if area < _SLIVER_AREA_KM2:
-        return None
-    return coords, area
+    return area if area >= _SLIVER_AREA_KM2 else 0.0
 
 
 def grid_intersection_areas(m: MultiPolygon, lon_edges: list, lat_edges: list
@@ -231,30 +214,23 @@ def grid_intersection_areas(m: MultiPolygon, lon_edges: list, lat_edges: list
     the piece once per cell against the cell's parallels.  A hole is clipped
     like its outer ring and its area subtracted from the outer piece's.
     """
-    rings = [(list(p.outer.coords), [list(h.coords) for h in p.holes])
-             for p in m.polygons]
     bands = list(zip(lat_edges[:-1], lat_edges[1:]))
     areas = []
     for min_lon, max_lon in zip(lon_edges[:-1], lon_edges[1:]):
         pieces = []
-        for outer, holes in rings:
-            piece = _clip_to_column(outer, min_lon, max_lon)
+        for p in m.polygons:
+            piece = _clip_slab(p.outer.coords, 0, min_lon, max_lon)
             if piece:
-                pieces.append((piece, [h for h in (_clip_to_column(hole, min_lon, max_lon)
-                                                   for hole in holes) if h]))
-        if not pieces:
-            areas.append([0.0] * len(bands))
-            continue
+                pieces.append((piece, [_clip_slab(h.coords, 0, min_lon, max_lon)
+                                       for h in p.holes]))
         column = []
         for min_lat, max_lat in bands:
             net = []
             for piece, holes in pieces:
-                outer = _clip_to_band(piece, min_lat, max_lat)
-                if outer is None:
-                    continue
-                hole_areas = (_clip_to_band(h, min_lat, max_lat) for h in holes)
-                net.append(_net_area(outer[1], fsum(h[1] for h in hole_areas
-                                                    if h is not None)))
+                outer = _band_area(piece, min_lat, max_lat)
+                if outer:
+                    net.append(_net_area(outer, fsum(_band_area(h, min_lat, max_lat)
+                                                     for h in holes)))
             column.append(max(fsum(net), 0.0))
         areas.append(column)
     return areas

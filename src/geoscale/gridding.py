@@ -241,11 +241,10 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
         grid.n_y = np.zeros_like(grid.n_p)
     for unit in reaching:
         cells, a = _cell_areas(grid.spec, unit.geometry, unit.bounds)
-        hit = a > 0.0
-        share = a[hit] / unit.area
-        grid.n_p[cells][hit] += unit.population * share
+        share = a / unit.area
+        grid.n_p[cells] += unit.population * share
         if grid.n_y is not None:
-            grid.n_y[cells][hit] += unit.population_18_35 * share
+            grid.n_y[cells] += unit.population_18_35 * share
     return diags
 
 

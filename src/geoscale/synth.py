@@ -9,7 +9,6 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import asdict, astuple, dataclass
@@ -66,7 +65,6 @@ class SynthConfig:
 class GroundTruth:
     config: SynthConfig
     cell_area: np.ndarray        # km^2, (X, X)
-    p_density: np.ndarray        # persons/km^2
     population: np.ndarray       # int persons per cell
     youth: np.ndarray            # int persons 18-35 per cell
     n_u: Optional[np.ndarray] = None  # int users per cell
@@ -106,7 +104,6 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
     rng = np.random.default_rng(mix_seed(config.seed, _POP_STREAM))
 
     cell_area = np.zeros((x, x))
-    p_density = np.zeros((x, x))
     population = np.zeros((x, x), dtype=np.int64)
     youth = np.zeros((x, x), dtype=np.int64)
     features = []
@@ -118,7 +115,6 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
             pop = round(p * area)
             y = round(youth_share(p) * pop)
             cell_area[i, j] = area
-            p_density[i, j] = p
             population[i, j] = pop
             youth[i, j] = y
             features.append({
@@ -131,7 +127,7 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
                 },
             })
     fc = {"type": "FeatureCollection", "features": features}
-    return fc, GroundTruth(config, cell_area, p_density, population, youth)
+    return fc, GroundTruth(config, cell_area, population, youth)
 
 
 # Every synthetic record is a "city" place tag whose bounding box has the
@@ -161,16 +157,9 @@ def _lines(columns) -> str:
 
 def _parsed(column_batches) -> list[dict]:
     """The records of the column batches: their lines read back by json, one
-    array per batch.  The cyclic garbage collector is paused meanwhile: it
-    would scan the growing list of records again and again for no garbage."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return [r for columns in column_batches
-                for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
-    finally:
-        if enabled:
-            gc.enable()
+    array per batch."""
+    return [r for columns in column_batches
+            for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
 
 
 def _activity_columns(config: SynthConfig, gt: GroundTruth):

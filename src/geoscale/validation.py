@@ -80,7 +80,7 @@ def subarea_grid_side(x: int, area_fraction: float) -> int:
     return max(1, round(x * math.sqrt(area_fraction)))
 
 
-def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution:
+def _replicates(config: ResampleConfig, draw) -> ResampleDistribution:
     """Run replicates 0 .. config.replicates - 1.  Replicate k hands a
     generator seeded with mix_seed(master_seed, k) to draw, which returns
     the replicate's fits, or None when the draw cannot be placed.  A draw
@@ -93,7 +93,7 @@ def _replicates(mode: str, config: ResampleConfig, draw) -> ResampleDistribution
         except InsufficientDataError:
             fits = None
         rows.append((k, *(fits[name].exponent if fits else None for name in EXPONENTS)))
-    dist = ResampleDistribution(mode, rows, dropped=sum(row[1] is None for row in rows))
+    dist = ResampleDistribution(config.mode, rows, dropped=sum(row[1] is None for row in rows))
     if len(rows) - dist.dropped >= 10:      # a row holds all three exponents or none
         dist.ci68 = {name: ci68(dist.samples(name)) for name in EXPONENTS}
     return dist
@@ -109,8 +109,11 @@ def subarea_resample(records: Corpus, units, land: MultiPolygon, spec: GridSpec,
     scale sqrt(area_fraction)), and its resolution is maintained by scaling
     the side count accordingly.  Population is re-apportioned from source
     polygons per replicate.  Points are kept when inside the sub-rect,
-    boxes only when fully contained (matching the ingest rule).
+    boxes only when fully contained (matching the ingest rule).  Raises
+    ConfigError unless config.mode is subarea.
     """
+    if config.mode != "subarea":
+        raise ConfigError(f"subarea_resample cannot run mode {config.mode!r}")
     study = spec.study
     w = study.width * math.sqrt(config.area_fraction)
     h = study.height * math.sqrt(config.area_fraction)
@@ -125,7 +128,7 @@ def subarea_resample(records: Corpus, units, land: MultiPolygon, spec: GridSpec,
         grid = run_grid_pipeline(GridSpec(sub, x_sub), land, kept, units)
         return fit_all(grid, min_tweets, min_population)
 
-    return _replicates("subarea", config, draw)
+    return _replicates(config, draw)
 
 
 def subset_resample(grid: DensityGrid, config: ResampleConfig,
@@ -136,8 +139,11 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
     In subset_nonadjacent mode the sampler rejects cells sharing an edge or
     corner (Chebyshev index distance < 2) with an already chosen cell, with
     a bounded number of re-draws per cell; replicates that cannot satisfy
-    the constraint are dropped and counted.
+    the constraint are dropped and counted.  Raises ConfigError unless
+    config.mode is subset or subset_nonadjacent.
     """
+    if config.mode == "subarea":
+        raise ConfigError("subset_resample cannot run mode 'subarea'")
     cells = cell_indices(grid, min_tweets, min_population)
     n = len(cells)
     m = math.ceil(config.subset_fraction * n)
@@ -164,7 +170,7 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
                 return None
         return fit_cells(grid, chosen)
 
-    return _replicates(config.mode, config, draw)
+    return _replicates(config, draw)
 
 
 def resample_to_csv(dist: ResampleDistribution, path) -> None:

@@ -223,6 +223,22 @@ class TestGridIntersectionAreas:
                                   lon_edges[i + 1], lat_edges[j + 1])
                 assert areas[i][j] == intersection_area(m, cell)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 4), (4, 4), (3, 5)])
+    def test_repeated_vertex_changes_no_area(self, nx, ny):
+        """A repeated vertex, and the repeat the clip emits where a vertex
+        lies on a band edge, add exact zeros to the area sum."""
+        from geoscale.geometry import _clip_slab
+
+        plain = [(0.5, 0.5), (3.5, 1.0), (2.0, 3.0), (0.5, 2.0)]
+        repeated = plain[:2] + plain[1:]
+        clipped = _clip_slab(plain, 1, 1.0, 2.0)   # (3.5, 1.0) is on the edge
+        assert any(a == b for a, b in zip(clipped, clipped[1:]))
+        lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
+        lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
+        areas = grid_intersection_areas(_poly(Ring(repeated)), lon_edges, lat_edges)
+        assert areas == grid_intersection_areas(_poly(Ring(plain)), lon_edges, lat_edges)
+        assert math.fsum(map(math.fsum, areas)) > 0.0
+
     def test_rect_overlaps_are_the_closed_form(self):
         """A rect polygon overlaps a cell in a rect, whose area
         spherical_rect_area gives without clipping."""

@@ -143,13 +143,15 @@ class TestGenActivity:
 
 
 class TestExponentRecovery:
-    def test_noiseless_generation_recovers_exact_exponents(self):
+    def test_noiseless_generation_recovers_exact_exponents(self, tmp_path):
         cfg = SynthConfig(study=LonLatRect(-3.0, 50.0, -2.0, 51.0), x_gen=10,
                           b_true=0.05, c_true=2.0, noise_dex=0.0,
                           pop_log10_mean=1.3, pop_log10_sigma=0.5, seed=3)
         fc, gt = gen_population(cfg)
-        records = gen_activity(cfg, gt)
-        tweets, _ = parse_tweets([json.dumps(r) for r in records])
+        # the gen_activity records, as lines (TestWriteCorpus pins that)
+        path = tmp_path / "tweets.jsonl"
+        write_corpus(cfg, gt, path, n_bots=0, bot_tweet_fraction=0.0)
+        tweets, _ = parse_tweets(path)
         _, located = corpus_stats(tweets, cfg.study)
         land = geometry_from_geojson(
             land_geojson(cfg.study)["features"][0]["geometry"])

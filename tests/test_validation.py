@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from geoscale.errors import InsufficientDataError
+from geoscale.errors import ConfigError, InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import DensityGrid, GridSpec
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
@@ -187,6 +187,16 @@ class TestSubsetResample:
         with pytest.raises(InsufficientDataError):
             subset_resample(grid, self.config(subset_fraction=0.05))
 
+    def test_reports_the_mode_it_ran(self):
+        dist = subset_resample(law_grid(), self.config(replicates=3))
+        assert dist.mode == "subset"
+        assert resample_summary(dist, self.config(replicates=3))["mode"] == "subset"
+
+    def test_refuses_subarea_mode(self):
+        # the config's default mode is subarea, which this function does not run
+        with pytest.raises(ConfigError, match="subarea"):
+            subset_resample(law_grid(), ResampleConfig(replicates=3))
+
 
 class TestSubareaResample:
     def test_reproducible_and_recovers_exponents(self):
@@ -211,6 +221,13 @@ class TestSubareaResample:
         records, units = law_records_and_units()
         cfg = ResampleConfig(mode="subarea", replicates=3, master_seed=0)
         with pytest.raises(ValueError, match="defect in binning"):
+            subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
+
+    @pytest.mark.parametrize("mode", ["subset", "subset_nonadjacent"])
+    def test_refuses_subset_modes(self, mode):
+        records, units = law_records_and_units()
+        cfg = ResampleConfig(mode=mode, replicates=1, master_seed=0)
+        with pytest.raises(ConfigError, match=mode):
             subarea_resample(Corpus.of(records), units, LAND, GridSpec(STUDY, 8), cfg)
 
     def test_subarea_side_keeps_cell_size(self):
