@@ -73,10 +73,9 @@ class RunConfig:
     bot_fraction: float = 0.02
 
     def study_rect(self) -> LonLatRect:
-        lo_lon, lo_lat, hi_lon, hi_lat = self.study
         try:
-            return LonLatRect(lo_lon, lo_lat, hi_lon, hi_lat)
-        except ValueError as exc:
+            return LonLatRect(*self.study)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad study rect {self.study}: {exc}") from exc
 
 
@@ -139,8 +138,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if getattr(cfg, key) not in words:
             raise ConfigError(f"bad {key}: {getattr(cfg, key)!r} "
                               f"(choose from {', '.join(words)})")
-    if len(cfg.study) != 4:
-        raise ConfigError("study must be min_lon,min_lat,max_lon,max_lat")
     return cfg
 
 
@@ -181,11 +178,15 @@ def load_land(path) -> MultiPolygon:
     return MultiPolygon(tuple(polys))
 
 
+def _report_skips(layer: str, noun: str, diags: ingest.ParseDiagnostics) -> None:
+    if diags.skipped:
+        print(f"{layer}: skipped {diags.skipped} {noun} ({dict(diags.reasons)})",
+              file=sys.stderr)
+
+
 def load_population(path):
     units, diags = ingest.parse_population(_load_json(path, "population"))
-    if diags.skipped:
-        print(f"population: skipped {diags.skipped} features "
-              f"({dict(diags.reasons)})", file=sys.stderr)
+    _report_skips("population", "features", diags)
     return units
 
 
@@ -195,13 +196,9 @@ def _load_corpus(cfg: RunConfig):
     if not cfg.tweets:
         raise ConfigError("--tweets is required for this command")
     study = cfg.study_rect()
-    if any(map(math.isnan, cfg.study)):   # no record is inside such a rect
-        raise ConfigError(f"study rect {cfg.study} has a NaN bound")
     diags = ingest.ParseDiagnostics()
     stats, corpus = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags), study)
-    if diags.skipped:
-        print(f"tweets: skipped {diags.skipped} malformed records",
-              file=sys.stderr)
+    _report_skips("tweets", "malformed records", diags)
     if cfg.tag_kind != "both":
         corpus = corpus.take(corpus.place == (cfg.tag_kind == "place"))
     return stats, corpus

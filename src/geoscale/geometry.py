@@ -51,8 +51,8 @@ class LonLatRect:
     max_lat: float
 
     def __post_init__(self) -> None:
-        if self.min_lon > self.max_lon or self.min_lat > self.max_lat:
-            raise ValueError("rect min must not exceed max")
+        if not (self.min_lon <= self.max_lon and self.min_lat <= self.max_lat):
+            raise ValueError("rect min must not exceed max, and no bound may be NaN")
 
     @property
     def width(self) -> float:
@@ -63,13 +63,12 @@ class LonLatRect:
         return self.max_lat - self.min_lat
 
     def intersect(self, other: "LonLatRect") -> "LonLatRect | None":
-        lo_lon = max(self.min_lon, other.min_lon)
-        hi_lon = min(self.max_lon, other.max_lon)
-        lo_lat = max(self.min_lat, other.min_lat)
-        hi_lat = min(self.max_lat, other.max_lat)
-        if lo_lon > hi_lon or lo_lat > hi_lat:
+        try:
+            return LonLatRect(
+                max(self.min_lon, other.min_lon), max(self.min_lat, other.min_lat),
+                min(self.max_lon, other.max_lon), min(self.max_lat, other.max_lat))
+        except ValueError:   # the rects do not meet
             return None
-        return LonLatRect(lo_lon, lo_lat, hi_lon, hi_lat)
 
 
 class Ring:
@@ -78,7 +77,7 @@ class Ring:
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Iterable) -> None:
-        coords = list(vertices)
+        coords = [(lon, lat) for lon, lat, *_ in vertices]   # an altitude is ignored
         try:
             finite = all(is_number(lon) and is_number(lat) and isfinite(lon)
                          and isfinite(lat) for lon, lat in coords)

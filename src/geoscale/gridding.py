@@ -222,15 +222,12 @@ def accumulate_users(grid: DensityGrid, groups: Sequence[tuple[str, list]]
     return grid
 
 
-def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
-                         ) -> list[str]:
+def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]) -> None:
     """Spread each unit's population over cells proportionally to the
-    intersection area with the unit polygon.  Youth counts are spread too
-    if every unit that reaches the grid carries one; else grid.n_y becomes
-    None, as a partial youth layer would undercount.  Returns diagnostics
-    for skipped zero-area units."""
-    diags = [f"unit {u.unit_id}: zero geometric area, skipped"
-             for u in units if u.area <= MIN_AREA_KM2]
+    intersection area with the unit polygon; a unit of at most MIN_AREA_KM2
+    has none to spread over.  Youth counts are spread too if every unit that
+    reaches the grid carries one; else grid.n_y becomes None, as a partial
+    youth layer would undercount."""
     reaching = [u for u in units if u.area > MIN_AREA_KM2
                 and u.bounds.intersect(grid.spec.study) is not None]
     if any(u.population_18_35 is None for u in reaching):
@@ -245,7 +242,6 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]
         grid.n_p[cells] += unit.population * share
         if grid.n_y is not None:
             grid.n_y[cells] += unit.population_18_35 * share
-    return diags
 
 
 def densities(grid: DensityGrid, letters: str = DENSITY_LETTERS

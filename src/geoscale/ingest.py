@@ -288,14 +288,14 @@ def _fields(obj) -> tuple:
 
 
 def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
-    """Parse newline-delimited JSON tweets from a path or an iterable of
+    r"""Parse newline-delimited JSON tweets from a path or an iterable of
     lines into rows (see _fields), one record at a time.
 
-    A path is read line by line as UTF-8 and split as str.splitlines splits
-    it; a line that is not UTF-8 is one skip (UnicodeDecodeError).
-    Malformed records are skipped and counted in ``diags`` by exception
-    name (RecursionError for one nested more than _MAX_DEPTH deep); they
-    never abort the stream.  Lines from an iterable must be str: any other
+    A path is read as UTF-8 and split only at \n, \r\n and \r; a line that
+    is not UTF-8 is one skip (UnicodeDecodeError).  Malformed records are
+    skipped and counted in ``diags`` by exception name (RecursionError for
+    one nested more than _MAX_DEPTH deep); they never abort the stream.
+    Lines from an iterable are not split again and must be str: any other
     line is one TypeError skip.
     """
     if isinstance(source, (str, Path)):
@@ -326,7 +326,7 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
 
 
 def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
-    """The lines of a binary file as str.splitlines splits its UTF-8 text;
+    r"""The lines of a binary file's UTF-8 text, ended by \n, \r\n or \r;
     a physical line that is not UTF-8 is skipped and counted."""
     for raw in fh:
         try:
@@ -334,7 +334,7 @@ def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
         except UnicodeDecodeError as exc:
             diags.skip(type(exc).__name__)
             continue
-        yield from text.splitlines()
+        yield from text.split("\r")
 
 
 # json raises RecursionError on arrays and objects nested about as deep as

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, astuple, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,16 +66,16 @@ class GroundTruth:
     cell_area: np.ndarray        # km^2, (X, X)
     population: np.ndarray       # int persons per cell
     youth: np.ndarray            # int persons 18-35 per cell
-    n_u: Optional[np.ndarray] = None  # int users per cell
-    n_t: Optional[np.ndarray] = None  # int tweets landing per cell
+    n_u: np.ndarray              # int users per cell, zero until the draw
+    n_t: np.ndarray              # int tweets landing per cell, zero until the draw
 
     @property
     def total_tweets(self) -> int:
-        return int(self.n_t.sum()) if self.n_t is not None else 0
+        return int(self.n_t.sum())
 
     @property
     def total_users(self) -> int:
-        return int(self.n_u.sum()) if self.n_u is not None else 0
+        return int(self.n_u.sum())
 
     def to_dict(self) -> dict:
         config = asdict(self.config)
@@ -85,8 +84,8 @@ class GroundTruth:
             "config": config,
             "population": self.population.astype(int).tolist(),
             "youth": self.youth.astype(int).tolist(),
-            "n_u": None if self.n_u is None else self.n_u.astype(int).tolist(),
-            "n_t": None if self.n_t is None else self.n_t.astype(int).tolist(),
+            "n_u": self.n_u.astype(int).tolist(),
+            "n_t": self.n_t.astype(int).tolist(),
         }
 
 
@@ -127,7 +126,8 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
                 },
             })
     fc = {"type": "FeatureCollection", "features": features}
-    return fc, GroundTruth(config, cell_area, population, youth)
+    return fc, GroundTruth(config, cell_area, population, youth,
+                           np.zeros_like(population), np.zeros_like(population))
 
 
 # Every synthetic record is a "city" place tag whose bounding box has the

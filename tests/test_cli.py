@@ -11,6 +11,8 @@ from geoscale import cli
 from geoscale.cli import RunConfig, build_parser, load_config_file, main, resolve_config
 from geoscale.errors import ConfigError, DataError, GeoscaleError, InsufficientDataError
 from geoscale.geometry import LonLatRect
+from geoscale.gridding import GridSpec, grid_to_csv, run_grid_pipeline
+from geoscale.ingest import corpus_stats, filter_min_tweets, parse_tweets
 from geoscale.synth import (
     SynthConfig,
     gen_activity,
@@ -315,6 +317,9 @@ class TestExitCodes:
         ("synth", ["--study=-3,80,-2,120"]),
         ("stats", ["--study=nan,50,-2,51"]),
         ("stats", ["--study=-3,50,-2,nan"]),
+        ("stats", ["--study=-3,50,-2"]),
+        ("grid", ["--study=-3,50,-2,51,0"]),
+        ("synth", ["--study=-3,50,-2"]),
     ])
     def test_non_finite_study_or_bad_generation_grid_is_a_config_error(
             self, tmp_path, corpus, capsys, command, extra):
@@ -511,7 +516,8 @@ class TestStatsCommand:
                      "--study=-3.0,50.0,-2.0,51.0", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("records=3 located_geo=3 ")
-        assert captured.err == "tweets: skipped 2 malformed records\n"
+        assert captured.err == ("tweets: skipped 2 malformed records "
+                                "({'TypeError': 1, 'JSONDecodeError': 1})\n")
 
     def test_non_finite_box_is_a_counted_skip_in_an_infinite_study(
             self, tmp_path, capsys):
@@ -525,7 +531,7 @@ class TestStatsCommand:
                      "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert captured.out.startswith("records=0 ")
-        assert captured.err == "tweets: skipped 1 malformed records\n"
+        assert captured.err == "tweets: skipped 1 malformed records ({'ValueError': 1})\n"
 
     @pytest.mark.parametrize("command", ["stats", "fit"])
     def test_non_string_place_type_or_source_is_a_counted_skip(
@@ -598,6 +604,44 @@ class TestGridCommand:
         assert all(r["N_y"] for r in rows)
         assert hashlib.sha256((out / "grid.csv").read_bytes()).hexdigest() == (
             "94ba4fe941a51593c609af9f1089ecffb3ea61888bade3547343d84f3a2e4afa")
+
+    def test_positions_with_an_altitude_read_as_without(self, tmp_path, corpus):
+        """A GeoJSON position may carry an altitude: census and land vertices
+        with one give the grid of the same layers without it."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "tweets.jsonl").write_bytes((corpus / "tweets.jsonl").read_bytes())
+        for name in ("population.geojson", "land.geojson"):
+            fc = json.loads((corpus / name).read_text())
+            for feature in fc["features"]:
+                for ring in feature["geometry"]["coordinates"]:
+                    for k, vertex in enumerate(ring):
+                        vertex.append(10.0 * k)
+            (inputs / name).write_text(json.dumps(fc))
+        assert run_cmd(corpus, tmp_path / "flat", "grid", "--x", "6") == 0
+        assert run_cmd(inputs, tmp_path / "raised", "grid", "--x", "6") == 0
+        assert ((tmp_path / "raised" / "grid.csv").read_bytes()
+                == (tmp_path / "flat" / "grid.csv").read_bytes())
+
+    def test_min_user_tweets_filters_the_grid(self, tmp_path, corpus):
+        """grid --min-user-tweets 2 bins the corpus that filter_min_tweets
+        keeps, and drops the users with one record."""
+        args = ["grid", "--tweets", str(corpus / "tweets.jsonl"),
+                "--population", str(corpus / "population.geojson"),
+                "--land", str(corpus / "land.geojson"), "--study=-3.0,50.0,-2.0,51.0",
+                "--x", "6", "--bot-threshold", "1", "--min-user-tweets"]
+        assert main(args + ["2", "--out", str(tmp_path / "cli")]) == 0
+        assert main(args + ["1", "--out", str(tmp_path / "all")]) == 0
+        study = LonLatRect(-3.0, 50.0, -2.0, 51.0)
+        _, located = corpus_stats(parse_tweets(corpus / "tweets.jsonl")[0], study)
+        kept = filter_min_tweets(located.take(located.place), 2)
+        assert 0 < len(kept) < located.place.sum()
+        grid = run_grid_pipeline(GridSpec(study, 6), cli.load_land(corpus / "land.geojson"),
+                                 kept, cli.load_population(corpus / "population.geojson"))
+        grid_to_csv(grid, tmp_path / "library.csv")
+        assert ((tmp_path / "cli" / "grid.csv").read_bytes()
+                == (tmp_path / "library.csv").read_bytes()
+                != (tmp_path / "all" / "grid.csv").read_bytes())
 
     @pytest.mark.parametrize("command", ["grid", "fit"])
     def test_bad_census_feature_is_a_counted_skip(self, tmp_path, corpus, capsys,
@@ -695,6 +739,25 @@ class TestScanCommand:
         window = json.loads((tmp_path / "window.json").read_text())
         assert "found" in window
 
+    def test_window_found_and_unfitted_resolution_left_out(self, tmp_path, capsys):
+        """X=1 has one cell, too few to fit: it has a cell area but no fits."""
+        data = tmp_path / "data"
+        assert main(["synth", "--study=-3.0,50.0,-2.0,51.0", "--x-gen", "12",
+                     "--noise-dex", "0.1", "--b-true", "0.05", "--c-true", "2.0",
+                     "--pop-log10-mean", "1.5", "--pop-log10-sigma", "0.5",
+                     "--seed", "3", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert run_cmd(data, tmp_path, "scan", "--x-list", "1,2,3,4,6,12") == 0
+        fitted = {r["X"] for r in csv.DictReader((tmp_path / "fits.csv").open())}
+        assert fitted == {"2", "3", "4", "6", "12"}
+        areas = csv.DictReader((tmp_path / "cell_areas.csv").open())
+        assert [a["X"] for a in areas] == ["1", "2", "3", "4", "6", "12"]
+        window = json.loads((tmp_path / "window.json").read_text())
+        assert window["found"] is True
+        assert 1 < window["X_min"] <= window["X_max"] <= 12
+        assert set(window["means"]) == {"alpha", "beta", "gamma"}
+        assert "scaling window: X=" in capsys.readouterr().out
+
 
 class TestAnomalyCommand:
     def test_tu_map(self, tmp_path, corpus):
@@ -743,3 +806,20 @@ class TestValidateCommand:
         assert summary["mode"] == "subset"
         assert "beta" in summary["ci68"]
         assert "reference" in summary
+
+    @pytest.mark.parametrize("mode, extra", [
+        # every populated cell must be chosen, so neighbours always collide
+        ("subset_nonadjacent", ["--x", "6", "--subset-fraction", "1.0"]),
+        # a 1 x 1 sub-grid has one point, too few to fit
+        ("subarea", ["--x", "12", "--area-fraction", "0.01"]),
+    ])
+    def test_every_replicate_dropped(self, tmp_path, corpus, capsys, mode, extra):
+        assert run_cmd(corpus, tmp_path, "validate", "--mode", mode, *extra,
+                       "--replicates", "12", "--seed", "5") == 0
+        rows = list(csv.reader((tmp_path / "resample.csv").open()))
+        assert rows[1:] == [[str(k), "", "", ""] for k in range(12)]
+        summary = json.loads((tmp_path / "resample_summary.json").read_text())
+        assert (summary["dropped"], summary["ci68"]) == (12, {})
+        out = capsys.readouterr().out
+        assert out.count("ci68 unavailable") == 3
+        assert "dropped replicates: 12" in out

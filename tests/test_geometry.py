@@ -22,6 +22,27 @@ from geoscale.geometry import (
 STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
 
 
+class TestLonLatRect:
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_bound_raises(self, k):
+        bounds = [0.0, 0.0, 1.0, 1.0]
+        bounds[k] = math.nan
+        with pytest.raises(ValueError, match="no bound may be NaN"):
+            LonLatRect(*bounds)
+
+    def test_min_above_max_raises(self):
+        for bounds in ([1, 0, 0, 1], [0, 1, 1, 0]):
+            with pytest.raises(ValueError, match="rect min must not exceed max"):
+                LonLatRect(*bounds)
+
+    def test_intersect(self):
+        rect = LonLatRect(0, 0, 2, 2)
+        assert rect.intersect(LonLatRect(1, -1, 3, 1)) == LonLatRect(1, 0, 2, 1)
+        assert rect.intersect(LonLatRect(2, 2, 3, 3)) == LonLatRect(2, 2, 2, 2)
+        assert rect.intersect(LonLatRect(2.5, 0, 3, 1)) is None
+        assert rect.intersect(LonLatRect(0, 2.5, 1, 3)) is None
+
+
 class TestSphericalRectArea:
     def test_degenerate_rect_is_zero(self):
         assert spherical_rect_area(LonLatRect(1.0, 2.0, 1.0, 2.0)) == 0.0
@@ -53,6 +74,13 @@ class TestRingArea:
             vertices[k] = [bad, 0] if k % 2 else [0, bad]
             with pytest.raises(DataError, match="ring has a vertex that is not two finite"):
                 Ring(vertices)
+
+    def test_altitude_is_ignored(self):
+        """A GeoJSON position is [lon, lat, *rest]: an altitude changes nothing."""
+        assert Ring([[0, 0, 12.5], [1, 0, -3], [1, 1], [0, 1, 0, 7]]) == Ring(
+            [(0, 0), (1, 0), (1, 1), (0, 1)])
+        with pytest.raises(ValueError):
+            Ring([[0], [1, 0], [1, 1], [0, 1]])
 
     def test_square_matches_rect_area(self):
         rect = LonLatRect(0.0, 0.0, 1.0, 1.0)

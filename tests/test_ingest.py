@@ -201,6 +201,41 @@ class TestParseTweets:
         assert len(records) == 1
         assert diags.reasons == {"UnicodeDecodeError": 1}
 
+    def test_unicode_line_breaks_in_a_string_read_alike_from_a_file(self, tmp_path):
+        """JSON allows U+2028 and U+0085 raw in a string, as json.dumps with
+        ensure_ascii=False writes them: a file line does not end there."""
+        line = json.dumps({"id_str": "1", "user": {"id_str": "u1"},
+                           "coordinates": {"coordinates": [-3.5, 51.0]},
+                           "source": "a\u2028b\u0085c"}, ensure_ascii=False)
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        from_file, file_diags = parse_tweets(path)
+        from_list, list_diags = parse_tweets([line])
+        assert from_file == from_list and len(from_file) == 1
+        assert from_file[0][4] == "a\u2028b\u0085c"
+        assert file_diags.skipped == list_diags.skipped == 0
+
+    def test_a_file_line_ends_at_lf_crlf_or_cr(self, tmp_path):
+        lines = [tweet_json(tweet_id=str(k), user_id=f"u{k}", coords=[-3.5, 51.0])
+                 for k in range(4)]
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes("{}\r\n{}\r{}\n{}".format(*lines).encode())
+        records, diags = parse_tweets(path)
+        assert records == parse_tweets(lines)[0] and len(records) == 4
+        assert diags.skipped == 0
+
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_other_line_breaks_do_not_end_a_file_line(self, tmp_path, char):
+        """Between two records such a character leaves one line, which is
+        not valid JSON: one skip, from a file as from a list of lines."""
+        line = char.join([tweet_json(coords=[-3.5, 51.0]),
+                          tweet_json(tweet_id="2", coords=[-3.5, 51.0])])
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(line + "\n")
+        for source in (path, [line]):
+            records, diags = parse_tweets(source)
+            assert (records, diags.skipped) == ([], 1)
+
     def test_reply_and_quote_fields(self):
         line = tweet_json(coords=[-3.5, 51.0], in_reply_to_status_id_str="9",
                           quoted_status_id_str="8")
