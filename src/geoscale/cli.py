@@ -157,7 +157,7 @@ def _load_json(path, what: str) -> dict:
 def load_land(path) -> MultiPolygon:
     """Land polygons from a GeoJSON FeatureCollection, Feature or geometry.
     A feature without a geometry object, or a geometry that does not make
-    polygons, is a DataError."""
+    polygons of positions (see geometry.position), is a DataError."""
     obj = _load_json(path, "land geometry")
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == "FeatureCollection":
@@ -173,7 +173,7 @@ def load_land(path) -> MultiPolygon:
     for k, geom in enumerate(geoms):
         try:
             polys.extend(geometry_from_geojson(geom).polygons)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"bad land geometry {k} in {path}: {exc}") from exc
     return MultiPolygon(tuple(polys))
 
@@ -401,10 +401,13 @@ def cmd_synth(cfg: RunConfig) -> int:
         f.name: cfg.study_rect() if f.name == "study" else getattr(cfg, f.name)
         for f in dataclasses.fields(synth.SynthConfig)})
     synth.check_bot_settings(cfg.bots, cfg.bot_fraction)
-    fc, gt = synth.gen_population(scfg)
-    out = _outdir(cfg)
-    n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
-                                   cfg.bots, cfg.bot_fraction)
+    try:
+        fc, gt = synth.gen_population(scfg)
+        out = _outdir(cfg)
+        n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
+                                       cfg.bots, cfg.bot_fraction)
+    except OverflowError as exc:   # a density or count too large for a float
+        raise ConfigError(f"synth settings overflow: {exc}") from exc
     _write_json(out / "population.geojson", fc)
     _write_json(out / "land.geojson", synth.land_geojson(scfg.study))
     _write_json(out / "ground_truth.json", gt.to_dict())

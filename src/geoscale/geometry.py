@@ -12,14 +12,14 @@ once per column between its meridians, and each piece once per cell
 between the cell's parallels.  Clipped pieces below 1e-12 km^2 are dropped,
 and a cell with under 1e-9 km^2 of land counts as open water.
 
-Self-intersecting rings are not detected; the signed-area result is taken
-as-is.
+Every vertex is a GeoJSON position (see :func:`position`).  Self-intersecting
+rings are not detected; the signed-area result is taken as-is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, fsum, isfinite, radians, sin
+from math import cos, fsum, radians, sin
 from typing import Iterable
 
 from .errors import DataError
@@ -39,6 +39,20 @@ def is_number(value) -> bool:
     """Whether a decoded JSON value is a number: an int or a float, not a
     bool and not a string.  Every coordinate and count must be one."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def position(value) -> tuple:
+    """A GeoJSON position [lon, lat, *rest] (RFC 7946 section 4) as (lon, lat)
+    floats in degrees, lon in [-180, 180] and lat in [-90, 90]; any altitude
+    is ignored.  Raises TypeError for a non-number (see is_number),
+    OverflowError for an int too large for a float, else ValueError."""
+    lon, lat, *_ = value
+    if not (is_number(lon) and is_number(lat)):
+        raise TypeError("position is not a pair of numbers")
+    lon, lat = float(lon), float(lat)
+    if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
+        raise ValueError(f"position ({lon}, {lat}) is out of range")
+    return lon, lat
 
 
 @dataclass(frozen=True)
@@ -72,20 +86,12 @@ class LonLatRect:
 
 
 class Ring:
-    """A closed sequence of finite number pairs. The closing vertex is implicit."""
+    """A closed sequence of positions (see position). The closing vertex is implicit."""
 
     __slots__ = ("coords",)
 
     def __init__(self, vertices: Iterable) -> None:
-        coords = [(lon, lat) for lon, lat, *_ in vertices]   # an altitude is ignored
-        try:
-            finite = all(is_number(lon) and is_number(lat) and isfinite(lon)
-                         and isfinite(lat) for lon, lat in coords)
-        except OverflowError:   # an integer too large for a float
-            finite = False
-        if not finite:
-            raise DataError("ring has a vertex that is not two finite numbers")
-        coords = [(float(lon), float(lat)) for lon, lat in coords]
+        coords = [position(v) for v in vertices]
         if len(coords) > 1 and coords[0] == coords[-1]:
             coords = coords[:-1]
         if len(set(coords)) < 3:

@@ -37,9 +37,9 @@ DENSITY_LETTERS = "TUPY"
 
 @dataclass(frozen=True)
 class GridSpec:
-    """X-by-X equal lon/lat cells over a finite study rect: cell (i, j), i
-    the longitude index and j the latitude index, spans lon_edges[i:i + 2]
-    by lat_edges[j:j + 2]."""
+    """X-by-X equal lon/lat cells over a study rect of positive extent with
+    position corners (see geometry.position): cell (i, j), i the lon index
+    and j the lat index, spans lon_edges[i:i + 2] by lat_edges[j:j + 2]."""
 
     study: LonLatRect
     x: int
@@ -48,10 +48,10 @@ class GridSpec:
         if self.x < 1:
             raise ConfigError(f"grid side must be >= 1, got {self.x}")
         s = self.study
-        if not (0.0 < s.width < math.inf and 0.0 < s.height < math.inf   # NaN fails too
-                and -90.0 <= s.min_lat and s.max_lat <= 90.0):
-            raise ConfigError(f"study rect {astuple(s)} must be finite with positive "
-                              f"extent and latitudes in [-90, 90]")
+        if not (-180.0 <= s.min_lon < s.max_lon <= 180.0
+                and -90.0 <= s.min_lat < s.max_lat <= 90.0):
+            raise ConfigError(f"study rect {astuple(s)} must have positive extent, "
+                              f"longitudes in [-180, 180] and latitudes in [-90, 90]")
 
     @cached_property
     def lon_edges(self) -> np.ndarray:

@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite, radians, sin
+from math import radians, sin
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -33,6 +33,7 @@ from .geometry import (
     geometry_from_geojson,
     is_number,
     polygon_area,
+    position,
     spherical_rect_area,
 )
 
@@ -186,7 +187,7 @@ def _span(first, *rest) -> tuple:
 def _corners(coords) -> Optional[tuple]:
     """The envelope of the usual bounding box, one ring of four [lon, lat]
     float pairs, read by index; None for any other shape.  Raises
-    ValueError unless the eight values sum to a finite number."""
+    ValueError for a value out of range or NaN, as position does."""
     try:
         [[a, b], [c, d], [e, f], [g, h]], = coords
     except (TypeError, ValueError):
@@ -195,9 +196,12 @@ def _corners(coords) -> Optional[tuple]:
             and type(d) is float and type(e) is float and type(f) is float
             and type(g) is float and type(h) is float):
         return None
-    # one test sees every value: min and max would skip a NaN that is not first
-    if not isfinite(a + b + c + d + e + f + g + h):
-        raise ValueError("non-finite bounding box coordinates")
+    # every value, unchained (faster than chained): _span skips a NaN not first
+    if not (a >= -180.0 and a <= 180.0 and c >= -180.0 and c <= 180.0
+            and e >= -180.0 and e <= 180.0 and g >= -180.0 and g <= 180.0
+            and b >= -90.0 and b <= 90.0 and d >= -90.0 and d <= 90.0
+            and f >= -90.0 and f <= 90.0 and h >= -90.0 and h <= 90.0):
+        raise ValueError("bounding box position out of range")
     min_lon, max_lon = _span(a, c, e, g)
     min_lat, max_lat = _span(b, d, f, h)
     return min_lon, min_lat, max_lon, max_lat
@@ -205,32 +209,46 @@ def _corners(coords) -> Optional[tuple]:
 
 def _envelope(coords) -> tuple:
     """Envelope (min_lon, min_lat, max_lon, max_lat) of an arbitrarily
-    nested GeoJSON coordinate array: the [lon, lat] pairs are the lists that
-    start with two numbers (see is_number).  Raises ValueError for any other
-    value outside a pair and, as _corners does, unless the pairs sum to a
-    finite number."""
+    nested GeoJSON coordinate array: its positions (see position) are the
+    lists that start with two numbers.  Raises ValueError for any other
+    value outside a position, and as position does."""
     box = _corners(coords)
     if box is not None:
         return box
-    lons = []
-    lats = []
+    positions = []
 
     def walk(node):
         if not isinstance(node, (list, tuple)):
             raise ValueError(f"bounding box value {node!r} is not in a pair of numbers")
         if len(node) >= 2 and is_number(node[0]) and is_number(node[1]):
-            lons.append(float(node[0]))
-            lats.append(float(node[1]))
+            positions.append(position(node))
         else:
             for child in node:
                 walk(child)
 
     walk(coords)
-    if not lons:
+    if not positions:
         raise ValueError("empty bounding box coordinates")
-    if not isfinite(sum(lons) + sum(lats)):
-        raise ValueError("non-finite bounding box coordinates")
+    lons, lats = zip(*positions)
     return min(lons), min(lats), max(lons), max(lats)
+
+
+def _id(obj: dict) -> str:
+    """The id of a tweet or user object: a non-empty id_str, else an
+    integer id as decimal text.  Raises TypeError for an id_str that is not
+    a string or an id that is not an integer (a bool is not one), and
+    ValueError for neither."""
+    id_str = obj.get("id_str")
+    if id_str:
+        if not isinstance(id_str, str):
+            raise TypeError("id_str is not a string")
+        return id_str
+    number = obj.get("id")
+    if number is None:
+        raise ValueError("missing id_str and id")
+    if type(number) is not int:
+        raise TypeError("id is not an integer")
+    return str(number)
 
 
 def _fields(obj) -> tuple:
@@ -241,26 +259,16 @@ def _fields(obj) -> tuple:
     absent or null."""
     if not isinstance(obj, dict):
         raise TypeError("record is not a JSON object")
-    tweet_id = obj.get("id_str") or str(obj.get("id", ""))
     user = obj.get("user") or {}
     if not isinstance(user, dict):
         raise TypeError("user is not a JSON object")
-    user_id = user.get("id_str") or str(user.get("id", ""))
-    if not tweet_id or not user_id:
-        raise ValueError("missing id_str or user.id_str")
-    if not isinstance(user_id, str):
-        raise TypeError("user id is not a string")
+    _id(obj)   # a record needs a tweet id, which is not kept
+    user_id = _id(user)
 
     geo = None
     coords = obj.get("coordinates")
     if isinstance(coords, dict) and coords.get("coordinates"):
-        lon, lat = coords["coordinates"][:2]
-        if not (is_number(lon) and is_number(lat)):
-            raise TypeError("coordinates are not numbers")
-        lon, lat = float(lon), float(lat)
-        if not (-180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0):
-            raise ValueError(f"coordinates out of range: {lon}, {lat}")
-        geo = (lon, lat)
+        geo = position(coords["coordinates"])
 
     place_type = None
     box = None
@@ -292,11 +300,14 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     lines into rows (see _fields), one record at a time.
 
     A path is read as UTF-8 and split only at \n, \r\n and \r; a line that
-    is not UTF-8 is one skip (UnicodeDecodeError).  Malformed records are
-    skipped and counted in ``diags`` by exception name (RecursionError for
-    one nested more than _MAX_DEPTH deep); they never abort the stream.
-    Lines from an iterable are not split again and must be str: any other
-    line is one TypeError skip.
+    is not UTF-8 is one skip (UnicodeDecodeError).  A line loses only
+    JSON's whitespace (space, \t, \n and \r) at its ends, and one of
+    nothing else is no record; any other character there, such as \x0c or
+    U+00A0, makes the line a skip, as json.loads rejects it.  Malformed
+    records are skipped and counted in ``diags`` by exception name
+    (RecursionError for one nested more than _MAX_DEPTH deep); they never
+    abort the stream.  Lines from an iterable are not split again and must
+    be str: any other line is one TypeError skip.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -311,7 +322,7 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         if not isinstance(line, str):   # orjson would read bytes that json skips
             diags.skip("TypeError")
             continue
-        line = line.strip()
+        line = line.strip(" \t\n\r")   # JSON's whitespace, RFC 8259 section 2
         if not line:
             continue
         try:
@@ -386,17 +397,19 @@ def _line_decoder():
     def loads(line):
         """orjson.loads of the line, or json's where the two could differ: a
         line orjson rejects (json reads NaN, Infinity, 1e400 and lone
-        surrogates) and a numeric user id."""
+        surrogates) and a numeric tweet or user id."""
         try:
             obj = fast(line)
         except rejected:
             return _json_loads(line)
-        # orjson reads an integer outside the 64-bit range as a float,
-        # which changes a row only in a user id read from user.id
-        user = obj.get("user") if type(obj) is dict else None
-        if (type(user) is dict and not user.get("id_str")
-                and type(user.get("id")) is float):
-            return _json_loads(line)
+        # orjson reads an integer outside the 64-bit range as a float, which
+        # changes a row only in an id read from id (see _id)
+        if type(obj) is dict:
+            user = obj.get("user")
+            if (not obj.get("id_str") and type(obj.get("id")) is float
+                    or type(user) is dict and not user.get("id_str")
+                    and type(user.get("id")) is float):
+                return _json_loads(line)
         return obj
 
     return loads
@@ -551,9 +564,8 @@ def parse_population(feature_collection: dict
     Features with a missing, non-numeric, negative or non-finite population
     (or properties that are not an object) are skipped with a diagnostic,
     and so is a feature that is not an object or whose geometry does not
-    make polygons of finite vertices and non-negative area (bad_geometry),
-    or makes no more than MIN_AREA_KM2 (zero_area): such a unit has no area
-    to spread its population over.
+    make polygons of positions and non-negative area (bad_geometry), or
+    makes no more than MIN_AREA_KM2 (zero_area): no area to spread over.
     """
     diags = ParseDiagnostics()
     units: list[PopulationUnit] = []
@@ -582,7 +594,7 @@ def parse_population(feature_collection: dict
             unit = PopulationUnit(code, geometry_from_geojson(feat["geometry"]),
                                   pop, youth)
             area = unit.area   # cached; a hole larger than its outer ring raises
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             diags.skip("bad_geometry")
             continue
         if area <= MIN_AREA_KM2:

@@ -184,8 +184,9 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
             rng = np.random.default_rng(
                 mix_seed(mix_seed(config.seed, _ACT_STREAM), i * x + j))
             rect = cells.cell_rect(i, j)
-            area = gt.cell_area[i, j]
-            p = gt.population[i, j] / area
+            # Python floats: a power past their range raises, where numpy warns
+            area = float(gt.cell_area[i, j])
+            p = float(gt.population[i, j]) / area
             if p <= 0:
                 continue
             eps_u = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0

@@ -320,6 +320,8 @@ class TestExitCodes:
         ("stats", ["--study=-3,50,-2"]),
         ("grid", ["--study=-3,50,-2,51,0"]),
         ("synth", ["--study=-3,50,-2"]),
+        ("grid", ["--study=170,50,190,51"]),
+        ("synth", ["--study=170,50,190,51"]),
     ])
     def test_non_finite_study_or_bad_generation_grid_is_a_config_error(
             self, tmp_path, corpus, capsys, command, extra):
@@ -419,9 +421,11 @@ class TestExitCodes:
             [[False, False], [True, False], [True, True], [False, True]]]},
         {"type": "Polygon", "coordinates": [
             [[-3, 50], [10 ** 400, 50], [-2, 51], [-3, 51]]]},
+        {"type": "Polygon", "coordinates": [
+            [[-3, 50], [-2, 50], [-2, 95], [-3, 51]]]},
     ], ids=["feature_without_geometry", "ring_with_two_distinct_vertices",
             "nan_vertex", "hole_larger_than_outer_ring", "string_vertices",
-            "boolean_vertices", "integer_too_large_for_a_float"])
+            "boolean_vertices", "integer_too_large_for_a_float", "vertex_beyond_a_pole"])
     def test_bad_land_file_is_a_data_error(self, tmp_path, corpus, capsys, land):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -435,6 +439,18 @@ class TestExitCodes:
 
 
 class TestSynthCommand:
+    @pytest.mark.parametrize("extra", [["--pop-log10-mean", "400"],
+                                       ["--beta-true", "300"]])
+    def test_counts_too_large_for_a_float_are_a_config_error(self, tmp_path, capsys,
+                                                             extra):
+        """A density or count past the float range is a config error, with no
+        numpy overflow warning and no traceback."""
+        assert main(["synth", "--out", str(tmp_path / "out"), "--x-gen", "2",
+                     "--study=-3,50,-2,51", *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: synth settings overflow")
+        assert err.count("\n") == 1
+
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):
         again = tmp_path / "again"
         assert main(SMALL_SYNTH + ["--out", str(again)]) == 0
@@ -622,6 +638,28 @@ class TestGridCommand:
         assert run_cmd(inputs, tmp_path / "raised", "grid", "--x", "6") == 0
         assert ((tmp_path / "raised" / "grid.csv").read_bytes()
                 == (tmp_path / "flat" / "grid.csv").read_bytes())
+
+    def test_census_vertices_out_of_range_are_skipped_units(self, tmp_path, corpus,
+                                                            capsys):
+        """A census layer whose vertices are not lon/lat degrees (scaled by
+        1e5 here, as a projected layer's metres would be) loses each unit as
+        bad_geometry, and says so."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        for name in ("tweets.jsonl", "land.geojson"):
+            (inputs / name).write_bytes((corpus / name).read_bytes())
+        fc = json.loads((corpus / "population.geojson").read_text())
+        for feature in fc["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[1e5 * v for v in vertex] for vertex in ring]
+                for ring in feature["geometry"]["coordinates"]]
+        (inputs / "population.geojson").write_text(json.dumps(fc))
+        n = len(fc["features"])
+        capsys.readouterr()
+        assert run_cmd(inputs, tmp_path / "out", "grid", "--x", "6") == 0
+        out, err = capsys.readouterr()
+        assert f"population: skipped {n} features ({{'bad_geometry': {n}}})" in err
+        assert out.endswith(" population 0.0\n")
 
     def test_min_user_tweets_filters_the_grid(self, tmp_path, corpus):
         """grid --min-user-tweets 2 bins the corpus that filter_min_tweets

@@ -25,8 +25,9 @@ FILES = ("tweets.jsonl", "population.geojson", "land.geojson")
 MUTANTS_PER_CASE = 10
 
 _HOLE = "@@mutant@@"    # stands for the mutated value while the rest is dumped
-_OTHER_TYPES = ("x", "", "-3.5", 0, -1, 1.5, True, False, None, [], {}, [1, 2],
-                {"type": "Polygon"})
+# 95.0, -181.0 and 1e6 are numbers out of the lat or lon range
+_OTHER_TYPES = ("x", "", "-3.5", 0, -1, 1.5, 95.0, -181.0, 1e6, True, False, None,
+                [], {}, [1, 2], {"type": "Polygon"})
 _SEPARATORS = ("\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029", "\n\n")
 

@@ -14,12 +14,39 @@ from geoscale.geometry import (
     grid_intersection_areas,
     intersection_area,
     polygon_area,
+    position,
     rect_ring,
     ring_area,
     spherical_rect_area,
 )
 
 STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
+
+
+class TestPosition:
+    def test_lon_lat_floats_with_any_altitude_ignored(self):
+        assert position([1, 2]) == position([1.0, 2.0, 30.5, "m"]) == (1.0, 2.0)
+        assert all(type(v) is float for v in position([1, 2]))
+        assert position([-180, -90]) == (-180.0, -90.0)
+        assert position([180, 90]) == (180.0, 90.0)
+
+    @pytest.mark.parametrize("value, error", [
+        ([180.5, 0], ValueError), ([-181, 0], ValueError), ([0, 90.5], ValueError),
+        ([0, -1e6], ValueError), ([math.nan, 0], ValueError), ([0, math.inf], ValueError),
+        ([0], ValueError), (["1", 0], TypeError), ([0, True], TypeError),
+        ([None, 0], TypeError), (5, TypeError), ([10 ** 400, 0], OverflowError),
+    ])
+    def test_anything_else_raises(self, value, error):
+        with pytest.raises(error):
+            position(value)
+
+    def test_ring_and_geojson_vertices_are_positions(self):
+        for bad in ([0, 95.0], [181.0, 0]):
+            with pytest.raises(ValueError, match="out of range"):
+                Ring([[0, 0], [1, 0], bad, [0, 1]])
+            with pytest.raises(ValueError, match="out of range"):
+                geometry_from_geojson({"type": "Polygon", "coordinates": [
+                    [[0, 0], [1, 0], bad, [0, 1]]]})
 
 
 class TestLonLatRect:
@@ -72,7 +99,7 @@ class TestRingArea:
         for k in range(4):
             vertices = [[0, 0], [1, 0], [1, 1], [0, 1]]
             vertices[k] = [bad, 0] if k % 2 else [0, bad]
-            with pytest.raises(DataError, match="ring has a vertex that is not two finite"):
+            with pytest.raises(ValueError, match=r"position \(.*\) is out of range"):
                 Ring(vertices)
 
     def test_altitude_is_ignored(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from geoscale.errors import DataError
+from geoscale.errors import ConfigError, DataError
 from geoscale.geometry import (
     LonLatRect,
     MultiPolygon,
@@ -42,6 +42,16 @@ def point_rec(lon, lat, user="u", tid="t"):
 
 def box_rec(box, user="u", tid="t"):
     return LocatedRecord(tweet_id=tid, user_id=user, box=box, tag_kind="place")
+
+
+class TestGridSpec:
+    def test_study_corners_must_be_positions(self):
+        assert GridSpec(LonLatRect(-180, -90, 180, 90), 2).lon_edges.tolist() == [
+            -180.0, 0.0, 180.0]
+        for study in (LonLatRect(170, 50, 190, 51), LonLatRect(-181, 50, -2, 51),
+                      LonLatRect(-3, 50, -2, 90.5)):
+            with pytest.raises(ConfigError, match=r"longitudes in \[-180, 180\]"):
+                GridSpec(study, 4)
 
 
 class TestBuildGrid:

@@ -137,10 +137,11 @@ class TestParseTweets:
         assert diags.reasons == {"OverflowError": 2}
         assert [r.point for r in locate_lines(lines)] == [(-3.5, 51.0)]
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 181.0, -1e6,
                                        True, False, "-2.5", None])
     def test_non_finite_box_coordinate_is_a_counted_skip(self, value):
-        # a coordinate that is not a JSON number counts as non-finite
+        # a coordinate that is not a JSON number, or is out of the lon and lat
+        # ranges, counts as non-finite
         for bad in range(8):
             flat = [-2.6, 50.5, -2.4, 50.5, -2.4, 50.7, -2.6, 50.7]
             flat[bad] = value
@@ -151,6 +152,67 @@ class TestParseTweets:
             for line in lines:
                 records, diags = parse_tweets([line])
                 assert (records, diags.reasons) == ([], {"ValueError": 1}), line
+
+    @pytest.mark.parametrize("decoder", ["orjson", "json"], indirect=True)
+    def test_box_beyond_a_pole_is_a_counted_skip_in_an_infinite_study(
+            self, decoder, tmp_path):
+        """A box from lat 85 to 100 is out of range, as a point at lat 92.5
+        is: one skip on the index path and on the walk, from a list and from
+        a file, and no row at its centre."""
+        corners = [[10.0, 85.0], [11.0, 85.0], [11.0, 100.0], [10.0, 100.0]]
+        lines = [tweet_json(place_coords=corners),
+                 tweet_json(place_coords=corners + [corners[0]]),
+                 tweet_json(coords=[10.5, 92.5])]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        everywhere = LonLatRect(-math.inf, -math.inf, math.inf, math.inf)
+        for source in (lines, path):
+            rows, diags = parse_tweets(source)
+            _, corpus = corpus_stats(rows, everywhere)
+            assert (len(corpus), diags.reasons) == (0, {"ValueError": 3})
+
+    @pytest.mark.parametrize("decoder", ["orjson", "json"], indirect=True)
+    def test_ids_are_an_id_str_string_or_an_integer_id(self, decoder):
+        """A tweet and its user each need a non-empty id_str string, else an
+        integer id that is not a bool; the user's is kept as text."""
+        def line(tweet, user):
+            return json.dumps({**tweet, "user": user,
+                               "coordinates": {"coordinates": [-3.5, 51.0]}})
+
+        records, diags = parse_tweets([
+            line({"id": 5}, {"id": 7}),
+            line({"id_str": "", "id": 2 ** 70}, {"id_str": "", "id": -2 ** 70}),
+            line({"id_str": "1"}, {"id_str": "u"})])
+        assert [r[0] for r in records] == ["7", str(-2 ** 70), "u"]
+        assert diags.skipped == 0
+        for reason, tweet, user in [
+                ("ValueError", {"id_str": "1"}, {"id": None}),
+                ("ValueError", {"id": None}, {"id_str": "u"}),
+                ("ValueError", {}, {"id_str": "u"}),
+                ("TypeError", {"id_str": "1"}, {"id": [1, 2]}),
+                ("TypeError", {"id_str": "1"}, {"id": True}),
+                ("TypeError", {"id_str": "1"}, {"id": 1.5}),
+                ("TypeError", {"id_str": 7}, {"id_str": "u"}),
+                ("TypeError", {"id_str": ["1"]}, {"id_str": "u"}),
+                ("TypeError", {"id": False}, {"id_str": "u"})]:
+            records, diags = parse_tweets([line(tweet, user)])
+            assert (records, diags.reasons) == ([], {reason: 1}), (tweet, user)
+
+    @pytest.mark.parametrize("decoder", ["orjson", "json"], indirect=True)
+    @pytest.mark.parametrize("bad", ["{}\x0c", "\xa0{}", "\x0c"],
+                             ids=["trailing_form_feed", "leading_nbsp", "form_feed"])
+    def test_a_line_loses_only_json_whitespace(self, decoder, tmp_path, bad):
+        """A line loses space, tab, \\n and \\r at its ends, as json.loads
+        does; any other character there makes the line one skip, and a line
+        of spaces is neither a record nor a skip."""
+        good = tweet_json(coords=[-3.5, 51.0])
+        lines = [" \t" + good + "\t ", bad.format(good), "   "]
+        path = tmp_path / "tweets.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for source in (lines, path):
+            records, diags = parse_tweets(source)
+            assert len(records) == 1
+            assert diags.reasons == {"JSONDecodeError": 1}
 
     @pytest.mark.parametrize("depth", [1000, 50000])
     def test_deeply_nested_box_is_a_counted_skip(self, depth):
