@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
-from .geometry import rect_geojson
-from .gridding import DensityGrid, GridSpec, cells_to_csv, densities
+from .gridding import DensityGrid, GridSpec, cells_to_csv, cells_to_geojson, densities
 from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
 
 
@@ -147,11 +146,6 @@ def anomaly_to_csv(a: AnomalyGrid, path) -> None:
     cells_to_csv(a.spec, {**_exported(a), "masked": a.masked.astype(int)}, path)
 
 
-def anomaly_to_geojson(a: AnomalyGrid) -> dict:
+def anomaly_to_geojson(a: AnomalyGrid, path) -> None:
     """One rectangle feature per unmasked cell, ready for choropleth tools."""
-    values = _exported(a)
-    return {"type": "FeatureCollection", "features": [
-        {"type": "Feature", "geometry": rect_geojson(a.spec.cell_rect(i, j)),
-         "properties": {"i": i, "j": j, **{name: float(v[i, j])
-                                           for name, v in values.items()}}}
-        for i in range(a.spec.x) for j in range(a.spec.x) if not a.masked[i, j]]}
+    cells_to_geojson(a.spec, ~a.masked, _exported(a), path)

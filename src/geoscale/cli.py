@@ -353,8 +353,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
                                        cfg.mask_t_density, cfg.mask_p_density)
         anomaly_mod.anomaly_to_csv(amap, out / f"anomaly_{kind}.csv")
         if cfg.geojson:
-            _write_json(out / f"anomaly_{kind}.geojson",
-                        anomaly_mod.anomaly_to_geojson(amap))
+            anomaly_mod.anomaly_to_geojson(amap, out / f"anomaly_{kind}.geojson")
         made[kind] = amap
     for kind, amap in made.items():
         print(f"anomaly {kind}: {int((~amap.masked).sum())} unmasked cells")

@@ -11,6 +11,7 @@ density from them on demand.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from collections import defaultdict
 from dataclasses import astuple, dataclass
@@ -288,24 +289,79 @@ def _csv_value(v):
     return v
 
 
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write the header, then each row of values through _csv_value."""
+def _write_rows(path, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([_csv_value(v) for v in row] for row in rows)
+        w.writerows(rows)
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write the header, then each row of values through _csv_value."""
+    _write_rows(path, header, ([_csv_value(v) for v in row] for row in rows))
 
 
 def cells_to_csv(spec: GridSpec, layers: dict, path) -> None:
     """One row per cell, i-major: i, j, the cell's edges and its value in
-    each named (X, X) layer; a layer of None is an empty column."""
-    def row(i: int, j: int) -> list:
-        r = spec.cell_rect(i, j)
-        return [i, j, r.min_lon, r.min_lat, r.max_lon, r.max_lat,
-                *(None if a is None else a[i, j] for a in layers.values())]
+    each named (X, X) layer; a layer of None is an empty column.  The same
+    text as write_csv gives these rows, built a column at a time."""
+    x = spec.x
+    lon = list(map(_csv_value, spec.lon_edges.tolist()))
+    lat = list(map(_csv_value, spec.lat_edges.tolist()))
+    ii, jj = [i for i in range(x) for _ in range(x)], list(range(x)) * x
+    columns = [ii, jj, [lon[i] for i in ii], [lat[j] for j in jj],
+               [lon[i + 1] for i in ii], [lat[j + 1] for j in jj]]
+    columns += [[""] * (x * x) if a is None
+                else list(map(_csv_value, a.ravel().tolist())) for a in layers.values()]
+    _write_rows(path, ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat", *layers],
+                zip(*columns))
 
-    write_csv(path, ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat", *layers],
-              (row(i, j) for i in range(spec.x) for j in range(spec.x)))
+
+# json's text for the floats whose repr it does not write
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_numbers(values: list) -> list[str]:
+    """Numbers as json writes them: repr, but NaN, Infinity and -Infinity
+    for the non-finite floats."""
+    return [_JSON_NON_FINITE.get(s, s) for s in map(repr, values)]
+
+
+# A rect Feature as json.dump(feature, indent=2, sort_keys=True) writes it
+# at the depth of a FeatureCollection's features, up to its properties: the
+# ring's corners counter-clockwise from (min_lon, min_lat), as rect_geojson
+# gives them, filled from (min_lon, min_lat, max_lon, min_lat, max_lon,
+# max_lat, min_lon, max_lat, min_lon, min_lat).
+_CORNER = "            [\n              %s,\n              %s\n            ]"
+_FEATURE_HEAD = ('    {\n      "geometry": {\n        "coordinates": [\n          [\n'
+                 + ",\n".join([_CORNER] * 5)
+                 + '\n          ]\n        ],\n        "type": "Polygon"\n      },\n'
+                 '      "properties": {\n')
+_FEATURE_TAIL = '\n      },\n      "type": "Feature"\n    }'
+
+
+def cells_to_geojson(spec: GridSpec, cells: np.ndarray, layers: dict, path) -> None:
+    """A FeatureCollection with one rectangle Feature per True cell of the
+    (X, X) bool array cells, i-major, whose properties are i, j and the
+    cell's value in each named (X, X) layer of numbers.  The file holds
+    exactly what json.dump(collection, fh, indent=2, sort_keys=True) and a
+    newline write, filled into one text template per feature."""
+    ii, jj = np.nonzero(cells)
+    lon = _json_numbers(spec.lon_edges.tolist())
+    lat = _json_numbers(spec.lat_edges.tolist())
+    values = {name: a[cells].tolist() for name, a in layers.items()}
+    values.update(i=ii.tolist(), j=jj.tolist())
+    names = sorted(values)
+    template = _FEATURE_HEAD + ",\n".join(
+        "        %s: %%s" % json.dumps(name).replace("%", "%%") for name in names
+    ) + _FEATURE_TAIL
+    columns = [_json_numbers(values[name]) for name in names]
+    features = [template % (lon[i], lat[j], lon[i + 1], lat[j], lon[i + 1], lat[j + 1],
+                            lon[i], lat[j + 1], lon[i], lat[j], *props)
+                for i, j, *props in zip(values["i"], values["j"], *columns)]
+    body = '[\n%s\n  ]' % ",\n".join(features) if features else "[]"
+    with open(path, "w") as fh:
+        fh.write('{\n  "features": %s,\n  "type": "FeatureCollection"\n}\n' % body)
 
 
 def grid_to_csv(grid: DensityGrid, path) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ DEFAULT_STUDY = LonLatRect(-5.8, 49.9, -1.2, 52.2)
 _POP_STREAM = 0x506F50
 _ACT_STREAM = 0x414354
 _BOT_STREAM = 0x424F54
+
+# the most tweets, and so users, one generation cell may draw: ingest codes
+# users as int32, and a larger count is more than any machine holds as records
+MAX_CELL_COUNT = 2**31 - 1
 
 _SOURCES = ("app_alpha", "app_beta", "app_gamma")
 _SOURCE_WEIGHTS = (0.6, 0.25, 0.15)
@@ -171,7 +176,9 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
     are spread over users multinomially with every user getting at least
     one; cells where N_t < N_u reduce N_u to N_t.  Users are cell-local
     unless commuter_fraction moves half a user's tweets to the next cell.
-    gt.n_u and gt.n_t are complete once the generator is exhausted.
+    A cell that draws more than MAX_CELL_COUNT tweets, and so users, is a
+    ConfigError, raised before its arrays are made.  gt.n_u and gt.n_t are
+    complete once the generator is exhausted.
     """
     cells = GridSpec(config.study, config.x_gen)
     x = cells.x
@@ -197,6 +204,9 @@ def _activity_columns(config: SynthConfig, gt: GroundTruth):
             tweets = int(round(area * config.c_true
                                * u_density ** config.gamma_true * 10.0 ** eps_t))
             users = min(users, tweets)
+            if tweets > MAX_CELL_COUNT:     # and so users <= tweets fit too
+                raise ConfigError(f"synth cell ({i}, {j}) draws {tweets} tweets, "
+                                  f"more than the {MAX_CELL_COUNT} a cell may hold")
             if users <= 0:
                 continue
             # every user gets one tweet, the surplus is multinomial
@@ -313,16 +323,21 @@ def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
 
     The file equals write_jsonl(gen_activity(config, gt) + gen_bots(config,
     n_bots, bot_tweet_fraction, len(activity))) byte for byte.  Returns the
-    number of records written.
+    number of records written.  A draw that raises leaves no file.
     """
     check_bot_settings(n_bots, bot_tweet_fraction)
-    with open(path, "w") as fh:
-        for columns in _activity_columns(config, gt):
-            fh.write(_lines(columns))
-        total = gt.total_tweets
-        if n_bots > 0:
-            for columns in _bot_columns(config, n_bots, bot_tweet_fraction,
-                                        total):
+    fh = open(path, "w")
+    try:
+        with fh:
+            for columns in _activity_columns(config, gt):
                 fh.write(_lines(columns))
-                total += len(columns[0])
+            total = gt.total_tweets
+            if n_bots > 0:
+                for columns in _bot_columns(config, n_bots, bot_tweet_fraction,
+                                            total):
+                    fh.write(_lines(columns))
+                    total += len(columns[0])
+    except BaseException:
+        os.remove(path)
+        raise
     return total

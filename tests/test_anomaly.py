@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -204,11 +205,14 @@ class TestExports:
         assert by_ij[(2, 2)]["A_abs"] == ""
         assert by_ij[(0, 0)]["masked"] == "0"
 
-    def test_geojson_skips_masked_cells(self):
+    def test_geojson_skips_masked_cells(self, tmp_path):
         grid = law_grid()
         grid.n_t[2, 2] = 0.0
         amap = anomaly_map(grid, fit_all(law_grid())["gamma"])
-        fc = anomaly_to_geojson(amap)
+        path = tmp_path / "anomaly.geojson"
+        anomaly_to_geojson(amap, path)
+        with open(path) as fh:
+            fc = json.load(fh)
         assert fc["type"] == "FeatureCollection"
         assert len(fc["features"]) == 15
         props = fc["features"][0]["properties"]

@@ -444,12 +444,24 @@ class TestSynthCommand:
     def test_counts_too_large_for_a_float_are_a_config_error(self, tmp_path, capsys,
                                                              extra):
         """A density or count past the float range is a config error, with no
-        numpy overflow warning and no traceback."""
+        numpy overflow warning, no traceback and no partial corpus."""
         assert main(["synth", "--out", str(tmp_path / "out"), "--x-gen", "2",
                      "--study=-3,50,-2,51", *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: synth settings overflow")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "tweets.jsonl").exists()
+
+    def test_count_too_large_for_a_cell_is_a_config_error(self, tmp_path, capsys):
+        """A cell that draws more tweets than a corpus can code is refused
+        before its arrays are made."""
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--x-gen", "2", "--study=-3,50,-2,51",
+                     "--pop-log10-mean", "9"]) == 1
+        assert re.fullmatch(r"config error: synth cell \(0, 0\) draws \d+ tweets, "
+                            r"more than the 2147483647 a cell may hold\n",
+                            capsys.readouterr().err)
+        assert not (out / "tweets.jsonl").exists()
 
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):
         again = tmp_path / "again"
@@ -828,6 +840,32 @@ class TestAnomalyCommand:
         assert (tmp_path / "anomaly_tu.geojson").exists()
         corr = json.loads((tmp_path / "correlation.json").read_text())
         assert -1.0 <= corr["abs"]["pearson_r"] <= 1.0
+
+    def test_map_bytes_are_pinned(self, tmp_path, corpus):
+        """Both maps of the shared corpus, each with masked cells and capped
+        values."""
+        assert run_cmd(corpus, tmp_path, "anomaly", "--x", "6", "--kind", "both",
+                       "--geojson", "--abs-cap", "1", "--rel-cap", "0.0015",
+                       "--mask-t-density", "3", "--mask-p-density", "10") == 0
+        for kind in ("tu", "yp"):
+            rows = list(csv.DictReader((tmp_path / f"anomaly_{kind}.csv").open()))
+            kept = [r for r in rows if r["masked"] == "0"]
+            assert 0 < len(kept) < len(rows)
+            assert any(r[col] != r[col + "_capped"] for r in kept
+                       for col in ("A_abs", "A_rel"))
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("anomaly_tu.csv", "anomaly_tu.geojson",
+                                "anomaly_yp.csv", "anomaly_yp.geojson")}
+        assert digests == {
+            "anomaly_tu.csv":
+                "b5afa33d00ee86ef17d37db9d211a56538c1479694c08e8704e344893b5c1c59",
+            "anomaly_tu.geojson":
+                "2abef1bc7d6e9293ec04ec70fbacd41586a5729a3c5f2cdd46bc1ba90001d393",
+            "anomaly_yp.csv":
+                "6f4a0d726e3e338231fa983a9438b8687c3a93f88c2d6443c8144aeb068f992a",
+            "anomaly_yp.geojson":
+                "14f02f0f9bbc00eb01593967dcfeb9f762ffb094efdc2dd8ec225c0190442ef9",
+        }
 
 
 class TestValidateCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from geoscale.geometry import (
     Ring,
     intersection_area,
     polygon_area,
+    rect_geojson,
     rect_ring,
     spherical_rect_area,
 )
@@ -21,10 +23,13 @@ from geoscale.gridding import (
     accumulate_users,
     apportion_population,
     build_grid,
+    cells_to_csv,
+    cells_to_geojson,
     densities,
     group_by_user,
     run_grid_pipeline,
     water_mass,
+    write_csv,
 )
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
 
@@ -446,3 +451,59 @@ class TestPipeline:
         assert grid.n_t.sum() == pytest.approx(200, abs=1e-9)
         assert grid.n_p.sum() == pytest.approx(10000, rel=1e-9)
         assert grid.n_y is None   # the unit carries no youth count
+
+
+class TestCellWriters:
+    # thirds of a degree: edges whose repr is not short
+    SPEC = GridSpec(LonLatRect(-3.0, 50.0, -2.0, 51.0), 3)
+
+    def layers(self):
+        odd = np.array([[math.nan, math.inf, -math.inf],
+                        [-0.0, 1e-05, 1e300],
+                        [2.5, -7.0, 0.1]])
+        return {"odd": odd, "count": np.arange(9).reshape(3, 3),
+                "per%cent \"q\"": odd[::-1].copy()}
+
+    def expected_geojson(self, cells, layers) -> str:
+        spec = self.SPEC
+        fc = {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "geometry": rect_geojson(spec.cell_rect(i, j)),
+             "properties": {"i": i, "j": j, **{name: a[i, j].item()
+                                               for name, a in layers.items()}}}
+            for i in range(spec.x) for j in range(spec.x) if cells[i, j]]}
+        return json.dumps(fc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("picked", ["all", "some", "none"])
+    def test_geojson_is_what_json_dump_writes(self, tmp_path, picked):
+        cells = {"all": np.ones((3, 3), bool), "none": np.zeros((3, 3), bool),
+                 "some": np.arange(9).reshape(3, 3) % 4 != 1}[picked]
+        layers = self.layers()
+        path = tmp_path / "cells.geojson"
+        cells_to_geojson(self.SPEC, cells, layers, path)
+        assert path.read_text() == self.expected_geojson(cells, layers)
+        if picked == "none":
+            assert '"features": [],' in path.read_text()
+
+    def test_geojson_geometry_is_the_cell_rect(self, tmp_path):
+        path = tmp_path / "cells.geojson"
+        cells_to_geojson(self.SPEC, np.ones((3, 3), bool), self.layers(), path)
+        with open(path) as fh:
+            features = json.load(fh)["features"]
+        assert len(features) == 9
+        for f in features:
+            i, j = f["properties"]["i"], f["properties"]["j"]
+            assert f["geometry"] == rect_geojson(self.SPEC.cell_rect(i, j))
+
+    def test_csv_is_what_write_csv_writes(self, tmp_path):
+        spec = self.SPEC
+        layers = {**self.layers(), "none": None}
+        cells_to_csv(spec, layers, tmp_path / "cells.csv")
+        rows = []
+        for i in range(spec.x):
+            for j in range(spec.x):
+                r = spec.cell_rect(i, j)
+                rows.append([i, j, r.min_lon, r.min_lat, r.max_lon, r.max_lat,
+                             *(None if a is None else a[i, j] for a in layers.values())])
+        write_csv(tmp_path / "rows.csv",
+                  ["i", "j", "min_lon", "min_lat", "max_lon", "max_lat", *layers], rows)
+        assert (tmp_path / "cells.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
