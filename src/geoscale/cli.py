@@ -11,6 +11,7 @@ reruns with identical inputs and seed produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -216,9 +217,28 @@ def load_records(cfg: RunConfig):
 
 
 def _outdir(cfg: RunConfig) -> Path:
+    """--out, made once the command has passed every check that can fail,
+    so that a failed run leaves no directory behind."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextlib.contextmanager
+def _streamed_outdir(cfg: RunConfig):
+    """--out for synth, whose draw is checked cell by cell while the corpus
+    streams into it: the directories made for it are removed again if the
+    draw fails (write_corpus has removed its file by then)."""
+    out = Path(cfg.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _write_fits_csv(path, rows) -> None:
@@ -342,28 +362,27 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     anomaly_mod.check_map_settings(cfg.abs_cap, cfg.rel_cap, cfg.mask_t_density,
                                    cfg.mask_p_density)
     grid = _load_grid(cfg)[0]
-    out = _outdir(cfg)
     made = {}
     cells = scaling.cell_indices(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     for kind, exponent in (("tu", "gamma"), ("yp", "delta")):
-        if cfg.kind not in (kind, "both"):
-            continue
-        fit = scaling.fit_exponent(grid, cells, exponent)
-        amap = anomaly_mod.anomaly_map(grid, fit, cfg.abs_cap, cfg.rel_cap,
-                                       cfg.mask_t_density, cfg.mask_p_density)
+        if cfg.kind in (kind, "both"):
+            fit = scaling.fit_exponent(grid, cells, exponent)
+            made[kind] = anomaly_mod.anomaly_map(grid, fit, cfg.abs_cap, cfg.rel_cap,
+                                                 cfg.mask_t_density, cfg.mask_p_density)
+    corr = ({which: anomaly_mod.anomaly_correlation(made["yp"], made["tu"], which)
+             for which in ("abs", "rel")} if len(made) == 2 else {})
+    out = _outdir(cfg)
+    for kind, amap in made.items():
         anomaly_mod.anomaly_to_csv(amap, out / f"anomaly_{kind}.csv")
         if cfg.geojson:
             anomaly_mod.anomaly_to_geojson(amap, out / f"anomaly_{kind}.geojson")
-        made[kind] = amap
     for kind, amap in made.items():
         print(f"anomaly {kind}: {int((~amap.masked).sum())} unmasked cells")
-    if len(made) == 2:
-        corr = {}
-        for which in ("abs", "rel"):
-            c = anomaly_mod.anomaly_correlation(made["yp"], made["tu"], which)
-            corr[which] = {"pearson_r": c.pearson_r, "n": c.n}
-            print(f"correlation ({which}): r={c.pearson_r:.4f} n={c.n}")
-        _write_json(out / "correlation.json", corr)
+    for which, c in corr.items():
+        print(f"correlation ({which}): r={c.pearson_r:.4f} n={c.n}")
+    if corr:
+        _write_json(out / "correlation.json", {
+            which: {"pearson_r": c.pearson_r, "n": c.n} for which, c in corr.items()})
     return EXIT_OK
 
 
@@ -402,9 +421,9 @@ def cmd_synth(cfg: RunConfig) -> int:
     synth.check_bot_settings(cfg.bots, cfg.bot_fraction)
     try:
         fc, gt = synth.gen_population(scfg)
-        out = _outdir(cfg)
-        n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
-                                       cfg.bots, cfg.bot_fraction)
+        with _streamed_outdir(cfg) as out:
+            n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
+                                           cfg.bots, cfg.bot_fraction)
     except OverflowError as exc:   # a density or count too large for a float
         raise ConfigError(f"synth settings overflow: {exc}") from exc
     _write_json(out / "population.geojson", fc)

@@ -7,10 +7,16 @@ across a rectangular partition conserves total area to machine precision.
 For axis-aligned rectangles the integral reduces to the closed form in
 :func:`spherical_rect_area`.
 
-A polygon meets a grid by Sutherland-Hodgman clipping: each ring is clipped
-once per column between its meridians, and each piece once per cell
-between the cell's parallels.  Clipped pieces below 1e-12 km^2 are dropped,
-and a cell with under 1e-9 km^2 of land counts as open water.
+Polygons meet a grid in one batched pass (:func:`grid_areas`).  Every ring
+of every geometry is laid out once in a flat vertex table; each (ring,
+column) pair it can touch is clipped between the column's meridians, and
+each (piece, band) pair between the band's parallels, by Sutherland-Hodgman
+steps done as array operations over all pairs at once.  The arithmetic is
+that of a ring-by-ring clip, so every cell gets the same float: the same
+crossing formula, the same edge terms, sin and cos from ``math`` (never a
+numpy ufunc, whose rounding may differ from libm's) and ``math.fsum`` per
+piece.  Clipped pieces below 1e-12 km^2 are dropped, and a cell with under
+1e-9 km^2 of land counts as open water.
 
 Every vertex is a GeoJSON position (see :func:`position`).  Self-intersecting
 rings are not detected; the signed-area result is taken as-is.
@@ -19,8 +25,11 @@ rings are not detected; the signed-area result is taken as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, fsum, radians, sin
-from typing import Iterable
+from itertools import chain
+from math import cos, fsum, pi, radians, sin
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -76,13 +85,17 @@ class LonLatRect:
     def height(self) -> float:
         return self.max_lat - self.min_lat
 
+    def meets(self, other: "LonLatRect") -> bool:
+        """Whether the closed rects share a point."""
+        return (self.min_lon <= other.max_lon and other.min_lon <= self.max_lon
+                and self.min_lat <= other.max_lat and other.min_lat <= self.max_lat)
+
     def intersect(self, other: "LonLatRect") -> "LonLatRect | None":
-        try:
-            return LonLatRect(
-                max(self.min_lon, other.min_lon), max(self.min_lat, other.min_lat),
-                min(self.max_lon, other.max_lon), min(self.max_lat, other.max_lat))
-        except ValueError:   # the rects do not meet
+        if not self.meets(other):
             return None
+        return LonLatRect(
+            max(self.min_lon, other.min_lon), max(self.min_lat, other.min_lat),
+            min(self.max_lon, other.max_lon), min(self.max_lat, other.max_lat))
 
 
 class Ring:
@@ -156,89 +169,196 @@ def ring_area(r: Ring) -> float:
 
 def polygon_area(p: MultiPolygon) -> float:
     """Sum over the polygons of outer-ring area minus hole areas, km^2."""
-    return fsum(_net_area(ring_area(poly.outer), fsum(ring_area(h) for h in poly.holes))
-                for poly in p.polygons)
+    outer = [ring_area(poly.outer) for poly in p.polygons]
+    holes = [fsum(ring_area(h) for h in poly.holes) for poly in p.polygons]
+    return fsum(_net_area(np.array(outer), np.array(holes)))
 
 
-def _net_area(outer: float, holes: float) -> float:
-    """Outer-ring area less the summed hole areas, floored at zero."""
+# math.radians(v) is v * (pi / 180) in one rounding; so is v * _DEG.
+_DEG = pi / 180.0
+_R2 = EARTH_RADIUS_KM * EARTH_RADIUS_KM
+
+
+def _libm(f, v: np.ndarray) -> np.ndarray:
+    """math's f at every element of v: numpy's own sin and cos need not
+    round like the C library's on every CPU."""
+    return np.array([f(x) for x in v.tolist()], dtype=float)
+
+
+def _ring_table(geoms: Sequence[MultiPolygon]):
+    """Every ring of the geometries in one flat vertex table: the (2, n)
+    lon/lat columns, the offsets (ring k is columns offsets[k] to
+    offsets[k + 1]), and per ring its geometry, its polygon (numbered across
+    the geometries) and whether it is a hole."""
+    coords, geom, poly, hole = [], [], [], []
+    polygons = [(g, p) for g, m in enumerate(geoms) for p in m.polygons]
+    for k, (g, p) in enumerate(polygons):
+        rings = (p.outer, *p.holes)
+        coords += [r.coords for r in rings]
+        geom += [g] * len(rings)
+        poly += [k] * len(rings)
+        hole += [False] + [True] * len(p.holes)
+    xy = np.array(list(chain.from_iterable(coords)), dtype=float).reshape(-1, 2).T
+    offsets = np.concatenate(([0], np.cumsum([len(c) for c in coords], dtype=np.intp)))
+    return xy, offsets, np.array(geom, np.intp), np.array(poly, np.intp), np.array(hole, bool)
+
+
+def _signed_areas(xy: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """_signed_area of every ring of a table at once, float for float: R^2
+    times the exactly rounded sum (math.fsum) of the ring's edge terms,
+    each radians(lon2 - lon1) * _edge_mean_sin(radians(lat1),
+    radians(lat2)).  A ring with under 3 distinct vertices sums to exactly
+    0: each edge A->B has an edge B->A of opposite term."""
+    n = xy.shape[1]
+    ahead = np.arange(1, n + 1)
+    ahead[offsets[1:] - 1] = offsets[:-1]
+    lon, lat = xy[0], xy[1] * _DEG
+    rise = lat[ahead] - lat
+    flat = np.abs(rise) < 1e-9
+    mean_sin = np.empty(n)
+    mean_sin[flat] = _libm(sin, 0.5 * (lat[flat] + lat[ahead][flat]))
+    cos_lat = _libm(cos, lat)
+    steep = ~flat
+    mean_sin[steep] = (cos_lat[steep] - cos_lat[ahead][steep]) / rise[steep]
+    terms = ((lon[ahead] - lon) * _DEG * mean_sin).tolist()
+    bounds = offsets.tolist()
+    return _R2 * np.array([fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def _net_area(outer: np.ndarray, holes: np.ndarray) -> np.ndarray:
+    """Outer-ring areas less their summed hole areas, floored at zero.  A
+    DataError names the first whose holes exceed it."""
     result = outer - holes
-    if result < -1e-9 * max(outer, 1.0):
-        raise DataError(f"hole area {holes} exceeds outer area {outer}")
-    return max(result, 0.0)
+    bad = np.flatnonzero(result < -1e-9 * np.maximum(outer, 1.0))
+    if len(bad):
+        k = bad[0]
+        raise DataError(f"hole area {float(holes[k])} exceeds outer area {float(outer[k])}")
+    return np.maximum(result, 0.0)
 
 
-def _clip_half_plane(coords, axis: int, bound: float, keep_below: bool) -> list:
-    """Clip an open coordinate sequence against one axis-aligned half-plane."""
-    out = []
-    for k in range(len(coords)):
-        cur = coords[k]
-        prev = coords[k - 1]
-        if keep_below:
-            cur_in = cur[axis] <= bound
-            prev_in = prev[axis] <= bound
-        else:
-            cur_in = cur[axis] >= bound
-            prev_in = prev[axis] >= bound
-        if cur_in != prev_in:
-            # Edge crosses the boundary: the crossing lies on it, so only
-            # the other coordinate is interpolated.
-            t = (bound - prev[axis]) / (cur[axis] - prev[axis])
-            free = prev[1 - axis] + t * (cur[1 - axis] - prev[1 - axis])
-            out.append((bound, free) if axis == 0 else (free, bound))
-        if cur_in:
-            out.append(cur)
-    return out
+def _clip(xy: np.ndarray, offsets: np.ndarray, axis: int, bound: np.ndarray,
+          keep_below: bool):
+    """One Sutherland-Hodgman step on every ring of a table: the part of
+    ring k where coordinate `axis` (0 lon, 1 lat) is <= bound[k]
+    (keep_below) or >= bound[k].  Each edge prev -> cur that crosses the
+    line adds its crossing, then cur if cur is kept.  Returns the clipped
+    table and the indices of the rings that kept a vertex, the others
+    dropped."""
+    n, lengths = xy.shape[1], np.diff(offsets)
+    behind = np.arange(-1, n - 1)
+    behind[offsets[:-1]] = offsets[1:] - 1
+    c, b = xy[axis], np.repeat(bound, lengths)
+    kept = c <= b if keep_below else c >= b
+    cross = kept != kept[behind]
+    count = cross + kept.astype(np.intp)
+    end = np.cumsum(count)
+    out = np.empty((2, int(end[-1]) if n else 0))
+    at = np.flatnonzero(cross)
+    prev, put = behind[at], end[at] - count[at]
+    # the crossing lies on the line, so only the other coordinate is
+    # interpolated
+    t = (b[at] - c[prev]) / (c[at] - c[prev])
+    o = xy[1 - axis]
+    out[axis, put] = b[at]
+    out[1 - axis, put] = o[prev] + t * (o[at] - o[prev])
+    at = np.flatnonzero(kept)
+    out[:, end[at] - 1] = xy[:, at]
+    sizes = np.add.reduceat(count, offsets[:-1]) if n else lengths
+    live = np.flatnonzero(sizes)
+    return out, np.concatenate(([0], np.cumsum(sizes[live]))), live
 
 
-def _clip_slab(coords, axis: int, lo: float, hi: float) -> list:
-    """The part of an open coordinate sequence with lo <= coordinate <= hi
-    on one axis (0 longitude, 1 latitude): two Sutherland-Hodgman steps."""
-    coords = _clip_half_plane(coords, axis, lo, keep_below=False)
-    return _clip_half_plane(coords, axis, hi, keep_below=True)
+def _clip_slab(xy: np.ndarray, offsets: np.ndarray, axis: int, lo: np.ndarray,
+               hi: np.ndarray):
+    """The part of ring k of a table with lo[k] <= coordinate <= hi[k] on
+    one axis: two _clip steps.  Returns the clipped table and the indices of
+    the rings left."""
+    xy, offsets, live = _clip(xy, offsets, axis, lo, keep_below=False)
+    xy, offsets, left = _clip(xy, offsets, axis, hi[live], keep_below=True)
+    return xy, offsets, live[left]
 
 
-def _band_area(piece, min_lat: float, max_lat: float) -> float:
-    """Absolute area of the part of a column piece between two parallels,
-    km^2: 0.0 when there is no overlap or the remainder is a sliver below
-    1e-12 km^2."""
-    coords = _clip_slab(piece, 1, min_lat, max_lat)
-    if len(set(coords)) < 3:
-        return 0.0
-    area = abs(_signed_area(coords))
-    return area if area >= _SLIVER_AREA_KM2 else 0.0
+def _slab_pairs(xy: np.ndarray, offsets: np.ndarray, axis: int, edges: np.ndarray):
+    """Ring k copied once for each slab s, between edges[s] and edges[s + 1]
+    on one axis, that its closed extent meets; it clips to nothing in any
+    other.  Returns the copies' table and each copy's ring and slab."""
+    c = xy[axis]
+    lo = np.minimum.reduceat(c, offsets[:-1]) if len(c) else c
+    hi = np.maximum.reduceat(c, offsets[:-1]) if len(c) else c
+    first = np.searchsorted(edges[1:], lo, "left")
+    count = np.maximum(np.searchsorted(edges[:-1], hi, "right") - first, 0)
+    ring = np.repeat(np.arange(len(count)), count)
+    slab = first[ring] + np.arange(len(ring)) - np.repeat(np.cumsum(count) - count, count)
+    lengths = np.diff(offsets)[ring]
+    copies = np.concatenate(([0], np.cumsum(lengths)))
+    at = np.arange(copies[-1]) + np.repeat(offsets[ring] - copies[:-1], lengths)
+    return xy[:, at], copies, ring, slab
+
+
+def grid_areas(geoms: Sequence[MultiPolygon], lon_edges, lat_edges):
+    """The overlap of each multipolygon with the cells of the grid given by
+    the ascending edges, km^2: the arrays (geometry, i, j, area) over the
+    cells (i, j), between lon_edges[i:i + 2] and lat_edges[j:j + 2], where
+    it is positive, ordered by geometry, i and j.
+
+    Every (ring, column) pair the ring can touch is clipped between the
+    column's meridians and every (piece, band) pair between the band's
+    parallels, all pairs at once.  A piece of under 1e-12 km^2 counts as
+    none.  A polygon's area in a cell is its outer piece's less its hole
+    pieces' (see _net_area), taken where the outer piece has area, and a
+    cell's area is the fsum over the polygons, floored at zero.
+    """
+    lon_edges = np.asarray(lon_edges, dtype=float)
+    lat_edges = np.asarray(lat_edges, dtype=float)
+    xy, offsets, geom, poly, hole = _ring_table(geoms)
+    xy, offsets, ring, col = _slab_pairs(xy, offsets, 0, lon_edges)
+    xy, offsets, left = _clip_slab(xy, offsets, 0, lon_edges[col], lon_edges[col + 1])
+    ring, col = ring[left], col[left]
+    xy, offsets, piece, band = _slab_pairs(xy, offsets, 1, lat_edges)
+    xy, offsets, left = _clip_slab(xy, offsets, 1, lat_edges[band], lat_edges[band + 1])
+    ring, col, band = ring[piece[left]], col[piece[left]], band[left]
+    area = np.abs(_signed_areas(xy, offsets))
+    area = np.where(area >= _SLIVER_AREA_KM2, area, 0.0)
+
+    # each polygon's pieces in a cell, its outer piece first, in the order a
+    # walk over columns, then bands, then polygons meets them
+    g, p = geom[ring], poly[ring]
+    nx, ny = len(lon_edges) - 1, len(lat_edges) - 1
+    some = np.flatnonzero(area > 0.0)
+    some = some[np.lexsort((hole[ring[some]], p[some], band[some], col[some], g[some]))]
+    inner = hole[ring[some]]
+    starts, holes = _fsum_runs(np.where(inner, area[some], 0.0),
+                               (p[some] * nx + col[some]) * ny + band[some])
+    led = ~inner[starts]   # a polygon's holes count only where its outer piece has area
+    outer = some[starts[led]]
+    net = _net_area(area[outer], holes[led])
+    cells, total = _fsum_runs(net, (g[outer] * nx + col[outer]) * ny + band[outer])
+    kept = total > 0.0   # a cell of no area is left out, as one of less would be
+    at = outer[cells[kept]]
+    return g[at], col[at], band[at], total[kept]
+
+
+def _fsum_runs(values: np.ndarray, keys: np.ndarray):
+    """The exactly rounded sum (math.fsum) of the values of each run of
+    equal non-negative keys: each run's first index, and its sum."""
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    ends = np.append(starts[1:], len(keys))
+    sums, listed = values[starts], values.tolist()
+    for k in np.flatnonzero(ends - starts > 1).tolist():
+        sums[k] = fsum(listed[starts[k]:ends[k]])
+    return starts, sums
 
 
 def grid_intersection_areas(m: MultiPolygon, lon_edges: list, lat_edges: list
                             ) -> list[list[float]]:
     """Area of the overlap between the multipolygon and every cell of the
     grid given by its edges: ``areas[i][j]`` for the cell between
-    lon_edges[i:i+2] and lat_edges[j:j+2], km^2.
-
-    Each ring is clipped once per column against the column's meridians and
-    the piece once per cell against the cell's parallels.  A hole is clipped
-    like its outer ring and its area subtracted from the outer piece's.
-    """
-    bands = list(zip(lat_edges[:-1], lat_edges[1:]))
-    areas = []
-    for min_lon, max_lon in zip(lon_edges[:-1], lon_edges[1:]):
-        pieces = []
-        for p in m.polygons:
-            piece = _clip_slab(p.outer.coords, 0, min_lon, max_lon)
-            if piece:
-                pieces.append((piece, [_clip_slab(h.coords, 0, min_lon, max_lon)
-                                       for h in p.holes]))
-        column = []
-        for min_lat, max_lat in bands:
-            net = []
-            for piece, holes in pieces:
-                outer = _band_area(piece, min_lat, max_lat)
-                if outer:
-                    net.append(_net_area(outer, fsum(_band_area(h, min_lat, max_lat)
-                                                     for h in holes)))
-            column.append(max(fsum(net), 0.0))
-        areas.append(column)
-    return areas
+    lon_edges[i:i+2] and lat_edges[j:j+2], km^2.  The one-geometry case of
+    :func:`grid_areas`."""
+    areas = np.zeros((len(lon_edges) - 1, len(lat_edges) - 1))
+    _, i, j, a = grid_areas([m], lon_edges, lat_edges)
+    areas[i, j] = a
+    return areas.tolist()
 
 
 def intersection_area(m: MultiPolygon, rect: LonLatRect) -> float:

@@ -25,8 +25,7 @@ from .geometry import (
     MIN_AREA_KM2,
     LonLatRect,
     MultiPolygon,
-    geometry_bounds,
-    grid_intersection_areas,
+    grid_areas,
 )
 from .ingest import Corpus, LocatedRecord, PopulationUnit
 
@@ -94,34 +93,9 @@ def build_grid(spec: GridSpec, land: MultiPolygon) -> DensityGrid:
     Cells over open water (including slivers below 1e-9 km^2) get area 0.
     """
     area = np.zeros((spec.x, spec.x))
-    if land.polygons:   # else no land at all
-        cells, a = _cell_areas(spec, land, geometry_bounds(land))
-        area[cells] = np.where(a >= MIN_AREA_KM2, a, 0.0)
+    _, i, j, a = grid_areas([land], spec.lon_edges, spec.lat_edges)
+    area[i, j] = np.where(a >= MIN_AREA_KM2, a, 0.0)
     return DensityGrid(spec, area)
-
-
-def _cell_index_range(spec: GridSpec, rect: LonLatRect
-                      ) -> tuple[int, int, int, int]:
-    """Indices of grid cells whose rect can overlap the given rect (clipped
-    to the grid; may be an empty range when disjoint)."""
-    x = spec.x
-    i0 = int(np.searchsorted(spec.lon_edges, rect.min_lon, side="right")) - 1
-    i1 = int(np.searchsorted(spec.lon_edges, rect.max_lon, side="left")) - 1
-    j0 = int(np.searchsorted(spec.lat_edges, rect.min_lat, side="right")) - 1
-    j1 = int(np.searchsorted(spec.lat_edges, rect.max_lat, side="left")) - 1
-    return (max(i0, 0), min(max(i1, i0), x - 1),
-            max(j0, 0), min(max(j1, j0), x - 1))
-
-
-def _cell_areas(spec: GridSpec, geom: MultiPolygon, bounds: LonLatRect
-                ) -> tuple[tuple[slice, slice], np.ndarray]:
-    """Intersection areas of a geometry with the cells its bounds can
-    overlap: the cells as a pair of slices, and the areas over them."""
-    i0, i1, j0, j1 = _cell_index_range(spec, bounds)
-    areas = grid_intersection_areas(geom, spec.lon_edges[i0:i1 + 2].tolist(),
-                                    spec.lat_edges[j0:j1 + 2].tolist())
-    cells = (slice(i0, i1 + 1), slice(j0, j1 + 1))
-    return cells, np.array(areas).reshape(i1 + 1 - i0, j1 + 1 - j0)
 
 
 def _accumulate_points(target: np.ndarray, spec: GridSpec,
@@ -228,21 +202,30 @@ def apportion_population(grid: DensityGrid, units: Sequence[PopulationUnit]) -> 
     intersection area with the unit polygon; a unit of at most MIN_AREA_KM2
     has none to spread over.  Youth counts are spread too if every unit that
     reaches the grid carries one; else grid.n_y becomes None, as a partial
-    youth layer would undercount."""
+    youth layer would undercount.
+
+    All units that reach the grid are clipped into their cells in one
+    batched pass (geometry.grid_areas), and each cell adds its units'
+    shares one at a time in unit order (np.add.at applies repeated indices
+    in turn)."""
     reaching = [u for u in units if u.area > MIN_AREA_KM2
-                and u.bounds.intersect(grid.spec.study) is not None]
+                and u.bounds.meets(grid.spec.study)]
     if any(u.population_18_35 is None for u in reaching):
         grid.n_y = None
     elif reaching and grid.n_y is None and not grid.n_p.any():
         # youth starts only on a grid without population, so that it
         # covers every unit on it
         grid.n_y = np.zeros_like(grid.n_p)
-    for unit in reaching:
-        cells, a = _cell_areas(grid.spec, unit.geometry, unit.bounds)
-        share = a / unit.area
-        grid.n_p[cells] += unit.population * share
-        if grid.n_y is not None:
-            grid.n_y[cells] += unit.population_18_35 * share
+    k, i, j, a = grid_areas([u.geometry for u in reaching],
+                            grid.spec.lon_edges, grid.spec.lat_edges)
+
+    def per_cell(attr: str) -> np.ndarray:
+        return np.array([getattr(u, attr) for u in reaching], dtype=float)[k]
+
+    share = a / per_cell("area")
+    np.add.at(grid.n_p, (i, j), per_cell("population") * share)
+    if grid.n_y is not None:
+        np.add.at(grid.n_y, (i, j), per_cell("population_18_35") * share)
 
 
 def densities(grid: DensityGrid, letters: str = DENSITY_LETTERS

@@ -450,7 +450,19 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: synth settings overflow")
         assert err.count("\n") == 1
-        assert not (tmp_path / "out" / "tweets.jsonl").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_draw_leaves_no_out_directory(self, tmp_path, capsys):
+        """The directories made for --out go again when the draw fails, and
+        a directory that was there before stays."""
+        out = tmp_path / "a" / "b" / "out"
+        argv = ["--x-gen", "2", "--study=-3,50,-2,51", "--beta-true", "300"]
+        assert main(["synth", "--out", str(out), *argv]) == 1
+        assert list(tmp_path.iterdir()) == []
+        (tmp_path / "kept").mkdir()
+        assert main(["synth", "--out", str(tmp_path / "kept"), *argv]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
 
     def test_count_too_large_for_a_cell_is_a_config_error(self, tmp_path, capsys):
         """A cell that draws more tweets than a corpus can code is refused
@@ -461,7 +473,7 @@ class TestSynthCommand:
         assert re.fullmatch(r"config error: synth cell \(0, 0\) draws \d+ tweets, "
                             r"more than the 2147483647 a cell may hold\n",
                             capsys.readouterr().err)
-        assert not (out / "tweets.jsonl").exists()
+        assert not out.exists()
 
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):
         again = tmp_path / "again"
@@ -831,6 +843,7 @@ class TestAnomalyCommand:
         assert capsys.readouterr().err == (
             "insufficient data: grid has no youth population data: every census "
             "unit that reaches the grid must carry population_18_35\n")
+        assert not (tmp_path / "yp").exists()
         assert run_cmd(inputs, tmp_path / "tu", "anomaly", "--x", "6", "--kind", "tu") == 0
 
     def test_both_kinds_write_correlation(self, tmp_path, corpus):

@@ -11,6 +11,7 @@ from geoscale.geometry import (
     PolygonWithHoles,
     Ring,
     geometry_from_geojson,
+    grid_areas,
     grid_intersection_areas,
     intersection_area,
     polygon_area,
@@ -286,7 +287,9 @@ class TestGridIntersectionAreas:
 
         plain = [(0.5, 0.5), (3.5, 1.0), (2.0, 3.0), (0.5, 2.0)]
         repeated = plain[:2] + plain[1:]
-        clipped = _clip_slab(plain, 1, 1.0, 2.0)   # (3.5, 1.0) is on the edge
+        xy, _, _ = _clip_slab(np.array(plain).T, np.array([0, len(plain)]), 1,
+                              np.array([1.0]), np.array([2.0]))   # (3.5, 1.0) is on the edge
+        clipped = list(zip(*xy.tolist()))
         assert any(a == b for a, b in zip(clipped, clipped[1:]))
         lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
         lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
@@ -311,6 +314,243 @@ class TestGridIntersectionAreas:
                                                         lon_edges[i + 1], lat_edges[j + 1]))
                     expected = 0.0 if overlap is None else spherical_rect_area(overlap)
                     assert areas[i][j] == pytest.approx(expected, rel=1e-12, abs=1e-9)
+
+
+# The ring-by-ring Sutherland-Hodgman clipper that grid_areas replaced,
+# kept as the reference the batched pass must match float for float.
+
+def _ref_edge_mean_sin(lat1_rad, lat2_rad):
+    d = lat2_rad - lat1_rad
+    if abs(d) < 1e-9:
+        return math.sin(0.5 * (lat1_rad + lat2_rad))
+    return (math.cos(lat1_rad) - math.cos(lat2_rad)) / d
+
+
+def _ref_signed_area(coords):
+    n = len(coords)
+    terms = []
+    for k in range(n):
+        lon1, lat1 = coords[k]
+        lon2, lat2 = coords[(k + 1) % n]
+        terms.append(math.radians(lon2 - lon1)
+                     * _ref_edge_mean_sin(math.radians(lat1), math.radians(lat2)))
+    return EARTH_RADIUS_KM * EARTH_RADIUS_KM * math.fsum(terms)
+
+
+def _ref_net_area(outer, holes):
+    result = outer - holes
+    if result < -1e-9 * max(outer, 1.0):
+        raise DataError(f"hole area {holes} exceeds outer area {outer}")
+    return max(result, 0.0)
+
+
+def _ref_polygon_area(m):
+    return math.fsum(
+        _ref_net_area(abs(_ref_signed_area(p.outer.coords)),
+                      math.fsum(abs(_ref_signed_area(h.coords)) for h in p.holes))
+        for p in m.polygons)
+
+
+def _ref_clip_half_plane(coords, axis, bound, keep_below):
+    out = []
+    for k in range(len(coords)):
+        cur, prev = coords[k], coords[k - 1]
+        if keep_below:
+            cur_in, prev_in = cur[axis] <= bound, prev[axis] <= bound
+        else:
+            cur_in, prev_in = cur[axis] >= bound, prev[axis] >= bound
+        if cur_in != prev_in:
+            t = (bound - prev[axis]) / (cur[axis] - prev[axis])
+            free = prev[1 - axis] + t * (cur[1 - axis] - prev[1 - axis])
+            out.append((bound, free) if axis == 0 else (free, bound))
+        if cur_in:
+            out.append(cur)
+    return out
+
+
+def _ref_clip_slab(coords, axis, lo, hi):
+    coords = _ref_clip_half_plane(coords, axis, lo, keep_below=False)
+    return _ref_clip_half_plane(coords, axis, hi, keep_below=True)
+
+
+def _ref_band_area(piece, min_lat, max_lat):
+    coords = _ref_clip_slab(piece, 1, min_lat, max_lat)
+    if len(set(coords)) < 3:
+        return 0.0
+    area = abs(_ref_signed_area(coords))
+    return area if area >= 1e-12 else 0.0
+
+
+def _ref_grid_areas(m, lon_edges, lat_edges):
+    bands = list(zip(lat_edges[:-1], lat_edges[1:]))
+    areas = []
+    for min_lon, max_lon in zip(lon_edges[:-1], lon_edges[1:]):
+        pieces = []
+        for p in m.polygons:
+            piece = _ref_clip_slab(p.outer.coords, 0, min_lon, max_lon)
+            if piece:
+                pieces.append((piece, [_ref_clip_slab(h.coords, 0, min_lon, max_lon)
+                                       for h in p.holes]))
+        column = []
+        for min_lat, max_lat in bands:
+            net = []
+            for piece, holes in pieces:
+                outer = _ref_band_area(piece, min_lat, max_lat)
+                if outer:
+                    net.append(_ref_net_area(outer, math.fsum(
+                        _ref_band_area(h, min_lat, max_lat) for h in holes)))
+            column.append(max(math.fsum(net), 0.0))
+        areas.append(column)
+    return areas
+
+
+def _snapped(rng, pts, lon_edges, lat_edges, p_snap):
+    """pts with some coordinates moved onto the nearest grid line (or both,
+    onto a grid corner) and some vertices repeated."""
+    out = []
+    for lon, lat in pts:
+        u = rng.random()
+        if u < 2 * p_snap:
+            lon = min(lon_edges, key=lambda e: abs(e - lon))
+        if p_snap <= u < 3 * p_snap:
+            lat = min(lat_edges, key=lambda e: abs(e - lat))
+        out += [(lon, lat)] * (2 if rng.random() < 0.1 else 1)
+    return out
+
+
+def _jittered_polygon(rng, cx, cy, r, lon_edges, lat_edges, holes=0):
+    """A star-shaped ring around (cx, cy) with jittered angles and radii,
+    snapped and repeated vertices, and holes scaled down from it."""
+    n = int(rng.integers(3, 14))
+    angles = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+    radii = r * rng.uniform(0.35, 1.0, n)
+    pts = [(cx + q * math.cos(a), cy + q * math.sin(a)) for a, q in zip(angles, radii)]
+    pts = _snapped(rng, pts, lon_edges, lat_edges, 0.15)
+    rings = []
+    for s in rng.uniform(0.2, 0.6, holes):
+        hole = [(cx + s * (lon - cx), cy + s * (lat - cy)) for lon, lat in pts]
+        rings.append(_snapped(rng, hole, lon_edges, lat_edges, 0.05))
+    # a small ring may snap onto fewer than 3 distinct vertices: not a ring
+    rings = [Ring(r) for r in rings if len(set(r)) >= 3]
+    if len(set(pts)) < 3:
+        pts = [(cx, cy), (cx + r, cy), (cx, cy + r)]
+    return PolygonWithHoles(Ring(pts), tuple(rings))
+
+
+def _sliver(rng, lon_edges, lat_edges):
+    """A thin triangle reaching 1e-15 to 1e-9 degrees past a grid line: the
+    pieces beyond it fall on either side of the sliver rule."""
+    edge = lon_edges[int(rng.integers(len(lon_edges)))]
+    lat = rng.uniform(lat_edges[0], lat_edges[-1])
+    over = 10.0 ** rng.uniform(-15, -9)
+    return PolygonWithHoles(Ring([(edge - 1e-3, lat), (edge + over, lat + 1e-3),
+                                  (edge - 1e-3, lat + 2e-3)]))
+
+
+def _random_geometries(rng, lon_edges, lat_edges):
+    """One of each: a multipolygon with holes inside the grid, a geometry
+    straddling the grid's edge, one wholly outside it, slivers, one with
+    coarse rings, seven small polygons around one grid corner, a rect with
+    five small holes there, and an empty geometry."""
+    (x0, x1), (y0, y1) = (lon_edges[0], lon_edges[-1]), (lat_edges[0], lat_edges[-1])
+    w, h = x1 - x0, y1 - y0
+    cx, cy = lon_edges[(len(lon_edges) - 1) // 2], lat_edges[(len(lat_edges) - 1) // 2]
+
+    def inside(scale, holes=0):
+        return _jittered_polygon(rng, rng.uniform(x0, x1), rng.uniform(y0, y1),
+                                 scale * min(w, h), lon_edges, lat_edges, holes)
+
+    def near_corner(n):
+        return [_jittered_polygon(rng, cx + rng.uniform(-0.05, 0.05) * w,
+                                  cy + rng.uniform(-0.05, 0.05) * h, 0.04 * min(w, h),
+                                  lon_edges, lat_edges) for _ in range(n)]
+
+    return [
+        MultiPolygon.of(inside(0.3, holes=1), inside(0.15, holes=2), inside(0.1)),
+        MultiPolygon.of(_jittered_polygon(rng, x1 + rng.uniform(-0.2, 0.2) * w,
+                                          rng.uniform(y0, y1), 0.4 * min(w, h),
+                                          lon_edges, lat_edges, holes=1)),
+        MultiPolygon.of(_jittered_polygon(rng, x0 - 0.6 * w, y1 + 0.6 * h, 0.3 * w,
+                                          lon_edges, lat_edges)),
+        MultiPolygon.of(*(_sliver(rng, lon_edges, lat_edges) for _ in range(3))),
+        MultiPolygon.of(inside(0.9), inside(0.5, holes=1)),
+        MultiPolygon.of(*near_corner(7)),
+        MultiPolygon.of(PolygonWithHoles(
+            rect_ring(LonLatRect(cx - 0.07 * w, cy - 0.07 * h, cx + 0.07 * w, cy + 0.07 * h)),
+            tuple(p.outer for p in near_corner(5)))),
+        MultiPolygon(()),
+    ]
+
+
+def _batched(geoms, lon_edges, lat_edges) -> np.ndarray:
+    g, i, j, a = grid_areas(geoms, lon_edges, lat_edges)
+    dense = np.zeros((len(geoms), len(lon_edges) - 1, len(lat_edges) - 1))
+    dense[g, i, j] = a
+    return dense
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the DataError it raised."""
+    try:
+        return fn(*args)
+    except DataError as e:
+        return f"DataError: {e}"
+
+
+class TestBatchedPassEqualsScalarClip:
+    """grid_areas and polygon_area give every cell and geometry the float the
+    ring-by-ring clipper gives, on seeded random jittered polygons."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_every_cell_is_the_same_float(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, ny = (int(v) for v in rng.integers(1, 9, 2))
+        x0, y0 = rng.uniform(-4.0, -2.0), rng.uniform(49.0, 52.0)
+        lon_edges = np.linspace(x0, x0 + rng.uniform(0.5, 2.5), nx + 1).tolist()
+        lat_edges = np.linspace(y0, y0 + rng.uniform(0.5, 2.5), ny + 1).tolist()
+        geoms = _random_geometries(rng, lon_edges, lat_edges)
+        expected = [_outcome(_ref_grid_areas, m, lon_edges, lat_edges) for m in geoms]
+        fine = [k for k, e in enumerate(expected) if not isinstance(e, str)]
+        assert len(fine) >= 4
+        # the geometries the scalar clip accepts, all in one call
+        got = _batched([geoms[k] for k in fine], lon_edges, lat_edges)
+        for row, k in enumerate(fine):
+            assert got[row].tolist() == expected[k]
+        for k in set(range(len(geoms))) - set(fine):
+            assert _outcome(_batched, [geoms[k]], lon_edges, lat_edges) == expected[k]
+        for m in geoms:
+            assert _outcome(polygon_area, m) == _outcome(_ref_polygon_area, m)
+            for p in m.polygons:
+                assert ring_area(p.outer) == abs(_ref_signed_area(p.outer.coords))
+
+    def test_holes_too_large_raise_as_the_scalar_clip(self):
+        """Holes that poke out of their outer ring exceed its pieces in
+        cells (0, 2) and (1, 0): both passes name the first cell a walk
+        over columns, then bands, meets, and the first geometry with one."""
+        outer = Ring([(1.9, 0), (4, 0), (4, 4), (0.9, 4), (0.9, 1), (1.9, 1)])
+        m = MultiPolygon.of(PolygonWithHoles(
+            outer, (rect_ring(LonLatRect(1.2, 0.2, 2.5, 0.8)),
+                    rect_ring(LonLatRect(0.2, 2.2, 1.5, 2.8)))))
+        later = MultiPolygon.of(PolygonWithHoles(
+            rect_ring(LonLatRect(0.9, 0.0, 4.0, 4.0)),
+            (rect_ring(LonLatRect(0.1, 0.1, 1.5, 0.9)),)))
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0]
+        message = _outcome(_ref_grid_areas, m, edges, edges)
+        assert message.startswith("DataError: hole area")
+        assert _outcome(_ref_grid_areas, later, edges, edges) not in (message, None)
+        assert _outcome(_batched, [_poly(rect_ring(STUDY)), m, later],
+                        edges, edges) == message
+
+    def test_sliver_pieces_are_dropped(self):
+        """A triangle reaching 1e-13 degrees past a grid line leaves a piece
+        of positive area under 1e-12 km^2 there, which counts as none."""
+        ring = Ring([(0.999, 0.5), (1.0 + 1e-13, 0.501), (0.999, 0.502)])
+        piece = _ref_clip_slab(_ref_clip_slab(ring.coords, 0, 1.0, 2.0), 1, 0.0, 1.0)
+        assert 0.0 < abs(_ref_signed_area(piece)) < 1e-12
+        edges = [0.0, 1.0, 2.0]
+        areas = _batched([_poly(ring)], edges, [0.0, 1.0])[0]
+        assert areas.tolist() == _ref_grid_areas(_poly(ring), edges, [0.0, 1.0])
+        assert areas[1, 0] == 0.0 and areas[0, 0] > 0.0
 
 
 class TestGeoJson:

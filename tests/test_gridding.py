@@ -379,18 +379,60 @@ class TestColumnSweep:
     def test_population_equals_per_cell_reference(self, x):
         grid = build_grid(GridSpec(STUDY, x), SWEEP_LAND)
         apportion_population(grid, SWEEP_UNITS)
-        n_p, n_y = np.zeros((x, x)), np.zeros((x, x))
-        for unit in SWEEP_UNITS:
-            total = polygon_area(unit.geometry)
-            for i in range(x):
-                for j in range(x):
-                    a = intersection_area(unit.geometry, grid.spec.cell_rect(i, j))
-                    if a > 0.0:
-                        n_p[i, j] += unit.population * (a / total)
-                        n_y[i, j] += unit.population_18_35 * (a / total)
+        n_p, n_y = per_cell_population(grid.spec, SWEEP_UNITS)
         np.testing.assert_array_equal(grid.n_p, n_p)
         np.testing.assert_array_equal(grid.n_y, n_y)
         assert grid.n_p.sum() > 0.0
+
+    @pytest.mark.parametrize("rect", [LonLatRect(10, 10, 11, 11), LonLatRect(-3, 1, -1, 2),
+                                      LonLatRect(4, 1, 5, 2), LonLatRect(1, -2, 2, 0)])
+    def test_land_off_or_on_the_study_edge_gives_zeros(self, rect):
+        for x in (1, 3, 8):
+            grid = build_grid(GridSpec(STUDY, x), rect_poly(rect))
+            assert grid.land_area.tolist() == np.zeros((x, x)).tolist()
+
+    @pytest.mark.parametrize("x", [1, 4, 7])
+    def test_empty_and_edge_crossing_units_in_one_call(self, x):
+        """An empty unit is skipped, and a unit reaching past the study edge
+        spreads only its part inside, with the other units in one pass."""
+        edge = PopulationUnit("edge", rect_poly(LonLatRect(3.5, -1.0, 5.0, 0.5)),
+                              600.0, 60.0)
+        units = [PopulationUnit("empty", MultiPolygon(()), 100.0, 10.0), *SWEEP_UNITS, edge]
+        grid = build_grid(GridSpec(STUDY, x), SWEEP_LAND)
+        apportion_population(grid, units)
+        n_p, n_y = per_cell_population(grid.spec, units)
+        np.testing.assert_array_equal(grid.n_p, n_p)
+        np.testing.assert_array_equal(grid.n_y, n_y)
+        inside = polygon_area(rect_poly(LonLatRect(3.5, 0.0, 4.0, 0.5)))
+        assert n_p[-1, 0] >= 600.0 * inside / edge.area > 0.0
+
+    def test_hole_larger_than_its_outer_piece_in_a_cell_raises(self):
+        """The hole pokes out of its outer ring: the unit has area, but in
+        cell (0, 0) the hole's piece exceeds the outer ring's."""
+        holed = MultiPolygon.of(PolygonWithHoles(
+            rect_ring(LonLatRect(0.9, 0.0, 4.0, 4.0)),
+            (rect_ring(LonLatRect(0.2, 0.2, 1.5, 0.8)),)))
+        assert polygon_area(holed) > 0.0
+        with pytest.raises(DataError, match="hole area .* exceeds outer area"):
+            build_grid(GridSpec(STUDY, 4), holed)
+        grid = build_grid(GridSpec(STUDY, 4), rect_poly(STUDY))
+        with pytest.raises(DataError, match="hole area .* exceeds outer area"):
+            apportion_population(grid, [SWEEP_UNITS[0], PopulationUnit("h", holed, 1.0)])
+
+
+def per_cell_population(spec: GridSpec, units) -> tuple[np.ndarray, np.ndarray]:
+    """Resident and youth counts added unit by unit and cell by cell from
+    intersection_area: the reference for apportion_population."""
+    n_p, n_y = np.zeros((spec.x, spec.x)), np.zeros((spec.x, spec.x))
+    for unit in units:
+        total = polygon_area(unit.geometry)
+        for i in range(spec.x):
+            for j in range(spec.x):
+                a = intersection_area(unit.geometry, spec.cell_rect(i, j))
+                if a > 0.0:
+                    n_p[i, j] += unit.population * (a / total)
+                    n_y[i, j] += unit.population_18_35 * (a / total)
+    return n_p, n_y
 
 
 class TestDensities:
