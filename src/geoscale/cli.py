@@ -502,6 +502,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:   # a grid side, say, too large for this host
+        print(f"config error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)
         return EXIT_INSUFFICIENT

@@ -7,16 +7,17 @@ across a rectangular partition conserves total area to machine precision.
 For axis-aligned rectangles the integral reduces to the closed form in
 :func:`spherical_rect_area`.
 
-Polygons meet a grid in one batched pass (:func:`grid_areas`).  Every ring
-of every geometry is laid out once in a flat vertex table; each (ring,
-column) pair it can touch is clipped between the column's meridians, and
-each (piece, band) pair between the band's parallels, by Sutherland-Hodgman
-steps done as array operations over all pairs at once.  The arithmetic is
-that of a ring-by-ring clip, so every cell gets the same float: the same
-crossing formula, the same edge terms, sin and cos from ``math`` (never a
-numpy ufunc, whose rounding may differ from libm's) and ``math.fsum`` per
-piece.  Clipped pieces below 1e-12 km^2 are dropped, and a cell with under
-1e-9 km^2 of land counts as open water.
+Every ring of every geometry is laid out once in a flat vertex table, and
+one routine measures all the rings of a table at once: whole polygons
+(:func:`polygon_areas`) and their clipped pieces alike, with sin and cos
+from ``math`` (never a numpy ufunc, whose rounding may differ from libm's)
+and ``math.fsum`` per ring.  Polygons meet a grid in one batched pass
+(:func:`grid_areas`): each (ring, column) pair it can touch is clipped
+between the column's meridians, and each (piece, band) pair between the
+band's parallels, by Sutherland-Hodgman steps done as array operations over
+all pairs at once, with the arithmetic of a ring-by-ring clip, so every cell
+gets the same float.  Clipped pieces below 1e-12 km^2 are dropped, and a
+cell with under 1e-9 km^2 of land counts as open water.
 
 Every vertex is a GeoJSON position (see :func:`position`).  Self-intersecting
 rings are not detected; the signed-area result is taken as-is.
@@ -137,46 +138,15 @@ class MultiPolygon:
         return MultiPolygon(tuple(polygons))
 
 
-def spherical_rect_area(r: LonLatRect) -> float:
-    """Exact spherical area of an axis-aligned lon/lat rectangle, km^2."""
-    return (EARTH_RADIUS_KM * EARTH_RADIUS_KM
-            * radians(r.max_lon - r.min_lon)
-            * (sin(radians(r.max_lat)) - sin(radians(r.min_lat))))
-
-
-def _edge_mean_sin(lat1_rad: float, lat2_rad: float) -> float:
-    """Average of sin(lat) along an edge linear in latitude."""
-    d = lat2_rad - lat1_rad
-    if abs(d) < 1e-9:
-        return sin(0.5 * (lat1_rad + lat2_rad))
-    return (cos(lat1_rad) - cos(lat2_rad)) / d
-
-
-def _signed_area(coords) -> float:
-    n = len(coords)
-    terms = []
-    for k in range(n):
-        lon1, lat1 = coords[k]
-        lon2, lat2 = coords[(k + 1) % n]
-        terms.append(radians(lon2 - lon1) * _edge_mean_sin(radians(lat1), radians(lat2)))
-    return EARTH_RADIUS_KM * EARTH_RADIUS_KM * fsum(terms)
-
-
-def ring_area(r: Ring) -> float:
-    """Absolute area of a ring whose edges are straight in lon/lat, km^2."""
-    return abs(_signed_area(r.coords))
-
-
-def polygon_area(p: MultiPolygon) -> float:
-    """Sum over the polygons of outer-ring area minus hole areas, km^2."""
-    outer = [ring_area(poly.outer) for poly in p.polygons]
-    holes = [fsum(ring_area(h) for h in poly.holes) for poly in p.polygons]
-    return fsum(_net_area(np.array(outer), np.array(holes)))
-
-
 # math.radians(v) is v * (pi / 180) in one rounding; so is v * _DEG.
 _DEG = pi / 180.0
 _R2 = EARTH_RADIUS_KM * EARTH_RADIUS_KM
+
+
+def spherical_rect_area(r: LonLatRect) -> float:
+    """Exact spherical area of an axis-aligned lon/lat rectangle, km^2."""
+    return (_R2 * radians(r.max_lon - r.min_lon)
+            * (sin(radians(r.max_lat)) - sin(radians(r.min_lat))))
 
 
 def _libm(f, v: np.ndarray) -> np.ndarray:
@@ -203,37 +173,72 @@ def _ring_table(geoms: Sequence[MultiPolygon]):
     return xy, offsets, np.array(geom, np.intp), np.array(poly, np.intp), np.array(hole, bool)
 
 
-def _signed_areas(xy: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """_signed_area of every ring of a table at once, float for float: R^2
-    times the exactly rounded sum (math.fsum) of the ring's edge terms,
-    each radians(lon2 - lon1) * _edge_mean_sin(radians(lat1),
-    radians(lat2)).  A ring with under 3 distinct vertices sums to exactly
-    0: each edge A->B has an edge B->A of opposite term."""
-    n = xy.shape[1]
-    ahead = np.arange(1, n + 1)
-    ahead[offsets[1:] - 1] = offsets[:-1]
-    lon, lat = xy[0], xy[1] * _DEG
+def _edge_mean_sin(lat: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """The average of sin(latitude) along each edge from lat[k] to
+    lat[ahead[k]] (radians), latitude linear along it: (cos a - cos b) /
+    (b - a), or sin((a + b) / 2) where |b - a| < 1e-9."""
     rise = lat[ahead] - lat
     flat = np.abs(rise) < 1e-9
-    mean_sin = np.empty(n)
+    mean_sin = np.empty(len(lat))
     mean_sin[flat] = _libm(sin, 0.5 * (lat[flat] + lat[ahead][flat]))
     cos_lat = _libm(cos, lat)
     steep = ~flat
     mean_sin[steep] = (cos_lat[steep] - cos_lat[ahead][steep]) / rise[steep]
-    terms = ((lon[ahead] - lon) * _DEG * mean_sin).tolist()
+    return mean_sin
+
+
+def _signed_areas(xy: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The signed area of every ring of a table, km^2: R^2 times the
+    exactly rounded sum (math.fsum) of the ring's edge terms, each
+    radians(lon2 - lon1) * _edge_mean_sin.  A ring with under 3 distinct
+    vertices sums to exactly 0: each edge A->B has an edge B->A of
+    opposite term."""
+    n = xy.shape[1]
+    ahead = np.arange(1, n + 1)
+    ahead[offsets[1:] - 1] = offsets[:-1]
+    lon = xy[0]
+    terms = ((lon[ahead] - lon) * _DEG * _edge_mean_sin(xy[1] * _DEG, ahead)).tolist()
     bounds = offsets.tolist()
     return _R2 * np.array([fsum(terms[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
-def _net_area(outer: np.ndarray, holes: np.ndarray) -> np.ndarray:
-    """Outer-ring areas less their summed hole areas, floored at zero.  A
-    DataError names the first whose holes exceed it."""
+def _net_area(outer: np.ndarray, holes: np.ndarray):
+    """Outer-ring areas less their summed hole areas, floored at zero, and
+    a DataError for each whose holes exceed it (by more than 1e-9 of it, or
+    of 1 km^2), keyed by its index in ascending order."""
     result = outer - holes
-    bad = np.flatnonzero(result < -1e-9 * np.maximum(outer, 1.0))
-    if len(bad):
-        k = bad[0]
-        raise DataError(f"hole area {float(holes[k])} exceeds outer area {float(outer[k])}")
-    return np.maximum(result, 0.0)
+    return np.maximum(result, 0.0), {
+        k: DataError(f"hole area {float(holes[k])} exceeds outer area {float(outer[k])}")
+        for k in np.flatnonzero(result < -1e-9 * np.maximum(outer, 1.0)).tolist()}
+
+
+def polygon_areas(geoms: Sequence[MultiPolygon]):
+    """The area of each multipolygon, km^2, all in one pass: per polygon
+    its outer ring's area less the fsum of its holes' (see _net_area), fsum
+    over the polygons.  Returns the areas and, keyed by geometry index, the
+    DataError naming the first polygon whose holes exceed its outer ring;
+    such a geometry's area is NaN."""
+    xy, offsets, geom, poly, hole = _ring_table(geoms)
+    ring = np.abs(_signed_areas(xy, offsets))
+    # a polygon's rings are one run of the table, its outer ring first
+    outer, holes = _fsum_runs(np.where(hole, ring, 0.0), poly)
+    net, errors = _net_area(ring[outer], holes)
+    first, sums = _fsum_runs(net, geom[outer])
+    areas = np.zeros(len(geoms))
+    areas[geom[outer[first]]] = sums
+    # a geometry's first polygon whose holes exceed its outer ring names it
+    bad = {int(geom[outer[k]]): error for k, error in reversed(errors.items())}
+    areas[list(bad)] = np.nan
+    return areas, bad
+
+
+def polygon_area(m: MultiPolygon) -> float:
+    """The area of a multipolygon, km^2: the one-geometry case of
+    :func:`polygon_areas`, whose DataError it raises."""
+    areas, bad = polygon_areas([m])
+    if bad:
+        raise bad[0]
+    return float(areas[0])
 
 
 def _clip(xy: np.ndarray, offsets: np.ndarray, axis: int, bound: np.ndarray,
@@ -331,7 +336,9 @@ def grid_areas(geoms: Sequence[MultiPolygon], lon_edges, lat_edges):
                                (p[some] * nx + col[some]) * ny + band[some])
     led = ~inner[starts]   # a polygon's holes count only where its outer piece has area
     outer = some[starts[led]]
-    net = _net_area(area[outer], holes[led])
+    net, errors = _net_area(area[outer], holes[led])
+    if errors:
+        raise next(iter(errors.values()))
     cells, total = _fsum_runs(net, (g[outer] * nx + col[outer]) * ny + band[outer])
     kept = total > 0.0   # a cell of no area is left out, as one of less would be
     at = outer[cells[kept]]
@@ -349,23 +356,11 @@ def _fsum_runs(values: np.ndarray, keys: np.ndarray):
     return starts, sums
 
 
-def grid_intersection_areas(m: MultiPolygon, lon_edges: list, lat_edges: list
-                            ) -> list[list[float]]:
-    """Area of the overlap between the multipolygon and every cell of the
-    grid given by its edges: ``areas[i][j]`` for the cell between
-    lon_edges[i:i+2] and lat_edges[j:j+2], km^2.  The one-geometry case of
-    :func:`grid_areas`."""
-    areas = np.zeros((len(lon_edges) - 1, len(lat_edges) - 1))
-    _, i, j, a = grid_areas([m], lon_edges, lat_edges)
-    areas[i, j] = a
-    return areas.tolist()
-
-
 def intersection_area(m: MultiPolygon, rect: LonLatRect) -> float:
     """Area of the overlap between a multipolygon and a rect, km^2: the
-    one cell of :func:`grid_intersection_areas` over the rect."""
-    return grid_intersection_areas(m, [rect.min_lon, rect.max_lon],
-                                   [rect.min_lat, rect.max_lat])[0][0]
+    one cell of :func:`grid_areas` over the rect."""
+    area = grid_areas([m], [rect.min_lon, rect.max_lon], [rect.min_lat, rect.max_lat])[3]
+    return float(area.sum())   # of one cell at most
 
 
 def _rect_corners(rect: LonLatRect) -> list:

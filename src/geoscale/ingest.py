@@ -33,6 +33,7 @@ from .geometry import (
     geometry_from_geojson,
     is_number,
     polygon_area,
+    polygon_areas,
     position,
     spherical_rect_area,
 )
@@ -567,39 +568,38 @@ def parse_population(feature_collection: dict
     make polygons of positions and non-negative area (bad_geometry), or
     makes no more than MIN_AREA_KM2 (zero_area): no area to spread over.
     """
-    diags = ParseDiagnostics()
-    units: list[PopulationUnit] = []
     features = (feature_collection.get("features")
                 if isinstance(feature_collection, dict) else None)
     if not isinstance(features, list):
         raise DataError("population input is not a FeatureCollection")
-    for idx, feat in enumerate(features):
-        if not isinstance(feat, dict):
-            diags.skip("bad_geometry")
-            continue
-        props = feat.get("properties") or {}
-        if not isinstance(props, dict):
-            diags.skip("bad_population")
-            continue
-        code = str(props.get("code", idx))
-        pop = _count(props.get("population"))
-        if pop is None:
-            diags.skip("bad_population")
-            continue
-        youth = props.get("population_18_35")
-        if youth is not None and (youth := _count(youth)) is None:
-            diags.skip("bad_population_18_35")
-            continue
-        try:
-            unit = PopulationUnit(code, geometry_from_geojson(feat["geometry"]),
-                                  pop, youth)
-            area = unit.area   # cached; a hole larger than its outer ring raises
-        except (KeyError, TypeError, ValueError, OverflowError):
-            diags.skip("bad_geometry")
-            continue
-        if area <= MIN_AREA_KM2:
-            diags.skip("zero_area")
-            continue
-        units.append(unit)
-        diags.parsed += 1
-    return units, diags
+    rows = [_population_unit(idx, feat) for idx, feat in enumerate(features)]
+    at = [k for k, row in enumerate(rows) if isinstance(row, PopulationUnit)]
+    areas, bad = polygon_areas([rows[k].geometry for k in at])
+    for n, (k, area) in enumerate(zip(at, areas.tolist())):
+        rows[k].area = area   # PopulationUnit.area, measured with the others
+        if n in bad or area <= MIN_AREA_KM2:   # bad: a hole exceeds its outer ring
+            rows[k] = "bad_geometry" if n in bad else "zero_area"
+    units = [row for row in rows if isinstance(row, PopulationUnit)]
+    reasons = Counter(row for row in rows if isinstance(row, str))
+    return units, ParseDiagnostics(len(units), len(rows) - len(units), reasons)
+
+
+def _population_unit(idx: int, feat) -> PopulationUnit | str:
+    """Feature idx of a census FeatureCollection as a unit, not yet
+    measured, or the reason it is skipped (see parse_population)."""
+    if not isinstance(feat, dict):
+        return "bad_geometry"
+    props = feat.get("properties") or {}
+    if not isinstance(props, dict):
+        return "bad_population"
+    pop = _count(props.get("population"))
+    if pop is None:
+        return "bad_population"
+    youth = props.get("population_18_35")
+    if youth is not None and (youth := _count(youth)) is None:
+        return "bad_population_18_35"
+    try:
+        geometry = geometry_from_geojson(feat["geometry"])
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return "bad_geometry"
+    return PopulationUnit(str(props.get("code", idx)), geometry, pop, youth)

@@ -3,7 +3,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -593,6 +598,30 @@ class TestStatsCommand:
 
 
 class TestGridCommand:
+    @pytest.mark.parametrize("sides", [["--x", "100000"], ["--x-list", "8,100000"]])
+    def test_grid_too_large_for_memory_is_a_config_error(self, tmp_path, corpus, sides):
+        """A grid whose arrays do not fit in the address space left to the
+        process is one config error line, not a traceback, and no --out.
+        The cap is set in the child alone."""
+        cap = 2_000_000 * 1024
+        command = "grid" if sides[0] == "--x" else "scan"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from geoscale.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", command,
+             "--tweets", str(corpus / "tweets.jsonl"), "--study=-3.0,50.0,-2.0,51.0",
+             "--population", str(corpus / "population.geojson"),
+             "--land", str(corpus / "land.geojson"), "--min-user-tweets", "1",
+             *sides, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert run.returncode == 1
+        assert re.fullmatch(r"config error: out of memory: .+\n", run.stderr)
+        assert not out.exists()
+
     def test_grid_csv_shape(self, tmp_path, corpus):
         assert run_cmd(corpus, tmp_path, "grid", "--x", "6") == 0
         rows = list(csv.DictReader((tmp_path / "grid.csv").open()))

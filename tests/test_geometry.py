@@ -12,12 +12,11 @@ from geoscale.geometry import (
     Ring,
     geometry_from_geojson,
     grid_areas,
-    grid_intersection_areas,
     intersection_area,
     polygon_area,
+    polygon_areas,
     position,
     rect_ring,
-    ring_area,
     spherical_rect_area,
 )
 
@@ -112,13 +111,13 @@ class TestRingArea:
 
     def test_square_matches_rect_area(self):
         rect = LonLatRect(0.0, 0.0, 1.0, 1.0)
-        assert ring_area(rect_ring(rect)) == pytest.approx(
+        assert polygon_area(_poly(rect_ring(rect))) == pytest.approx(
             spherical_rect_area(rect), rel=1e-3)
 
     def test_orientation_does_not_matter(self):
         cw = Ring([(0, 0), (0, 1), (1, 1), (1, 0)])
         ccw = Ring([(0, 0), (1, 0), (1, 1), (0, 1)])
-        assert ring_area(cw) == pytest.approx(ring_area(ccw), rel=1e-12)
+        assert polygon_area(_poly(cw)) == pytest.approx(polygon_area(_poly(ccw)), rel=1e-12)
 
 
 class TestPolygonArea:
@@ -138,7 +137,7 @@ class TestPolygonArea:
         hole = rect_ring(LonLatRect(0.5, 0.5, 1.5, 1.5))
         with_hole = polygon_area(MultiPolygon.of(PolygonWithHoles(outer, (hole,))))
         assert with_hole == pytest.approx(
-            ring_area(outer) - ring_area(hole), rel=1e-12)
+            polygon_area(_poly(outer)) - polygon_area(_poly(hole)), rel=1e-12)
 
     def test_malformed_holes_raise(self):
         outer = rect_ring(LonLatRect(0, 0, 1, 1))
@@ -169,7 +168,7 @@ class TestClipping:
         tri = _poly(Ring([(0, 0), (2, 0), (0, 2)]))
         # trapezoid (0,0),(2,0),(1,1),(0,1): shoelace gives 1.5 unit squares
         assert intersection_area(tri, LonLatRect(0, 0, 3, 1)) == pytest.approx(
-            1.5 * ring_area(rect_ring(LonLatRect(0, 0, 1, 1))), rel=1e-3)
+            1.5 * polygon_area(_poly(rect_ring(LonLatRect(0, 0, 1, 1)))), rel=1e-3)
 
     def test_multipolygon_hole_clipping(self):
         outer = rect_ring(LonLatRect(0, 0, 2, 2))
@@ -258,8 +257,8 @@ class TestGridIntersectionAreas:
         of any grid over that rect share out its whole area, which
         polygon_area finds without clipping."""
         m = SWEEP_GEOMETRIES[name]
-        areas = grid_intersection_areas(m, np.linspace(-0.5, 4.6, nx + 1).tolist(),
-                                        np.linspace(-0.5, 4.0, ny + 1).tolist())
+        areas = _batched([m], np.linspace(-0.5, 4.6, nx + 1).tolist(),
+                         np.linspace(-0.5, 4.0, ny + 1).tolist())[0].tolist()
         assert [len(column) for column in areas] == [ny] * nx
         assert math.fsum(map(math.fsum, areas)) == pytest.approx(polygon_area(m),
                                                                   rel=1e-12)
@@ -272,7 +271,7 @@ class TestGridIntersectionAreas:
         m = SWEEP_GEOMETRIES[name]
         lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
         lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
-        areas = grid_intersection_areas(m, lon_edges, lat_edges)
+        areas = _batched([m], lon_edges, lat_edges)[0].tolist()
         for i in range(nx):
             for j in range(ny):
                 cell = LonLatRect(lon_edges[i], lat_edges[j],
@@ -293,8 +292,8 @@ class TestGridIntersectionAreas:
         assert any(a == b for a, b in zip(clipped, clipped[1:]))
         lon_edges = np.linspace(0.0, 4.0, nx + 1).tolist()
         lat_edges = np.linspace(0.0, 4.0, ny + 1).tolist()
-        areas = grid_intersection_areas(_poly(Ring(repeated)), lon_edges, lat_edges)
-        assert areas == grid_intersection_areas(_poly(Ring(plain)), lon_edges, lat_edges)
+        areas = _batched([_poly(Ring(repeated))], lon_edges, lat_edges)[0].tolist()
+        assert areas == _batched([_poly(Ring(plain))], lon_edges, lat_edges)[0].tolist()
         assert math.fsum(map(math.fsum, areas)) > 0.0
 
     def test_rect_overlaps_are_the_closed_form(self):
@@ -307,7 +306,7 @@ class TestGridIntersectionAreas:
             lons = np.sort(rng.uniform(-6.5, -0.5, 2))
             lats = np.sort(rng.uniform(49.5, 52.6, 2))
             rect = LonLatRect(lons[0], lats[0], lons[1], lats[1])
-            areas = grid_intersection_areas(_poly(rect_ring(rect)), lon_edges, lat_edges)
+            areas = _batched([_poly(rect_ring(rect))], lon_edges, lat_edges)[0].tolist()
             for i in range(len(lon_edges) - 1):
                 for j in range(len(lat_edges) - 1):
                     overlap = rect.intersect(LonLatRect(lon_edges[i], lat_edges[j],
@@ -498,8 +497,9 @@ def _outcome(fn, *args):
 
 
 class TestBatchedPassEqualsScalarClip:
-    """grid_areas and polygon_area give every cell and geometry the float the
-    ring-by-ring clipper gives, on seeded random jittered polygons."""
+    """grid_areas, polygon_areas and polygon_area give every cell and
+    geometry the float the ring-by-ring clipper gives, on seeded random
+    jittered polygons."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_every_cell_is_the_same_float(self, seed):
@@ -518,10 +518,22 @@ class TestBatchedPassEqualsScalarClip:
             assert got[row].tolist() == expected[k]
         for k in set(range(len(geoms))) - set(fine):
             assert _outcome(_batched, [geoms[k]], lon_edges, lat_edges) == expected[k]
-        for m in geoms:
-            assert _outcome(polygon_area, m) == _outcome(_ref_polygon_area, m)
+        # and every geometry's whole area, all in one call, with two whose
+        # holes exceed their outer rings put in among them
+        first = geoms[0].polygons[0]
+        wide = rect_ring(LonLatRect(lon_edges[0], lat_edges[0], lon_edges[-1], lat_edges[-1]))
+        geoms[2:2] = [MultiPolygon.of(PolygonWithHoles(first.outer, (wide,)))]
+        geoms.append(MultiPolygon.of(first, PolygonWithHoles(first.outer, (wide, wide)),
+                                     PolygonWithHoles(first.outer, (wide,))))
+        areas, bad = polygon_areas(geoms)
+        assert sorted(bad) == [2, len(geoms) - 1]
+        for k, m in enumerate(geoms):
+            expected_area = _outcome(_ref_polygon_area, m)
+            assert (f"DataError: {bad[k]}" if k in bad else areas[k]) == expected_area
+            assert math.isnan(areas[k]) == (k in bad)
+            assert _outcome(polygon_area, m) == expected_area
             for p in m.polygons:
-                assert ring_area(p.outer) == abs(_ref_signed_area(p.outer.coords))
+                assert polygon_area(_poly(p.outer)) == abs(_ref_signed_area(p.outer.coords))
 
     def test_holes_too_large_raise_as_the_scalar_clip(self):
         """Holes that poke out of their outer ring exceed its pieces in

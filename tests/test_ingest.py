@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from geoscale import ingest
-from geoscale.geometry import LonLatRect
+from geoscale.geometry import LonLatRect, polygon_area
 from geoscale.ingest import (
     _COLUMNS,
     Corpus,
@@ -557,12 +557,18 @@ class TestParsePopulation:
             [[False, False], [True, False], [True, True], [False, True]]]
         huge_vertex = self.feature("huge")
         huge_vertex["geometry"]["coordinates"][0][1] = [10 ** 400, 0]
+        holed = self.feature("holed", lon=3.0)
+        holed["geometry"] = {"type": "MultiPolygon", "coordinates": [
+            holed["geometry"]["coordinates"] + [[[3.2, 0.2], [3.8, 0.2], [3.5, 0.8]]],
+            [[[5, 0], [6, 0], [6, 1], [5, 1]]]]}
         fc = {"type": "FeatureCollection",
               "features": [nan_vertex, inf_vertex, big_hole, string_ring,
-                           boolean_ring, huge_vertex, self.feature("ok")]}
+                           boolean_ring, huge_vertex, self.feature("ok"), holed]}
         units, diags = parse_population(fc)
-        assert [u.unit_id for u in units] == ["ok"]
+        assert [u.unit_id for u in units] == ["ok", "holed"]
         assert diags.reasons == {"bad_geometry": 6}
+        for unit in units:
+            assert unit.area == polygon_area(unit.geometry)
 
     def test_zero_area_feature_is_a_zero_area_skip(self):
         collinear = self.feature("line", 4034)
