@@ -24,7 +24,8 @@ from . import anomaly as anomaly_mod
 from . import ingest, scaling, synth, validation
 from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import LonLatRect, MultiPolygon, geometry_from_geojson
-from .gridding import GridSpec, grid_to_csv, run_grid_pipeline, write_csv
+from .gridding import (GridSpec, check_grid_memory, grid_to_csv, run_grid_pipeline,
+                       write_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -277,10 +278,11 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 def _grid_inputs(cfg: RunConfig, xs, fitted: bool = True
                  ) -> tuple[list[GridSpec], MultiPolygon, list]:
-    """Check the grid settings for each side in xs, the corpus filters and,
-    for a command that fits, the fit thresholds, then load the land and
-    population layers: everything that can fail before the corpus is read.
-    Returns the grid specs, the land and the population units."""
+    """Check the grid settings for each side in xs and that the largest
+    grid fits in memory, the corpus filters and, for a command that fits,
+    the fit thresholds, then load the land and population layers:
+    everything that can fail before the corpus is read.  Returns the grid
+    specs, the land and the population units."""
     if not cfg.land:
         raise ConfigError("--land is required for this command")
     if not xs:
@@ -290,6 +292,7 @@ def _grid_inputs(cfg: RunConfig, xs, fitted: bool = True
     if fitted:
         scaling.check_fit_thresholds(cfg.fit_min_tweets, cfg.fit_min_population)
     specs = [GridSpec(cfg.study_rect(), x) for x in xs]
+    check_grid_memory(max(xs))
     land = load_land(cfg.land)
     units = load_population(cfg.population) if cfg.population else []
     return specs, land, units

@@ -33,6 +33,8 @@ from .ingest import Corpus, LocatedRecord, PopulationUnit
 _BOX_BATCH = 1024
 # the density of each count: tweets, users, residents and youth
 DENSITY_LETTERS = "TUPY"
+# X-by-X float arrays of a DensityGrid: land area and the four counts
+_GRID_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,16 @@ class DensityGrid:
         self.n_u = np.zeros((spec.x, spec.x))
         self.n_p = np.zeros((spec.x, spec.x))
         self.n_y: Optional[np.ndarray] = None
+
+
+def check_grid_memory(x: int) -> None:
+    """Raise MemoryError unless this host can hold the X-by-X arrays of a
+    grid: a block of their size is reserved and freed again, so that a
+    side too large is found before any input is read."""
+    try:
+        np.empty((_GRID_ARRAYS, x, x))
+    except ValueError as exc:   # more bytes than an array may hold
+        raise MemoryError(f"a {x}-by-{x} grid is too large: {exc}") from exc
 
 
 def build_grid(spec: GridSpec, land: MultiPolygon) -> DensityGrid:

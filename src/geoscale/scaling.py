@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -56,37 +56,45 @@ class ConsistencyReport:
     z_score: float
 
 
-def fit_power_law(points: Sequence[tuple[float, float]],
-                  relation: str = "") -> FitResult:
-    """OLS fit of log10(y) on log10(x) over strictly positive points.
+def log10_points(points: Iterable[tuple[float, float]]
+                 ) -> list[tuple[float, float]]:
+    """(log10 x, log10 y) of each point; raises ValueError unless every
+    point is strictly positive."""
+    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
+    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
+    # the bytes of fits.csv.
+    logs = []
+    for px, py in points:
+        if px <= 0 or py <= 0:
+            raise ValueError(f"points must be strictly positive, got ({px}, {py})")
+        logs.append((math.log10(px), math.log10(py)))
+    return logs
+
+
+def fit_logs(logs: Sequence[tuple[float, float]], relation: str = "") -> FitResult:
+    """OLS fit of log10(y) on log10(x) over (log10 x, log10 y) pairs: the
+    one fit every exponent goes through.
 
     The slope is the scaling exponent, the intercept the log10 prefactor.
     Standard errors are the classical OLS formulas.  When SS_tot and SS_res
     are both zero (all y equal, fitted exactly) R^2 is defined as 1.
     """
-    n = len(points)
+    n = len(logs)
     if n < 3:
         raise InsufficientDataError(f"need >= 3 points, got {n}")
-    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
-    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
-    # the bytes of fits.csv.
-    lx, ly = [], []
-    for px, py in points:
-        if px <= 0 or py <= 0:
-            raise ValueError(f"points must be strictly positive, got ({px}, {py})")
-        lx.append(math.log10(px))
-        ly.append(math.log10(py))
+    lx = [a for a, _ in logs]
+    ly = [b for _, b in logs]
 
     mx = math.fsum(lx) / n
     my = math.fsum(ly) / n
     sxx = math.fsum((v - mx) ** 2 for v in lx)
     if sxx == 0.0:
         raise InsufficientDataError("zero variance in x")
-    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    sxy = math.fsum((a - mx) * (b - my) for a, b in logs)
     slope = sxy / sxx
     intercept = my - slope * mx
 
-    ss_res = math.fsum((b - (intercept + slope * a)) ** 2 for a, b in zip(lx, ly))
+    ss_res = math.fsum((b - (intercept + slope * a)) ** 2 for a, b in logs)
     ss_tot = math.fsum((b - my) ** 2 for b in ly)
     if ss_tot == 0.0:
         r2 = 1.0
@@ -97,6 +105,12 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n + mx * mx / sxx))
     return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
+
+
+def fit_power_law(points: Sequence[tuple[float, float]],
+                  relation: str = "") -> FitResult:
+    """fit_logs over the log10 of strictly positive (x, y) points."""
+    return fit_logs(log10_points(points), relation)
 
 
 def check_fit_thresholds(min_tweets: float, min_population: float) -> None:
@@ -131,15 +145,23 @@ def relation_densities(grid: DensityGrid, relation: str
     return densities(grid, "".join(letters))
 
 
+def density_points(grid: DensityGrid, cells: Sequence[tuple[int, int]],
+                   name: str) -> list[Optional[tuple[float, float]]]:
+    """The (x, y) densities of exponent ``name`` at each (i, j) cell: its
+    relation "Y_vs_X" in EXPONENT_RELATION pairs density x with density y.
+    None stands for a cell whose x or y is not positive, which no fit uses."""
+    ys, xs = relation_densities(grid, EXPONENT_RELATION[name])
+    i, j = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
+    return [(x, y) if x > 0 and y > 0 else None
+            for x, y in zip(xs[i, j].tolist(), ys[i, j].tolist())]
+
+
 def fit_exponent(grid: DensityGrid, cells: Sequence[tuple[int, int]],
                  name: str) -> FitResult:
-    """Fit exponent ``name`` over the given (i, j) cells: its relation
-    "Y_vs_X" in EXPONENT_RELATION fits density y against density x.  Cells
-    whose x or y is not positive are dropped from the fit."""
-    relation = EXPONENT_RELATION[name]
-    ys, xs = relation_densities(grid, relation)
-    return fit_power_law([(xs[c], ys[c]) for c in cells if xs[c] > 0 and ys[c] > 0],
-                         relation)
+    """Fit exponent ``name`` over the given (i, j) cells, leaving out those
+    whose x or y is not positive (see density_points)."""
+    return fit_power_law([p for p in density_points(grid, cells, name) if p],
+                         EXPONENT_RELATION[name])
 
 
 def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]]
@@ -153,6 +175,30 @@ def fit_all(grid: DensityGrid, min_tweets: float = 1.0,
             min_population: float = 1.0) -> dict[str, FitResult]:
     """fit_cells over one shared selection, the cells of cell_indices."""
     return fit_cells(grid, cell_indices(grid, min_tweets, min_population))
+
+
+LogTable = dict[str, list[Optional[tuple[float, float]]]]
+
+
+def log_table(grid: DensityGrid, cells: Sequence[tuple[int, int]]) -> LogTable:
+    """For each exponent, (log10 x, log10 y) of its densities at each (i, j)
+    cell, None where x or y is not positive: computed once, for fit_rows to
+    fit any selection of the cells."""
+    table = {}
+    for name in EXPONENTS:
+        points = density_points(grid, cells, name)
+        logs = iter(log10_points(p for p in points if p))
+        table[name] = [next(logs) if p else None for p in points]
+    return table
+
+
+def fit_rows(table: LogTable, rows: Sequence[int]) -> dict[str, FitResult]:
+    """Each exponent of a log_table fitted over the cells at the given row
+    numbers: fit_cells of those cells, without recomputing a density or a
+    log."""
+    return {name: fit_logs([logs[k] for k in rows if logs[k] is not None],
+                           EXPONENT_RELATION[name])
+            for name, logs in table.items()}
 
 
 def mean_cell_area(spec: GridSpec) -> float:

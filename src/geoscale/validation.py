@@ -18,7 +18,7 @@ from .errors import ConfigError, InsufficientDataError
 from .geometry import LonLatRect, MultiPolygon
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline, write_csv
 from .ingest import Corpus
-from .scaling import EXPONENTS, cell_indices, fit_all, fit_cells
+from .scaling import EXPONENTS, cell_indices, fit_all, fit_rows, log_table
 
 MODES = ("subarea", "subset", "subset_nonadjacent")
 
@@ -150,25 +150,30 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
     if m < 3:
         raise InsufficientDataError(
             f"subset of {m} cells from {n} populated is too small to fit")
+    table = log_table(grid, cells)
+    # blocked[flat[k] + d] for d in reach: the cells touching cell k of
+    # cells, flat indices into the grid padded by one cell on every side
+    side = grid.spec.x + 2
+    flat = [(i + 1) * side + j + 1 for i, j in cells]
+    reach = [di * side + dj for di in (-1, 0, 1) for dj in (-1, 0, 1)]
 
     def draw(rng):
         if config.mode != "subset_nonadjacent":
-            return fit_cells(grid, [cells[int(i)] for i in
-                                    rng.choice(n, size=m, replace=False)])
+            return fit_rows(table, rng.choice(n, size=m, replace=False).tolist())
         pool, chosen = list(range(n)), []   # m <= n, so the pool never runs dry
-        # blocked[i + 1, j + 1]: cell (i, j) touches a chosen cell
-        blocked = np.zeros((grid.spec.x + 2, grid.spec.x + 2), dtype=bool)
+        blocked = bytearray(side * side)     # nonzero: touches a chosen cell
         while len(chosen) < m:
             for _attempt in range(_MAX_RETRIES):
                 pick = int(rng.integers(len(pool)))
-                i, j = cells[pool[pick]]
-                if not blocked[i + 1, j + 1]:
-                    chosen.append(cells[pool.pop(pick)])
-                    blocked[i:i + 3, j:j + 3] = True
+                if not blocked[flat[pool[pick]]]:
+                    k = pool.pop(pick)
+                    chosen.append(k)
+                    for d in reach:
+                        blocked[flat[k] + d] = 1
                     break
             else:
                 return None
-        return fit_cells(grid, chosen)
+        return fit_rows(table, chosen)
 
     return _replicates(config, draw)
 

@@ -598,11 +598,15 @@ class TestStatsCommand:
 
 
 class TestGridCommand:
-    @pytest.mark.parametrize("sides", [["--x", "100000"], ["--x-list", "8,100000"]])
+    @pytest.mark.parametrize("sides", [["--x", "100000"], ["--x-list", "8,100000"],
+                                       ["--x", "10000000000"]])
     def test_grid_too_large_for_memory_is_a_config_error(self, tmp_path, corpus, sides):
         """A grid whose arrays do not fit in the address space left to the
-        process is one config error line, not a traceback, and no --out.
-        The cap is set in the child alone."""
+        process is one config error line, not a traceback, and no --out;
+        so is a side whose X * X cells take more bytes than an array may
+        hold.  The cap is set in the child alone.  The largest grid is
+        checked before any tweet is read: the tweet file is missing, which
+        reading would report as a data error (exit 2)."""
         cap = 2_000_000 * 1024
         command = "grid" if sides[0] == "--x" else "scan"
         src = str(Path(cli.__file__).parents[1])
@@ -612,7 +616,7 @@ class TestGridCommand:
         run = subprocess.run(
             [sys.executable, "-c", "import sys; from geoscale.cli import main; "
              "sys.exit(main(sys.argv[1:]))", command,
-             "--tweets", str(corpus / "tweets.jsonl"), "--study=-3.0,50.0,-2.0,51.0",
+             "--tweets", str(tmp_path / "missing.jsonl"), "--study=-3.0,50.0,-2.0,51.0",
              "--population", str(corpus / "population.geojson"),
              "--land", str(corpus / "land.geojson"), "--min-user-tweets", "1",
              *sides, "--out", str(out)],
@@ -924,6 +928,26 @@ class TestValidateCommand:
         assert summary["mode"] == "subset"
         assert "beta" in summary["ci68"]
         assert "reference" in summary
+
+    @pytest.mark.parametrize("mode, extra, digests", [
+        ("subarea", ["--replicates", "12"],
+         ("8c2431ef919f1ec38e2d6135e757c890a48351aa0b32b1f6136e2291c14d4db3",
+          "7b5351062c31319b96fcc0f5606ca2afd982e6ec41fbd2b13dcd39322df337e7")),
+        ("subset", ["--subset-fraction", "0.2", "--replicates", "30"],
+         ("3e2bdb26626a263307603a36617900619e1f79b9a48c47a1c5881cfce829fff8",
+          "a1dfec231fbd079ca7cc0cfcb25708455b24d3971928cdecee83031564b51280")),
+        ("subset_nonadjacent", ["--subset-fraction", "0.1", "--replicates", "30"],
+         ("a85666f3ccfbec23376cff4b7c3024e270202577383345b0f0e691c1d5221e49",
+          "c9865f000c1fb6756945d303d4426c42e03f9f3943e951b7087c613734c576ad")),
+    ])
+    def test_output_bytes_are_pinned(self, tmp_path, corpus, mode, extra, digests):
+        """Every replicate of each mode keeps its draw and its fit bits."""
+        assert run_cmd(corpus, tmp_path, "validate", "--x", "12", "--mode", mode,
+                       "--seed", "3", *extra) == 0
+        summary = json.loads((tmp_path / "resample_summary.json").read_text())
+        assert (summary["dropped"], set(summary["ci68"])) == (0, {"alpha", "beta", "gamma"})
+        assert tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                     for name in ("resample.csv", "resample_summary.json")) == digests
 
     @pytest.mark.parametrize("mode, extra", [
         # every populated cell must be chosen, so neighbours always collide

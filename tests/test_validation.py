@@ -1,5 +1,6 @@
 import csv
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from geoscale.errors import ConfigError, InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import DensityGrid, GridSpec
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
-from geoscale.scaling import fit_all, fit_cells
+from geoscale.scaling import cell_indices, fit_all, fit_cells, fit_rows
 from geoscale.validation import (
     EXPONENTS,
     ResampleConfig,
@@ -142,13 +143,14 @@ class TestSubsetResample:
     def test_nonadjacent_cells_respect_distance(self, monkeypatch):
         import geoscale.validation as validation
         fitted = []
-
-        def recording(grid, cells):
-            fitted.append(list(cells))
-            return fit_cells(grid, cells)
-
-        monkeypatch.setattr(validation, "fit_cells", recording)
         grid = law_grid(x=20)
+        eligible = cell_indices(grid)
+
+        def recording(table, rows):
+            fitted.append([eligible[k] for k in rows])
+            return fit_rows(table, rows)
+
+        monkeypatch.setattr(validation, "fit_rows", recording)
         cfg = self.config(mode="subset_nonadjacent", subset_fraction=0.05,
                           replicates=5)
         dist = subset_resample(grid, cfg)
@@ -167,9 +169,44 @@ class TestSubsetResample:
         def broken(*args, **kwargs):
             raise ValueError("defect in the fit")
 
-        monkeypatch.setattr(scaling, "fit_power_law", broken)
+        monkeypatch.setattr(scaling, "fit_logs", broken)
         with pytest.raises(ValueError, match="defect in the fit"):
             subset_resample(law_grid(), self.config())
+
+    @pytest.mark.parametrize("mode", ["subset", "subset_nonadjacent"])
+    def test_replicate_fits_equal_fit_cells(self, monkeypatch, mode):
+        """Each replicate's fits from the log table are fit_cells of its
+        cells, whole; cells without users drop out of beta and gamma, and a
+        replicate left with fewer than 3 of them is dropped like fit_cells
+        refuses it."""
+        import geoscale.validation as validation
+        grid = law_grid(x=8)
+        grid.n_u[np.random.default_rng(1).random((8, 8)) < 0.75] = 0.0
+        eligible = cell_indices(grid)
+        assert len(eligible) == 64
+        outcomes = []
+
+        def checked(table, rows):
+            cells = [eligible[k] for k in rows]
+            try:
+                fits = fit_rows(table, rows)
+            except InsufficientDataError as exc:
+                with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
+                    fit_cells(grid, cells)
+                outcomes.append(None)
+                raise
+            assert fits == fit_cells(grid, cells)
+            outcomes.append(fits)
+            return fits
+
+        monkeypatch.setattr(validation, "fit_rows", checked)
+        dist = subset_resample(grid, self.config(mode=mode, subset_fraction=0.1,
+                                                 replicates=60))
+        assert len(outcomes) == 60
+        assert dist.dropped == outcomes.count(None) > 0
+        fitted = [fits for fits in outcomes if fits]
+        assert any(fits["beta"].n_points < fits["alpha"].n_points == 7
+                   for fits in fitted)
 
     def test_empty_cell_drops_its_pairs_not_the_replicate(self):
         grid = law_grid(x=4)
