@@ -193,13 +193,14 @@ def load_population(path):
 
 
 def _load_corpus(cfg: RunConfig):
-    """Parse and locate the tweet corpus in one streamed pass and keep the
-    configured tag kind.  Returns the funnel counts and the Corpus."""
+    """Parse and locate the tweet corpus and keep the configured tag kind.
+    Returns the funnel counts and the Corpus.  A regular file is parsed in
+    byte ranges, one process per usable CPU and none shorter than
+    ingest._RANGE_BYTES, and any other in one streamed pass; the result is
+    the same either way (see ingest.read_corpus)."""
     if not cfg.tweets:
         raise ConfigError("--tweets is required for this command")
-    study = cfg.study_rect()
-    diags = ingest.ParseDiagnostics()
-    stats, corpus = ingest.corpus_stats(ingest.iter_tweets(cfg.tweets, diags), study)
+    diags, stats, corpus = ingest.read_corpus(cfg.tweets, cfg.study_rect())
     _report_skips("tweets", "malformed records", diags)
     if cfg.tag_kind != "both":
         corpus = corpus.take(corpus.place == (cfg.tag_kind == "place"))

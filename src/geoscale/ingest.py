@@ -12,11 +12,16 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import stat
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import radians, sin
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -311,11 +316,7 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
     be str: any other line is one TypeError skip.
     """
     if isinstance(source, (str, Path)):
-        try:
-            fh = open(source, "rb")
-        except OSError as exc:
-            raise DataError(f"cannot read tweets from {source}: {exc}") from exc
-        with fh:
+        with _open_tweets(source) as fh:
             yield from iter_tweets(_text_lines(fh, diags), diags)
         return
     loads = _line_decoder()
@@ -337,10 +338,20 @@ def iter_tweets(source, diags: ParseDiagnostics) -> Iterator[tuple]:
         yield row
 
 
-def _text_lines(fh, diags: ParseDiagnostics) -> Iterator[str]:
-    r"""The lines of a binary file's UTF-8 text, ended by \n, \r\n or \r;
-    a physical line that is not UTF-8 is skipped and counted."""
-    for raw in fh:
+def _open_tweets(path):
+    """The tweet file at path, open for binary reads; DataError if it cannot
+    be opened."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read tweets from {path}: {exc}") from exc
+
+
+def _text_lines(raw_lines, diags: ParseDiagnostics) -> Iterator[str]:
+    r"""The lines of the UTF-8 text in the \n-ended lines of a binary file
+    (or of a range of one), ended by \n, \r\n or \r; a physical line
+    that is not UTF-8 is skipped and counted."""
+    for raw in raw_lines:
         try:
             text = raw.decode()
         except UnicodeDecodeError as exc:
@@ -483,6 +494,183 @@ def corpus_stats(rows: Iterable[tuple], study: LonLatRect
         source=np.array(sources, dtype=np.int32),
         reply=(flags & 1) != 0, quote=(flags & 2) != 0, place=(flags & 4) != 0,
         user_ids=[ids[k] for k in order], sources=list(source_codes))
+
+
+# the fewest bytes a range of the tweet file may have: two processes first
+# beat one at about 2 MB (a `fit` of the criterion-1 oracle cut short at
+# 1, 1.5, 2, 3, 4 and 8 MB, on 2 CPUs), below which a fork costs about as
+# much as it saves
+_RANGE_BYTES = 1 << 20
+
+
+def read_corpus(path, study: LonLatRect, ranges: Optional[int] = None
+                ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
+    r"""Parse and locate the tweet file at path: iter_tweets then
+    corpus_stats, with the diagnostics, the funnel counts and the Corpus
+    they give for the whole file.
+
+    A regular file is cut into byte ranges that each end at a \n, one per
+    usable CPU but none shorter than _RANGE_BYTES.  This process parses the
+    first range and a worker forked for each other range parses it; the
+    results are merged in file order, so they equal one pass over the file
+    for any number of ranges.  Any other file (a pipe, say), and any file
+    where os.fork is missing, is read in one pass in this process.
+    ``ranges`` sets the number of ranges to cut, for tests.
+    """
+    with _open_tweets(path) as fh:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode) or not hasattr(os, "fork"):
+            ranges = 1
+        elif ranges is None:
+            ranges = min(_usable_cpus(), info.st_size // _RANGE_BYTES)
+        cuts = _cuts(fh, info.st_size, ranges)
+        if len(cuts) == 1:
+            return _read_range(fh, None, study)
+        _line_decoder()   # imported once, here, for every worker
+        workers = []
+        try:
+            for start, end in zip(cuts[1:], cuts[2:] + [None]):
+                workers.append(_fork_range(path, start, end, study))
+            parts = [_read_range(fh, cuts[1], study)]
+            sent = [_drain(read_fd) for _, read_fd in workers]
+        except BaseException:
+            for pid, _ in workers:   # not yet waited for, so still ours
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            statuses = [_reap(*worker) for worker in workers]
+    parts += [_unpickled(*result) for result in zip(sent, statuses)]
+    return _merge(parts)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(fh, size: int, ranges: int) -> list:
+    r"""The start offsets of at most ``ranges`` byte ranges that tile a
+    binary file of size bytes: equal ranges, each start moved on past the
+    next \n.  [0] for one range.  Leaves the file at offset 0."""
+    cuts = [0]
+    for k in range(1, ranges):
+        fh.seek(k * size // ranges)
+        fh.readline()
+        start = fh.tell()
+        if cuts[-1] < start < size:
+            cuts.append(start)
+    if ranges > 1:
+        fh.seek(0)
+    return cuts
+
+
+def _read_range(fh, end: Optional[int], study: LonLatRect
+                ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
+    """read_corpus of the lines of a binary file from its position, a line
+    start, up to offset end, another (None: to the end of the file)."""
+    diags = ParseDiagnostics()
+    lines = fh if end is None else _lines_to(fh, end)
+    stats, corpus = corpus_stats(iter_tweets(_text_lines(lines, diags), diags), study)
+    return diags, stats, corpus
+
+
+def _lines_to(fh, end: int) -> Iterator[bytes]:
+    """The lines of a binary file from its position up to offset end."""
+    left = end - fh.tell()
+    while left > 0:
+        raw = fh.readline()
+        if not raw:
+            return
+        left -= len(raw)
+        yield raw
+
+
+def _fork_range(path, start: int, end: Optional[int], study: LonLatRect
+                ) -> tuple[int, int]:
+    """Fork a worker that parses a range of the tweet file (see _read_range)
+    and writes its result, or the exception it raised, pickled to a pipe.
+    Returns the worker's pid and the pipe's read end.  The worker writes
+    nothing else and leaves by os._exit, so it runs no exit handler of
+    this process."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            try:
+                with _open_tweets(path) as fh:   # an offset of its own
+                    fh.seek(start)
+                    result = True, _read_range(fh, end, study)
+            except BaseException as exc:
+                result = False, exc
+            with open(write_fd, "wb") as out:
+                out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _drain(read_fd: int) -> bytes:
+    """What a worker wrote to its pipe, read until it closed it."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def _reap(pid: int, read_fd: int) -> int:
+    """Close a worker's pipe and wait for it to exit; its wait status."""
+    os.close(read_fd)
+    return os.waitpid(pid, 0)[1]
+
+
+def _unpickled(data: bytes, status: int
+               ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
+    """The result a worker sent; the exception it raised is raised here."""
+    if not data:
+        raise ChildProcessError(f"a tweet range worker ended without a result "
+                                f"(exit code {os.waitstatus_to_exitcode(status)})")
+    ok, value = pickle.loads(data)   # written by our own worker
+    if not ok:
+        raise value
+    return value
+
+
+def _merge(parts) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
+    """The diagnostics, funnel counts and Corpus of consecutive ranges, as
+    one pass over them gives them: counts add, skip reasons and sources
+    keep their first-seen order, and user codes rank the sorted union of
+    the user ids."""
+    diags, stats = ParseDiagnostics(), CorpusStats()
+    for part_diags, part_stats, _ in parts:
+        diags.parsed += part_diags.parsed
+        diags.skipped += part_diags.skipped
+        diags.reasons.update(part_diags.reasons)
+        for f in dataclasses.fields(stats):
+            setattr(stats, f.name, getattr(stats, f.name) + getattr(part_stats, f.name))
+    corpora = [corpus for _, _, corpus in parts]
+    user_ids = sorted(set(chain.from_iterable(c.user_ids for c in corpora)))
+    sources = list(dict.fromkeys(chain.from_iterable(c.sources for c in corpora)))
+    columns = {name: np.concatenate([getattr(c, name) for c in corpora])
+               for name in _COLUMNS}
+    for name, names, codes in (("user", "user_ids", user_ids),
+                               ("source", "sources", sources)):
+        index = {value: k for k, value in enumerate(codes)}
+        columns[name] = np.concatenate([
+            np.array([index[v] for v in getattr(c, names)], dtype=np.int32)
+            [getattr(c, name)] for c in corpora])
+    return diags, stats, Corpus(**columns, user_ids=user_ids, sources=sources)
 
 
 def check_bot_threshold(threshold_fraction: float) -> None:

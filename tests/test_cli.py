@@ -254,9 +254,22 @@ class TestExitCodes:
     def test_missing_required_input(self, tmp_path):
         assert main(["fit", "--out", str(tmp_path)]) == 1
 
-    def test_unreadable_tweets_file(self, tmp_path):
-        assert main(["stats", "--tweets", str(tmp_path / "missing.jsonl"),
-                     "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("command", ["stats", "fit"])
+    @pytest.mark.parametrize("name, error", [
+        ("missing.jsonl", "[Errno 2] No such file or directory"),
+        ("a_directory", "[Errno 21] Is a directory")])
+    def test_unreadable_tweets_file(self, tmp_path, corpus, capsys, command, name,
+                                    error):
+        """A tweets path that cannot be opened as a file is one data error
+        line, exit 2 and no --out."""
+        (tmp_path / "a_directory").mkdir()
+        tweets, out = tmp_path / name, tmp_path / "out"
+        layers = ["--population", str(corpus / "population.geojson"),
+                  "--land", str(corpus / "land.geojson")] if command == "fit" else []
+        assert main([command, "--tweets", str(tweets), "--out", str(out), *layers]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot read tweets from {tweets}: {error}: '{tweets}'\n")
+        assert not out.exists()
 
     def test_tweets_line_not_utf8_is_a_counted_skip(self, tmp_path, corpus, capsys):
         first, second = (corpus / "tweets.jsonl").read_bytes().splitlines(True)[:2]
@@ -516,6 +529,26 @@ class TestStatsCommand:
         assert len(rows) >= 1
         assert float(rows[0]["proportion"]) <= 1.0
 
+
+    def test_stats_read_from_a_pipe_equal_stats_read_from_disk(self, tmp_path,
+                                                               corpus):
+        """/dev/stdin fed from a pipe, which is read in one pass, gives the
+        stats.json and sources.csv of the same file read from disk."""
+        tweets = corpus / "tweets.jsonl"
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        with open(tweets, "rb") as fh:
+            run = subprocess.run(
+                [sys.executable, "-m", "geoscale.cli", "stats", "--tweets", "/dev/stdin",
+                 "--out", str(tmp_path / "pipe"), "--study=-3.0,50.0,-2.0,51.0"],
+                input=fh.read(), env=env, capture_output=True,
+                timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run_cmd(corpus, tmp_path / "disk", "stats") == 0
+        for name in ("stats.json", "sources.csv"):
+            assert (tmp_path / "pipe" / name).read_bytes() == \
+                (tmp_path / "disk" / name).read_bytes()
 
     @pytest.mark.parametrize("tag_kind, sources, replies, quotes", [
         ("geo", {"app_a": 3, "": 1}, 1, 0),

@@ -1,17 +1,21 @@
 """The columnar corpus: the direct-index read of the usual bounding box
-against the general walk on seeded mutants of the usual tweet lines, and
-Corpus binning against the LocatedRecord adapters."""
+against the general walk on seeded mutants of the usual tweet lines, Corpus
+binning against the LocatedRecord adapters, and reads of a tweet file in
+byte ranges, one process each, against one pass over it."""
 
 import copy
 import json
 import math
+import os
 import random
+import signal
 import sys
 
 import numpy as np
 import pytest
 
 from geoscale import ingest
+from geoscale.cli import main
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import (
     GridSpec,
@@ -278,3 +282,139 @@ def test_views_round_trip_and_take_selects_rows():
     place = corpus.take(corpus.place)
     assert len(place) == int(corpus.place.sum())
     assert all(r.tag_kind == "place" for r in place)
+
+
+def one_pass(path):
+    """The diagnostics, funnel counts and Corpus of one streamed pass."""
+    diags = ingest.ParseDiagnostics()
+    stats, corpus = corpus_stats(ingest.iter_tweets(path, diags), STUDY)
+    return diags, stats, corpus
+
+
+def assert_same_read(got, want):
+    (got_diags, got_stats, got_corpus), (diags, stats, corpus) = got, want
+    assert (got_diags.parsed, got_diags.skipped) == (diags.parsed, diags.skipped)
+    assert list(got_diags.reasons.items()) == list(diags.reasons.items())
+    assert got_stats == stats
+    for name in ingest._COLUMNS:
+        a, b = getattr(got_corpus, name), getattr(corpus, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got_corpus.user_ids == corpus.user_ids
+    assert got_corpus.sources == corpus.sources
+
+
+def range_files(mutants, tmp_path) -> list:
+    r"""Tweet files to read in ranges: the fuzz mutants and sample lines
+    with \n, \r\n and \r endings in turn, blank lines, a line that is not
+    UTF-8, lines nested more than 500 deep and a last line with no \n; and
+    an empty file."""
+    deep = "[" * 600 + "]" * 600
+    lines = [line.encode() for line in mutants + sample_lines(600)]
+    lines[100:100] = [b"", b"  \t", b'{"id_str":"t9","user":{"id_str":"\xff"}}',
+                      deep.encode(), json.dumps(BASES[2])[:-1].encode() + b',"x":'
+                      + deep.encode() + b"}"]
+    random.Random(3).shuffle(lines)
+    ends = (b"\n", b"\r\n", b"\r")
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_bytes(b"".join(line + ends[k % 3] for k, line in enumerate(lines))
+                      + json.dumps(BASES[1]).encode())
+    empty = tmp_path / "empty.jsonl"
+    empty.write_bytes(b"")
+    return [mixed, empty]
+
+
+@pytest.mark.parametrize("decoder", ["orjson", "json"])
+def test_range_reads_equal_one_pass(mutants, tmp_path, monkeypatch, fresh_decoder,
+                                    decoder):
+    """Reading a tweet file in 1 to 6 byte ranges gives the diagnostics
+    (their reason order too), the funnel counts, the columns with their
+    dtypes, the user ids and the sources of one pass over it."""
+    if decoder == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setitem(sys.modules, "orjson", None)
+    mixed, empty = range_files(mutants, tmp_path)
+    data = mixed.read_bytes()
+    with open(mixed, "rb") as fh:
+        cuts = [c for k in range(2, 7) for c in ingest._cuts(fh, len(data), k)[1:]]
+    assert all(data[c - 1:c] == b"\n" for c in cuts)
+    assert any(data[c - 2:c] == b"\r\n" for c in cuts)
+    for path in (mixed, empty):
+        want = one_pass(path)
+        for k in range(1, 7):
+            assert_same_read(ingest.read_corpus(path, STUDY, ranges=k), want)
+    diags, stats, corpus = one_pass(mixed)
+    assert {"UnicodeDecodeError", "RecursionError", "JSONDecodeError"} <= set(diags.reasons)
+    assert len(corpus.user_ids) > 200 and len(corpus.sources) > 3
+    assert stats.total_records == diags.parsed
+    assert (ingest._line_decoder() is ingest._json_loads) == (decoder == "json")
+
+
+def fail_in(monkeypatch, worker: bool, fail):
+    """Make _read_range call fail() before it reads: in every forked worker,
+    or else in this process alone."""
+    parent, read_range = os.getpid(), ingest._read_range
+
+    def read(*args):
+        if (os.getpid() != parent) == worker:
+            fail()
+        return read_range(*args)
+
+    monkeypatch.setattr(ingest, "_read_range", read)
+
+
+def raise_(error):
+    raise error
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_workers_are_killed_and_reaped_when_this_range_raises(
+        tmp_path, monkeypatch, error):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(sample_lines(3000)) + "\n")
+    fail_in(monkeypatch, False, lambda: raise_(error("this range")))
+    with pytest.raises(error, match="this range"):
+        ingest.read_corpus(path, STUDY, ranges=4)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fail, error", [
+    (lambda: raise_(MemoryError), MemoryError),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), ChildProcessError),
+])
+def test_a_worker_error_is_raised_here(tmp_path, monkeypatch, fail, error):
+    """An exception raised in a worker is raised again in this process, of
+    the same class, once every worker is reaped; a worker that dies
+    without a result is a ChildProcessError."""
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(sample_lines(600)) + "\n")
+    fail_in(monkeypatch, True, fail)
+    with pytest.raises(error):
+        ingest.read_corpus(path, STUDY, ranges=3)
+    assert_no_child_left()
+
+
+def test_out_of_memory_in_a_worker_is_a_config_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(sample_lines(600)) + "\n")
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    fail_in(monkeypatch, True, lambda: raise_(MemoryError))
+    out = tmp_path / "out"
+    assert main(["stats", "--tweets", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: out of memory: allocation failed\n"
+    assert not out.exists()
+    assert_no_child_left()
+
+
+def test_one_pass_where_fork_is_missing(tmp_path, monkeypatch):
+    path = tmp_path / "tweets.jsonl"
+    path.write_text("\n".join(sample_lines(600)) + "\n")
+    fail_in(monkeypatch, True, lambda: raise_(MemoryError))
+    monkeypatch.delattr(os, "fork")
+    assert_same_read(ingest.read_corpus(path, STUDY, ranges=3), one_pass(path))
