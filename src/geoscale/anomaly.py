@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
 from .gridding import DensityGrid, GridSpec, cells_to_csv, cells_to_geojson, densities
-from .scaling import FitResult, cell_indices, fit_exponent, relation_densities
+from .scaling import FitResult, cell_indices, fit_cells, relation_densities
 
 
 def predict(fit: FitResult, x: float) -> float:
@@ -101,8 +101,8 @@ def anomaly_map(grid: DensityGrid, fit: FitResult,
 def youth_fit(grid: DensityGrid, min_tweets: float = 1.0,
               min_population: float = 1.0) -> FitResult:
     """Power-law fit of youth density against population density."""
-    return fit_exponent(grid, cell_indices(grid, min_tweets, min_population),
-                        "delta")
+    return fit_cells(grid, cell_indices(grid, min_tweets, min_population),
+                     ("delta",))["delta"]
 
 
 @dataclass(frozen=True)

@@ -370,7 +370,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     cells = scaling.cell_indices(grid, cfg.fit_min_tweets, cfg.fit_min_population)
     for kind, exponent in (("tu", "gamma"), ("yp", "delta")):
         if cfg.kind in (kind, "both"):
-            fit = scaling.fit_exponent(grid, cells, exponent)
+            fit = scaling.fit_cells(grid, cells, (exponent,))[exponent]
             made[kind] = anomaly_mod.anomaly_map(grid, fit, cfg.abs_cap, cfg.rel_cap,
                                                  cfg.mask_t_density, cfg.mask_p_density)
     corr = ({which: anomaly_mod.anomaly_correlation(made["yp"], made["tu"], which)

@@ -503,7 +503,7 @@ def corpus_stats(rows: Iterable[tuple], study: LonLatRect
 _RANGE_BYTES = 1 << 20
 
 
-def read_corpus(path, study: LonLatRect, ranges: Optional[int] = None
+def read_corpus(path, study: LonLatRect
                 ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
     r"""Parse and locate the tweet file at path: iter_tweets then
     corpus_stats, with the diagnostics, the funnel counts and the Corpus
@@ -515,13 +515,12 @@ def read_corpus(path, study: LonLatRect, ranges: Optional[int] = None
     results are merged in file order, so they equal one pass over the file
     for any number of ranges.  Any other file (a pipe, say), and any file
     where os.fork is missing, is read in one pass in this process.
-    ``ranges`` sets the number of ranges to cut, for tests.
     """
     with _open_tweets(path) as fh:
         info = os.fstat(fh.fileno())
         if not stat.S_ISREG(info.st_mode) or not hasattr(os, "fork"):
             ranges = 1
-        elif ranges is None:
+        else:
             ranges = min(_usable_cpus(), info.st_size // _RANGE_BYTES)
         cuts = _cuts(fh, info.st_size, ranges)
         if len(cuts) == 1:

@@ -109,7 +109,9 @@ def fit_logs(logs: Sequence[tuple[float, float]], relation: str = "") -> FitResu
 
 def fit_power_law(points: Sequence[tuple[float, float]],
                   relation: str = "") -> FitResult:
-    """fit_logs over the log10 of strictly positive (x, y) points."""
+    """fit_logs over the log10 of strictly positive (x, y) points.  Grid
+    fits go through fit_cells; this fit of a plain list of points is the
+    reference that fit_cells is tested against."""
     return fit_logs(log10_points(points), relation)
 
 
@@ -145,60 +147,50 @@ def relation_densities(grid: DensityGrid, relation: str
     return densities(grid, "".join(letters))
 
 
-def density_points(grid: DensityGrid, cells: Sequence[tuple[int, int]],
-                   name: str) -> list[Optional[tuple[float, float]]]:
-    """The (x, y) densities of exponent ``name`` at each (i, j) cell: its
-    relation "Y_vs_X" in EXPONENT_RELATION pairs density x with density y.
-    None stands for a cell whose x or y is not positive, which no fit uses."""
-    ys, xs = relation_densities(grid, EXPONENT_RELATION[name])
+LogTable = dict[str, list[Optional[tuple[float, float]]]]
+
+
+def log_table(grid: DensityGrid, cells: Sequence[tuple[int, int]],
+              names: Sequence[str] = EXPONENTS) -> LogTable:
+    """For each exponent in names, (log10 x, log10 y) at each (i, j) cell,
+    where its relation "Y_vs_X" in EXPONENT_RELATION pairs density x with
+    density y; None where x or y is not positive, which no fit uses.  The
+    fit rows of every exponent, computed once for fit_rows."""
     i, j = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
-    return [(x, y) if x > 0 and y > 0 else None
-            for x, y in zip(xs[i, j].tolist(), ys[i, j].tolist())]
+    table = {}
+    for name in names:
+        ys, xs = relation_densities(grid, EXPONENT_RELATION[name])
+        points = [(x, y) if x > 0 and y > 0 else None
+                  for x, y in zip(xs[i, j].tolist(), ys[i, j].tolist())]
+        logs = iter(log10_points(p for p in points if p))
+        table[name] = [next(logs) if p else None for p in points]
+    return table
 
 
-def fit_exponent(grid: DensityGrid, cells: Sequence[tuple[int, int]],
-                 name: str) -> FitResult:
-    """Fit exponent ``name`` over the given (i, j) cells, leaving out those
-    whose x or y is not positive (see density_points)."""
-    return fit_power_law([p for p in density_points(grid, cells, name) if p],
-                         EXPONENT_RELATION[name])
+def fit_rows(table: LogTable, rows: Optional[Sequence[int]] = None
+             ) -> dict[str, FitResult]:
+    """Each exponent of a log_table fitted over the cells at the given row
+    numbers (None: every row), leaving out the rows that are None."""
+    fits = {}
+    for name, logs in table.items():
+        picked = logs if rows is None else [logs[k] for k in rows]
+        fits[name] = fit_logs([p for p in picked if p is not None],
+                              EXPONENT_RELATION[name])
+    return fits
 
 
-def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]]
-              ) -> dict[str, FitResult]:
-    """Fit alpha (T vs P), beta (U vs P) and gamma (T vs U) over the given
-    (i, j) cells."""
-    return {name: fit_exponent(grid, cells, name) for name in EXPONENTS}
+def fit_cells(grid: DensityGrid, cells: Sequence[tuple[int, int]],
+              names: Sequence[str] = EXPONENTS) -> dict[str, FitResult]:
+    """Fit each exponent in names over the given (i, j) cells: alpha
+    (T vs P), beta (U vs P) and gamma (T vs U) by default, delta (Y vs P)
+    when asked for."""
+    return fit_rows(log_table(grid, cells, names))
 
 
 def fit_all(grid: DensityGrid, min_tweets: float = 1.0,
             min_population: float = 1.0) -> dict[str, FitResult]:
     """fit_cells over one shared selection, the cells of cell_indices."""
     return fit_cells(grid, cell_indices(grid, min_tweets, min_population))
-
-
-LogTable = dict[str, list[Optional[tuple[float, float]]]]
-
-
-def log_table(grid: DensityGrid, cells: Sequence[tuple[int, int]]) -> LogTable:
-    """For each exponent, (log10 x, log10 y) of its densities at each (i, j)
-    cell, None where x or y is not positive: computed once, for fit_rows to
-    fit any selection of the cells."""
-    table = {}
-    for name in EXPONENTS:
-        points = density_points(grid, cells, name)
-        logs = iter(log10_points(p for p in points if p))
-        table[name] = [next(logs) if p else None for p in points]
-    return table
-
-
-def fit_rows(table: LogTable, rows: Sequence[int]) -> dict[str, FitResult]:
-    """Each exponent of a log_table fitted over the cells at the given row
-    numbers: fit_cells of those cells, without recomputing a density or a
-    log."""
-    return {name: fit_logs([logs[k] for k in rows if logs[k] is not None],
-                           EXPONENT_RELATION[name])
-            for name, logs in table.items()}
 
 
 def mean_cell_area(spec: GridSpec) -> float:

@@ -810,6 +810,22 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "gamma: exponent=" in out
 
+    def test_output_bytes_are_pinned(self, tmp_path, corpus, capsys):
+        """Every fit of the shared corpus keeps its bits, in fits.csv, in
+        consistency.json and in the printout."""
+        capsys.readouterr()
+        assert run_cmd(corpus, tmp_path, "fit", "--x", "6") == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "940cf613e16baf0e8cc4915f66da46319b0687f285272c333f08ad8a049e93c1")
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("fits.csv", "consistency.json")} == {
+            "fits.csv":
+                "f89f5c6d809e44d5217519a1722ca6625ee8189a2581ce17fe78c3b6dfb5e69c",
+            "consistency.json":
+                "e5466db1eebc93505a6fa492c4ac2c80b4b67ad9556a444686ecbcc9e5e42bcb",
+        }
+
     def test_line_shaped_place_box_keeps_its_tweet(self, tmp_path, corpus):
         inputs = tmp_path / "inputs"
         inputs.mkdir()
@@ -866,6 +882,20 @@ class TestScanCommand:
         assert [a["X"] for a in areas] == ["3", "4", "6"]
         window = json.loads((tmp_path / "window.json").read_text())
         assert "found" in window
+
+    def test_output_bytes_are_pinned(self, tmp_path, corpus):
+        """The fits, cell areas and window of three resolutions of the
+        shared corpus keep their bits."""
+        assert run_cmd(corpus, tmp_path, "scan", "--x-list", "3,4,6") == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("fits.csv", "cell_areas.csv", "window.json")} == {
+            "fits.csv":
+                "1227da24cdfe41e9b84ee2d919dba525954f50ddcfa63e2b17c407c44cffca68",
+            "cell_areas.csv":
+                "16c50f1cd6415a2319f31d849ed18dd07a8eff9ac885d4f5f73a05844f171fed",
+            "window.json":
+                "a473231bb47f7b2ef5202851c1fe1697ded4db0e0f4e76b18a4cbda8fc11e02e",
+        }
 
     def test_window_found_and_unfitted_resolution_left_out(self, tmp_path, capsys):
         """X=1 has one cell, too few to fit: it has a cell area but no fits."""

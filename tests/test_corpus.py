@@ -303,6 +303,14 @@ def assert_same_read(got, want):
     assert got_corpus.sources == corpus.sources
 
 
+def read_in_ranges(monkeypatch, path, k):
+    """read_corpus of path as on k usable CPUs with ranges as short as a
+    byte: cut into k ranges, or one pass for a file under k bytes."""
+    monkeypatch.setattr(ingest, "_RANGE_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: k)
+    return ingest.read_corpus(path, STUDY)
+
+
 def range_files(mutants, tmp_path) -> list:
     r"""Tweet files to read in ranges: the fuzz mutants and sample lines
     with \n, \r\n and \r endings in turn, blank lines, a line that is not
@@ -342,7 +350,7 @@ def test_range_reads_equal_one_pass(mutants, tmp_path, monkeypatch, fresh_decode
     for path in (mixed, empty):
         want = one_pass(path)
         for k in range(1, 7):
-            assert_same_read(ingest.read_corpus(path, STUDY, ranges=k), want)
+            assert_same_read(read_in_ranges(monkeypatch, path, k), want)
     diags, stats, corpus = one_pass(mixed)
     assert {"UnicodeDecodeError", "RecursionError", "JSONDecodeError"} <= set(diags.reasons)
     assert len(corpus.user_ids) > 200 and len(corpus.sources) > 3
@@ -379,7 +387,7 @@ def test_workers_are_killed_and_reaped_when_this_range_raises(
     path.write_text("\n".join(sample_lines(3000)) + "\n")
     fail_in(monkeypatch, False, lambda: raise_(error("this range")))
     with pytest.raises(error, match="this range"):
-        ingest.read_corpus(path, STUDY, ranges=4)
+        read_in_ranges(monkeypatch, path, 4)
     assert_no_child_left()
 
 
@@ -395,7 +403,7 @@ def test_a_worker_error_is_raised_here(tmp_path, monkeypatch, fail, error):
     path.write_text("\n".join(sample_lines(600)) + "\n")
     fail_in(monkeypatch, True, fail)
     with pytest.raises(error):
-        ingest.read_corpus(path, STUDY, ranges=3)
+        read_in_ranges(monkeypatch, path, 3)
     assert_no_child_left()
 
 
@@ -417,4 +425,4 @@ def test_one_pass_where_fork_is_missing(tmp_path, monkeypatch):
     path.write_text("\n".join(sample_lines(600)) + "\n")
     fail_in(monkeypatch, True, lambda: raise_(MemoryError))
     monkeypatch.delattr(os, "fork")
-    assert_same_read(ingest.read_corpus(path, STUDY, ranges=3), one_pass(path))
+    assert_same_read(read_in_ranges(monkeypatch, path, 3), one_pass(path))

@@ -8,13 +8,14 @@ from geoscale.errors import DataError, InsufficientDataError
 from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.geometry import LonLatRect
 from geoscale.scaling import (
+    EXPONENT_RELATION,
     FitResult,
     ScanResult,
     cell_indices,
     consistency,
     detect_window,
     fit_all,
-    fit_exponent,
+    fit_cells,
     fit_power_law,
     mean_cell_area,
     relation_densities,
@@ -112,6 +113,44 @@ class TestFitAll:
         assert len(cells) == 14
 
 
+def reference_fits(grid, cells, names):
+    """fit_power_law of each exponent over the positive (x, y) density
+    pairs at the given (i, j) cells, read straight from densities."""
+    fits = {}
+    for name in names:
+        relation = EXPONENT_RELATION[name]
+        ys, xs = densities(grid, relation.replace("_vs_", ""))
+        points = [(xs[c], ys[c]) for c in cells]
+        fits[name] = fit_power_law([(x, y) for x, y in points if x > 0 and y > 0],
+                                   relation)
+    return fits
+
+
+class TestFitCells:
+    def test_fit_cells_equals_the_reference_fit(self):
+        """Over water cells (NaN densities), cells without users (beta's y
+        and gamma's x are 0) and cells without tweets or youth, fit_cells
+        of every exponent is the fit of the positive pairs, whole."""
+        x = 8
+        grid = grid_with_law(x=x)
+        rng = np.random.default_rng(2)
+        grid.land_area[rng.random((x, x)) < 0.15] = 0.0
+        grid.n_u[rng.random((x, x)) < 0.2] = 0.0
+        grid.n_t[rng.random((x, x)) < 0.1] = 0.0
+        grid.n_y = grid.n_p * 10 ** rng.uniform(-1.0, -0.3, size=(x, x))
+        grid.n_y[rng.random((x, x)) < 0.1] = 0.0
+        names = ("alpha", "beta", "gamma", "delta")
+        every = [(i, j) for i in range(x) for j in range(x)]
+        assert all(fit.n_points < len(every)
+                   for fit in reference_fits(grid, every, names).values())
+        for cells in (every, every[::3], every[5:40], cell_indices(grid)):
+            want = reference_fits(grid, cells, names)
+            assert fit_cells(grid, cells, names) == want
+            assert {name: fit_cells(grid, cells, (name,))[name]
+                    for name in names} == want
+        assert fit_all(grid) == reference_fits(grid, cell_indices(grid), names[:3])
+
+
 class TestRelationDensities:
     def test_letters_pick_the_density_arrays(self):
         grid = grid_with_law(x=3)
@@ -125,7 +164,7 @@ class TestRelationDensities:
         with pytest.raises(InsufficientDataError, match="has no youth population data"):
             relation_densities(grid, "Y_vs_P")
         with pytest.raises(InsufficientDataError, match="has no youth population data"):
-            fit_exponent(grid, cell_indices(grid), "delta")
+            fit_cells(grid, cell_indices(grid), ("delta",))
 
     @pytest.mark.parametrize("relation", ["", "T", "T_vs_X", "t_vs_u", "T_vs_U_vs_P"])
     def test_unknown_relation_is_a_domain_error(self, relation):

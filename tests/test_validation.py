@@ -7,9 +7,15 @@ import pytest
 
 from geoscale.errors import ConfigError, InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
-from geoscale.gridding import DensityGrid, GridSpec
+from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.ingest import Corpus, LocatedRecord, PopulationUnit
-from geoscale.scaling import cell_indices, fit_all, fit_cells, fit_rows
+from geoscale.scaling import (
+    EXPONENT_RELATION,
+    cell_indices,
+    fit_all,
+    fit_power_law,
+    fit_rows,
+)
 from geoscale.validation import (
     EXPONENTS,
     ResampleConfig,
@@ -175,9 +181,10 @@ class TestSubsetResample:
 
     @pytest.mark.parametrize("mode", ["subset", "subset_nonadjacent"])
     def test_replicate_fits_equal_fit_cells(self, monkeypatch, mode):
-        """Each replicate's fits from the log table are fit_cells of its
-        cells, whole; cells without users drop out of beta and gamma, and a
-        replicate left with fewer than 3 of them is dropped like fit_cells
+        """Each replicate's fits from the log table are, whole, the fits of
+        the positive density pairs of its cells, read straight from
+        densities; cells without users drop out of beta and gamma, and a
+        replicate left with fewer than 3 of them is dropped as that fit
         refuses it."""
         import geoscale.validation as validation
         grid = law_grid(x=8)
@@ -186,16 +193,26 @@ class TestSubsetResample:
         assert len(eligible) == 64
         outcomes = []
 
+        def reference(cells):
+            fits = {}
+            for name in EXPONENTS:
+                relation = EXPONENT_RELATION[name]
+                ys, xs = densities(grid, relation.replace("_vs_", ""))
+                points = [(xs[c], ys[c]) for c in cells]
+                fits[name] = fit_power_law(
+                    [(x, y) for x, y in points if x > 0 and y > 0], relation)
+            return fits
+
         def checked(table, rows):
             cells = [eligible[k] for k in rows]
             try:
                 fits = fit_rows(table, rows)
             except InsufficientDataError as exc:
                 with pytest.raises(InsufficientDataError, match=re.escape(str(exc))):
-                    fit_cells(grid, cells)
+                    reference(cells)
                 outcomes.append(None)
                 raise
-            assert fits == fit_cells(grid, cells)
+            assert fits == reference(cells)
             outcomes.append(fits)
             return fits
 
