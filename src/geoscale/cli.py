@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import anomaly as anomaly_mod
-from . import ingest, scaling, synth, validation
+from . import ingest, scaling, synth, validation, workers
 from .errors import ConfigError, DataError, InsufficientDataError
 from .geometry import LonLatRect, MultiPolygon, geometry_from_geojson
 from .gridding import (GridSpec, check_grid_memory, grid_to_csv, run_grid_pipeline,
@@ -194,10 +195,8 @@ def load_population(path):
 
 def _load_corpus(cfg: RunConfig):
     """Parse and locate the tweet corpus and keep the configured tag kind.
-    Returns the funnel counts and the Corpus.  A regular file is parsed in
-    byte ranges, one process per usable CPU and none shorter than
-    ingest._RANGE_BYTES, and any other in one streamed pass; the result is
-    the same either way (see ingest.read_corpus)."""
+    Returns the funnel counts and the Corpus, the same for any number of
+    CPUs (see ingest.read_corpus)."""
     if not cfg.tweets:
         raise ConfigError("--tweets is required for this command")
     diags, stats, corpus = ingest.read_corpus(cfg.tweets, cfg.study_rect())
@@ -495,6 +494,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run the command in argv, or in sys.argv when argv is None.  Only the
+    program's own process passes None (``python -m geoscale.cli`` and the
+    ``geoscale`` script).  It freezes the heap it has imported, so that the
+    collector never scans it again (at exit neither) and forked workers
+    share its pages, and it lets independent work split over its CPUs
+    (workers.allow_forking).  A caller that passes argv keeps its collector
+    as it is and all of the work in its own process."""
+    if argv is None:
+        gc.freeze()
+        workers.allow_forking()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -509,6 +518,10 @@ def main(argv=None) -> int:
     except MemoryError as exc:   # a grid side, say, too large for this host
         print(f"config error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
+        return EXIT_CONFIG
+    except ChildProcessError as exc:   # a worker killed, most often for memory
+        print(f"config error: {exc}; `taskset -c 0` runs the command in one "
+              "process", file=sys.stderr)
         return EXIT_CONFIG
     except InsufficientDataError as exc:
         print(f"insufficient data: {exc}", file=sys.stderr)

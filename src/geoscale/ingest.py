@@ -13,9 +13,7 @@ import functools
 import json
 import math
 import os
-import pickle
 import re
-import signal
 import stat
 from array import array
 from collections import Counter
@@ -28,6 +26,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import workers
 from .errors import ConfigError, DataError
 from .geometry import (
     EARTH_RADIUS_KM,
@@ -366,8 +365,11 @@ def _text_lines(raw_lines, diags: ParseDiagnostics) -> Iterator[str]:
 # deep in the stack it is read
 _MAX_DEPTH = 500
 # a JSON string, or an unterminated one to the end of the line
-_STRING = re.compile(r'"(?:[^"\\]|\\.?)*(?:"|\Z)', re.S)
-_BRACKET = re.compile(r"[][{}]")
+_STRING = re.compile(r'"[^"\\]*(?:\\.?[^"\\]*)*(?:"|\Z)', re.S)
+# bracket bytes to +1 (opening) and -1 (closing) as int8; every other byte
+# is deleted
+_SIGNS = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+_NOT_BRACKETS = bytes(set(range(256)) - set(b"[{]}"))
 
 
 def check_depth(text: str) -> None:
@@ -376,11 +378,10 @@ def check_depth(text: str) -> None:
     brackets than that can, and only such a text is scanned."""
     if text.count("[") + text.count("{") <= _MAX_DEPTH:
         return
-    depth = 0
-    for bracket in _BRACKET.findall(_STRING.sub("", text)):
-        depth += 1 if bracket in "[{" else -1
-        if depth > _MAX_DEPTH:
-            raise RecursionError(f"nested more than {_MAX_DEPTH} deep")
+    outside = _STRING.sub("", text).encode("utf-8", "surrogatepass")
+    signs = np.frombuffer(outside.translate(_SIGNS, _NOT_BRACKETS), dtype=np.int8)
+    if np.cumsum(signs, dtype=np.int64).max(initial=0) > _MAX_DEPTH:
+        raise RecursionError(f"nested more than {_MAX_DEPTH} deep")
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -510,43 +511,28 @@ def read_corpus(path, study: LonLatRect
     they give for the whole file.
 
     A regular file is cut into byte ranges that each end at a \n, one per
-    usable CPU but none shorter than _RANGE_BYTES.  This process parses the
-    first range and a worker forked for each other range parses it; the
-    results are merged in file order, so they equal one pass over the file
-    for any number of ranges.  Any other file (a pipe, say), and any file
-    where os.fork is missing, is read in one pass in this process.
+    worker of workers.worker_count, none shorter than _RANGE_BYTES, and
+    the ranges are parsed by workers.fork_map; the results are merged in
+    file order, so they equal one pass over the file for any number of
+    ranges.  Any other file (a pipe, say) is read in one pass in this
+    process.
     """
     with _open_tweets(path) as fh:
         info = os.fstat(fh.fileno())
-        if not stat.S_ISREG(info.st_mode) or not hasattr(os, "fork"):
-            ranges = 1
-        else:
-            ranges = min(_usable_cpus(), info.st_size // _RANGE_BYTES)
+        ranges = (workers.worker_count(info.st_size, _RANGE_BYTES)
+                  if stat.S_ISREG(info.st_mode) else 1)
         cuts = _cuts(fh, info.st_size, ranges)
         if len(cuts) == 1:
             return _read_range(fh, None, study)
-        _line_decoder()   # imported once, here, for every worker
-        workers = []
-        try:
-            for start, end in zip(cuts[1:], cuts[2:] + [None]):
-                workers.append(_fork_range(path, start, end, study))
-            parts = [_read_range(fh, cuts[1], study)]
-            sent = [_drain(read_fd) for _, read_fd in workers]
-        except BaseException:
-            for pid, _ in workers:   # not yet waited for, so still ours
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            statuses = [_reap(*worker) for worker in workers]
-    parts += [_unpickled(*result) for result in zip(sent, statuses)]
-    return _merge(parts)
+    _line_decoder()   # imported once, here, for every worker
 
+    def read(span):
+        start, end = span
+        with _open_tweets(path) as fh:   # an offset of its own
+            fh.seek(start)
+            return _read_range(fh, end, study)
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return _merge(workers.fork_map(read, zip(cuts, cuts[1:] + [None])))
 
 
 def _cuts(fh, size: int, ranges: int) -> list:
@@ -584,66 +570,6 @@ def _lines_to(fh, end: int) -> Iterator[bytes]:
             return
         left -= len(raw)
         yield raw
-
-
-def _fork_range(path, start: int, end: Optional[int], study: LonLatRect
-                ) -> tuple[int, int]:
-    """Fork a worker that parses a range of the tweet file (see _read_range)
-    and writes its result, or the exception it raised, pickled to a pipe.
-    Returns the worker's pid and the pipe's read end.  The worker writes
-    nothing else and leaves by os._exit, so it runs no exit handler of
-    this process."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            null = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(null, 1)
-            os.dup2(null, 2)
-            try:
-                with _open_tweets(path) as fh:   # an offset of its own
-                    fh.seek(start)
-                    result = True, _read_range(fh, end, study)
-            except BaseException as exc:
-                result = False, exc
-            with open(write_fd, "wb") as out:
-                out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _drain(read_fd: int) -> bytes:
-    """What a worker wrote to its pipe, read until it closed it."""
-    with open(read_fd, "rb", closefd=False) as pipe:
-        return pipe.read()
-
-
-def _reap(pid: int, read_fd: int) -> int:
-    """Close a worker's pipe and wait for it to exit; its wait status."""
-    os.close(read_fd)
-    return os.waitpid(pid, 0)[1]
-
-
-def _unpickled(data: bytes, status: int
-               ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
-    """The result a worker sent; the exception it raised is raised here."""
-    if not data:
-        raise ChildProcessError(f"a tweet range worker ended without a result "
-                                f"(exit code {os.waitstatus_to_exitcode(status)})")
-    ok, value = pickle.loads(data)   # written by our own worker
-    if not ok:
-        raise value
-    return value
 
 
 def _merge(parts) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:

@@ -14,6 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import ConfigError, InsufficientDataError
 from .geometry import LonLatRect, MultiPolygon
 from .gridding import DensityGrid, GridSpec, run_grid_pipeline, write_csv
@@ -67,11 +68,23 @@ def mix_seed(master_seed: int, k: int) -> int:
 
 def ci68(samples: Sequence[float]) -> tuple[float, float]:
     """16th-84th percentile interval, linear interpolation between order
-    statistics at ranks (n - 1) * q."""
-    if len(samples) < 10:
-        raise InsufficientDataError(f"need >= 10 samples, got {len(samples)}")
-    lo, hi = np.percentile(np.asarray(samples, dtype=float), [16.0, 84.0])
-    return float(lo), float(hi)
+    statistics at ranks (n - 1) * q: np.percentile's default method, in
+    its arithmetic, so each bound is its float to the bit."""
+    n = len(samples)
+    if n < 10:
+        raise InsufficientDataError(f"need >= 10 samples, got {n}")
+    ordered = sorted(samples)
+    return _at_rank(ordered, (n - 1) * (16 / 100)), _at_rank(ordered, (n - 1) * (84 / 100))
+
+
+def _at_rank(ordered: Sequence[float], rank: float) -> float:
+    """The sorted values at a fractional rank below the last, interpolated
+    as numpy's _lerp does: back from the upper value when the fraction is
+    0.5 or more."""
+    i = math.floor(rank)
+    g = rank - i
+    a, b = float(ordered[i]), float(ordered[i + 1])
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 def subarea_grid_side(x: int, area_fraction: float) -> int:
@@ -84,15 +97,25 @@ def _replicates(config: ResampleConfig, draw) -> ResampleDistribution:
     """Run replicates 0 .. config.replicates - 1.  Replicate k hands a
     generator seeded with mix_seed(master_seed, k) to draw, which returns
     the replicate's fits, or None when the draw cannot be placed.  A draw
-    that cannot be placed or fitted drops the replicate; its row is blank."""
-    rows = []
-    for k in range(config.replicates):
-        rng = np.random.default_rng(mix_seed(config.master_seed, k))
-        try:
-            fits = draw(rng)
-        except InsufficientDataError:
-            fits = None
-        rows.append((k, *(fits[name].exponent if fits else None for name in EXPONENTS)))
+    that cannot be placed or fitted drops the replicate; its row is blank.
+
+    The replicates are run by workers.split_map in contiguous blocks, so
+    the rows come back in replicate order, the same for any number of
+    blocks."""
+    default_rng = np.random.default_rng   # imports numpy.random before any fork
+
+    def run(block) -> list:
+        rows = []
+        for k in block:
+            try:
+                fits = draw(default_rng(mix_seed(config.master_seed, k)))
+            except InsufficientDataError:
+                fits = None
+            rows.append((k, *(fits[name].exponent if fits else None
+                              for name in EXPONENTS)))
+        return rows
+
+    rows = workers.split_map(run, range(config.replicates))
     dist = ResampleDistribution(config.mode, rows, dropped=sum(row[1] is None for row in rows))
     if len(rows) - dist.dropped >= 10:      # a row holds all three exponents or none
         dist.ci68 = {name: ci68(dist.samples(name)) for name in EXPONENTS}

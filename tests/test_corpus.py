@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from geoscale import ingest
+from geoscale import ingest, workers
 from geoscale.cli import main
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import (
@@ -307,7 +307,7 @@ def read_in_ranges(monkeypatch, path, k):
     """read_corpus of path as on k usable CPUs with ranges as short as a
     byte: cut into k ranges, or one pass for a file under k bytes."""
     monkeypatch.setattr(ingest, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: k)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: k)
     return ingest.read_corpus(path, STUDY)
 
 
@@ -411,7 +411,7 @@ def test_out_of_memory_in_a_worker_is_a_config_error(tmp_path, monkeypatch, caps
     path = tmp_path / "tweets.jsonl"
     path.write_text("\n".join(sample_lines(600)) + "\n")
     monkeypatch.setattr(ingest, "_RANGE_BYTES", 1)
-    monkeypatch.setattr(ingest, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     fail_in(monkeypatch, True, lambda: raise_(MemoryError))
     out = tmp_path / "out"
     assert main(["stats", "--tweets", str(path), "--out", str(out)]) == 1

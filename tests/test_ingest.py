@@ -221,6 +221,44 @@ class TestParseTweets:
         assert len(records) == 1
         assert diags.reasons == {"RecursionError": 1}
 
+    @pytest.mark.parametrize("text", [
+        "[" * 499 + "]" * 499, "[" * 500 + "]" * 500, "[" * 501 + "]" * 501,
+        "{" * 250 + "[" * 251, "[" * 501, '"' + "[" * 600 + '"',
+        '["' + "[" * 600 + '"]', '["\\"' + "[" * 600 + '"]',
+        '["\\\\"' + "[" * 600 + '"]', '["\\\\' + "[" * 600,
+        '["' + "[" * 600, '["a"]' * 100 + "[" * 501 + '"]]"',
+        "[" * 300 + '"]]]"' + "[" * 201 + "é" + '\\"' + "]" * 700,
+        "[" * 200 + "]" * 300 + "[" * 600, '["\ud800' + "[" * 600 + '"]',
+    ])
+    def test_nesting_verdict_equals_a_bracket_walk(self, text):
+        """check_depth against a walk over the brackets outside the JSON
+        strings, at depths 499 to 501, with brackets in strings, escaped
+        quotes and backslashes, unterminated strings, a closing run that
+        goes below zero and a lone surrogate."""
+        def walk(text):
+            depth, k = 0, 0
+            while k < len(text):
+                c = text[k]
+                if c == '"':   # a string, to its closing quote or the end
+                    k += 1
+                    while k < len(text) and text[k] != '"':
+                        k += 2 if text[k] == "\\" else 1
+                elif c in "[{":
+                    depth += 1
+                    if depth > 500:
+                        return "deep"
+                elif c in "]}":
+                    depth -= 1
+                k += 1
+            return "ok"
+
+        try:
+            ingest.check_depth(text)
+            verdict = "ok"
+        except RecursionError:
+            verdict = "deep"
+        assert verdict == walk(text)
+
     def test_brackets_inside_strings_do_not_nest(self):
         # each quote in the source is escaped, so the brackets stay inside it
         line = tweet_json(coords=[-3.5, 51.0], source='"[{' * 1000)

@@ -1,10 +1,16 @@
 import csv
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from geoscale import validation as validation_module
 from geoscale.errors import ConfigError, InsufficientDataError
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import DensityGrid, GridSpec, densities
@@ -60,6 +66,43 @@ class TestCi68:
     def test_too_few_samples(self):
         with pytest.raises(InsufficientDataError):
             ci68([1.0] * 9)
+
+    def test_equals_numpy_percentile_to_the_bit(self):
+        """np.percentile's default (linear) method on seeded sample sets of
+        10 to 1200 values: exponent-like values, the same rounded so that
+        values tie, and values of both signs over seven decades, where
+        interpolating from the lower value alone would differ in the last
+        bit."""
+        rng = np.random.default_rng(26)
+        for k in range(3000):
+            samples = rng.normal(1.2, 0.1, int(rng.integers(10, 1201)))
+            if k % 3 == 1:
+                samples = np.round(samples, 2)
+            elif k % 3 == 2:
+                samples = (samples - 1.2) * 10.0 ** rng.integers(-3, 4)
+            lo, hi = np.percentile(samples, [16.0, 84.0])
+            assert ci68(samples.tolist()) == (float(lo), float(hi))
+
+    def test_validate_never_imports_numpy_ma(self, tmp_path):
+        """np.percentile loads numpy.ma (through np.unique); ci68 does not."""
+        src = str(Path(validation_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = ("import sys; from geoscale.cli import main; "
+                  "main(['synth', '--study=-3.0,50.0,-2.0,51.0', '--x-gen', '6', "
+                  "'--b-true', '0.05', '--c-true', '2.0', '--pop-log10-mean', '1.0', "
+                  "'--pop-log10-sigma', '0.5', '--seed', '7', '--out', sys.argv[1]]); "
+                  "code = main(['validate', '--tweets', sys.argv[1] + '/tweets.jsonl', "
+                  "'--population', sys.argv[1] + '/population.geojson', "
+                  "'--land', sys.argv[1] + '/land.geojson', '--study=-3.0,50.0,-2.0,51.0', "
+                  "'--min-user-tweets', '1', '--x', '6', '--mode', 'subset', "
+                  "'--subset-fraction', '0.5', '--replicates', '20', "
+                  "'--out', sys.argv[1] + '/v']); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.stdout.splitlines()[-1] == "0 False", run.stderr
+        assert json.loads((tmp_path / "v" / "resample_summary.json").read_text())["ci68"]
 
 
 class TestSubareaGridSide:
