@@ -227,9 +227,9 @@ def _outdir(cfg: RunConfig) -> Path:
 
 @contextlib.contextmanager
 def _streamed_outdir(cfg: RunConfig):
-    """--out for synth, whose draw is checked cell by cell while the corpus
-    streams into it: the directories made for it are removed again if the
-    draw fails (write_corpus has removed its file by then)."""
+    """--out for synth, whose corpus streams into it: the directories made
+    for it are removed again if the draw or the write fails (write_corpus
+    has removed its files by then)."""
     out = Path(cfg.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)

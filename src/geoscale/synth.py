@@ -9,13 +9,17 @@ produce byte-identical outputs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
+import shutil
 from dataclasses import asdict, astuple, dataclass
+from typing import Iterator
 
 import numpy as np
 
+from . import workers
 from .errors import ConfigError
 from .geometry import LonLatRect, rect_geojson, spherical_rect_area
 from .gridding import GridSpec
@@ -31,6 +35,18 @@ _BOT_STREAM = 0x424F54
 # the most tweets, and so users, one generation cell may draw: ingest codes
 # users as int32, and a larger count is more than any machine holds as records
 MAX_CELL_COUNT = 2**31 - 1
+
+# seconds of one CPU that the draw and the line of one tweet take, by which
+# write_corpus sizes its blocks against workers.MIN_WORK_S: 2.3-4.3 us in
+# process_time of a serial write_corpus of the bench's oracle tile (35k
+# tweets), the criterion-1 oracle (582k) and a 16k-tweet study, on a
+# 2-vCPU x86-64 VM
+_TWEET_S = 3e-6
+
+# the lines _lines joins into one string, about 64 kB: joined whole, the
+# largest cell of the bench's oracle tile (1.2 MB of lines) raised synth's
+# peak RSS by about 1 MB in most runs
+_CHUNK_LINES = 256
 
 _SOURCES = ("app_alpha", "app_beta", "app_gamma")
 _SOURCE_WEIGHTS = (0.6, 0.25, 0.15)
@@ -141,130 +157,158 @@ def gen_population(config: SynthConfig) -> tuple[dict, GroundTruth]:
 # as the API emits it.  Records travel as the columns
 # (tweet_ids, user_ids, a, b, c, d, sources).
 
-# The only writer of a record: the line that json.dumps(record,
-# separators=(",", ":")) + "\n" would write, filled from (tweet_id, user_id,
-# a, b, c, b, c, d, a, d, source) with the coordinates as repr(float), which
-# is how json writes a float; ids and sources are plain ASCII that json
-# writes unescaped.
-_LINE = ('{"id_str":"%s","user":{"id_str":"%s"},"place":{"place_type":"city",'
-         '"bounding_box":{"type":"Polygon","coordinates":'
-         '[[[%s,%s],[%s,%s],[%s,%s],[%s,%s]]]}},"source":"%s"}\n')
 
-
-def _lines(columns) -> str:
+def _lines(columns) -> Iterator[str]:
+    r"""The only writer of a record: the lines that json.dumps(record,
+    separators=(",", ":")) + "\n" would write, with the coordinates as
+    repr(float), which is how json writes a float; ids and sources are
+    plain ASCII that json writes unescaped.  The lines come joined in
+    chunks of _CHUNK_LINES, so that a large cell's text is never held
+    twice."""
     tids, uids, *coords, sources = columns
     # points share their columns (a is c, b is d): format each column once
     text = {id(col): list(map(repr, col)) for col in coords}
-    a, b, c, d = (text[id(col)] for col in coords)
-    return "".join(map(_LINE.__mod__, zip(tids, uids, a, b, c, b, c, d, a, d,
-                                          sources)))
+    lines = [
+        f'{{"id_str":"{tid}","user":{{"id_str":"{uid}"}},"place":{{'
+        f'"place_type":"city","bounding_box":{{"type":"Polygon","coordinates":'
+        f'[[[{x0},{y0}],[{x1},{y0}],[{x1},{y1}],[{x0},{y1}]]]}}}},'
+        f'"source":"{source}"}}\n'
+        for tid, uid, x0, y0, x1, y1, source
+        in zip(tids, uids, *(text[id(col)] for col in coords), sources)]
+    del text
+    for k in range(0, len(lines), _CHUNK_LINES):
+        yield "".join(lines[k:k + _CHUNK_LINES])
 
 
 def _parsed(column_batches) -> list[dict]:
     """The records of the column batches: their lines read back by json, one
     array per batch."""
     return [r for columns in column_batches
-            for r in json.loads("[%s]" % ",".join(_lines(columns).splitlines()))]
+            for r in json.loads("[%s]" % ",".join(
+                "".join(_lines(columns)).splitlines()))]
 
 
-def _activity_columns(config: SynthConfig, gt: GroundTruth):
-    """Draw the tweets cell by cell and yield each non-empty cell's records
-    as columns.
+def _cell_counts(config: SynthConfig, gt: GroundTruth, i: int, j: int) -> tuple:
+    """Generation cell (i, j)'s users and tweets, as (rng, users, tweets)
+    with rng the cell's own generator past its two count draws; (None, 0,
+    0) for a cell without residents.
 
-    Per cell: N_u = round(A * B * P^beta * 10^eps), N_t = round(A * C *
-    (N_u/A)^gamma * 10^eps), each with eps ~ Normal(0, noise_dex).  Tweets
-    are spread over users multinomially with every user getting at least
-    one; cells where N_t < N_u reduce N_u to N_t.  Users are cell-local
-    unless commuter_fraction moves half a user's tweets to the next cell.
-    A cell that draws more than MAX_CELL_COUNT tweets, and so users, is a
-    ConfigError, raised before its arrays are made.  gt.n_u and gt.n_t are
-    complete once the generator is exhausted.
+    N_u = round(A * B * P^beta * 10^eps), N_t = round(A * C * (N_u/A)^gamma
+    * 10^eps), each with eps ~ Normal(0, noise_dex); a cell where N_t < N_u
+    reduces N_u to N_t.  A density or count too large for a float raises
+    OverflowError; a cell that draws more than MAX_CELL_COUNT tweets, or
+    more users than residents, is a ConfigError.
     """
-    cells = GridSpec(config.study, config.x_gen)
-    x = cells.x
+    # Python floats: a power past their range raises, where numpy warns
+    area = float(gt.cell_area[i, j])
+    residents = int(gt.population[i, j])
+    p = residents / area
+    if p <= 0:
+        return None, 0, 0
+    rng = np.random.default_rng(
+        mix_seed(mix_seed(config.seed, _ACT_STREAM), i * config.x_gen + j))
+    eps_u = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0
+    eps_t = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0
+    users = int(round(area * config.b_true * p ** config.beta_true * 10.0 ** eps_u))
+    u_density = users / area
+    tweets = int(round(area * config.c_true
+                       * u_density ** config.gamma_true * 10.0 ** eps_t))
+    users = min(users, tweets)
+    if tweets > MAX_CELL_COUNT:     # and so users <= tweets fit too
+        raise ConfigError(f"synth cell ({i}, {j}) draws {tweets} tweets, "
+                          f"more than the {MAX_CELL_COUNT} a cell may hold")
+    if users > residents:
+        raise ConfigError(f"synth cell ({i}, {j}) draws {users} users, "
+                          f"more than its {residents} residents")
+    return rng, users, tweets
+
+
+def _cell_draws(config: SynthConfig, gt: GroundTruth) -> list[tuple[int, int, int]]:
+    """(i, j, tweets) of each generation cell that holds tweets, in row
+    order: every cell's counts drawn, and so every count error raised,
+    before any record is made."""
+    cells = []
+    for i in range(config.x_gen):
+        for j in range(config.x_gen):
+            _, users, tweets = _cell_counts(config, gt, i, j)
+            if users > 0:
+                cells.append((i, j, tweets))
+    return cells
+
+
+def _activity_columns(config: SynthConfig, gt: GroundTruth, cells, tweet_seq=0):
+    """Make the tweets of cells, (i, j, tweets) as _cell_draws gives them,
+    and yield each cell's records as columns, numbering the tweets from
+    tweet_seq.
+
+    Tweets are spread over users multinomially with every user getting at
+    least one.  Users are cell-local unless commuter_fraction moves half a
+    user's tweets to the next cell.  gt.n_u and gt.n_t count the users and
+    tweets of these cells once the generator is exhausted.
+    """
+    grid = GridSpec(config.study, config.x_gen)
+    x = grid.x
     gt.n_u = n_u = np.zeros((x, x), dtype=np.int64)
     gt.n_t = n_t = np.zeros((x, x), dtype=np.int64)
-    tweet_seq = 0
 
-    for i in range(x):
-        for j in range(x):
-            rng = np.random.default_rng(
-                mix_seed(mix_seed(config.seed, _ACT_STREAM), i * x + j))
-            rect = cells.cell_rect(i, j)
-            # Python floats: a power past their range raises, where numpy warns
-            area = float(gt.cell_area[i, j])
-            p = float(gt.population[i, j]) / area
-            if p <= 0:
-                continue
-            eps_u = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0
-            eps_t = rng.normal(0.0, config.noise_dex) if config.noise_dex > 0 else 0.0
-            users = int(round(area * config.b_true * p ** config.beta_true
-                              * 10.0 ** eps_u))
-            u_density = users / area
-            tweets = int(round(area * config.c_true
-                               * u_density ** config.gamma_true * 10.0 ** eps_t))
-            users = min(users, tweets)
-            if tweets > MAX_CELL_COUNT:     # and so users <= tweets fit too
-                raise ConfigError(f"synth cell ({i}, {j}) draws {tweets} tweets, "
-                                  f"more than the {MAX_CELL_COUNT} a cell may hold")
-            if users <= 0:
-                continue
-            # every user gets one tweet, the surplus is multinomial
-            counts = np.ones(users, dtype=np.int64)
-            if tweets > users:
-                counts += rng.multinomial(tweets - users, np.full(users, 1.0 / users))
-            total = int(counts.sum())
+    for i, j, _ in cells:
+        rng, users, total = _cell_counts(config, gt, i, j)
+        rect = grid.cell_rect(i, j)
+        # every user gets one tweet, the surplus is multinomial
+        counts = np.ones(users, dtype=np.int64)
+        if total > users:
+            counts += rng.multinomial(total - users, np.full(users, 1.0 / users))
 
-            user_of_tweet = np.repeat(np.arange(users), counts)
-            away = np.zeros(total, dtype=bool)
-            if config.commuter_fraction > 0 and i + 1 < x:
-                commuter = rng.uniform(size=users) < config.commuter_fraction
-                within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-                # commuters place their odd-indexed tweets in the adjacent cell
-                away = commuter[user_of_tweet] & (within % 2 == 1)
-            # each tweet's cell: (i, j), or (i + 1, j) when away
-            min_lon, max_lon = cells.lon_edges[i + away], cells.lon_edges[i + 1 + away]
+        user_of_tweet = np.repeat(np.arange(users), counts)
+        away = np.zeros(total, dtype=bool)
+        if config.commuter_fraction > 0 and i + 1 < x:
+            commuter = rng.uniform(size=users) < config.commuter_fraction
+            within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+            # commuters place their odd-indexed tweets in the adjacent cell
+            away = commuter[user_of_tweet] & (within % 2 == 1)
+        # each tweet's cell: (i, j), or (i + 1, j) when away
+        min_lon, max_lon = grid.lon_edges[i + away], grid.lon_edges[i + 1 + away]
 
-            # margin keeps coordinates inside the cell after 7-decimal rounding
-            m_lon = max(1e-6, rect.width * 1e-6)
-            m_lat = max(1e-6, rect.height * 1e-6)
-            lons = min_lon + m_lon + rng.uniform(size=total) * (rect.width - 2 * m_lon)
-            lats = rect.min_lat + m_lat + rng.uniform(size=total) * (rect.height - 2 * m_lat)
-            half_w = half_h = 0.0       # a point is a box of half-sizes 0
-            if config.emit_boxes_fraction > 0:
-                as_box = rng.uniform(size=total) < config.emit_boxes_fraction
-                half_w = np.where(as_box, rng.uniform(0.0, rect.width / 8, total), 0.0)
-                half_h = np.where(as_box, rng.uniform(0.0, rect.height / 8, total), 0.0)
-                # a box's centre is clamped so that the box stays in its cell
-                lons = np.where(as_box, np.minimum(np.maximum(
-                    lons, min_lon + half_w + m_lon), max_lon - half_w - m_lon), lons)
-                lats = np.where(as_box, np.minimum(np.maximum(
-                    lats, rect.min_lat + half_h + m_lat), rect.max_lat - half_h - m_lat),
-                    lats)
-            sources = rng.choice(len(_SOURCES), size=total, p=_SOURCE_WEIGHTS)
+        # margin keeps coordinates inside the cell after 7-decimal rounding
+        m_lon = max(1e-6, rect.width * 1e-6)
+        m_lat = max(1e-6, rect.height * 1e-6)
+        lons = min_lon + m_lon + rng.uniform(size=total) * (rect.width - 2 * m_lon)
+        lats = rect.min_lat + m_lat + rng.uniform(size=total) * (rect.height - 2 * m_lat)
+        half_w = half_h = 0.0       # a point is a box of half-sizes 0
+        if config.emit_boxes_fraction > 0:
+            as_box = rng.uniform(size=total) < config.emit_boxes_fraction
+            half_w = np.where(as_box, rng.uniform(0.0, rect.width / 8, total), 0.0)
+            half_h = np.where(as_box, rng.uniform(0.0, rect.height / 8, total), 0.0)
+            # a box's centre is clamped so that the box stays in its cell
+            lons = np.where(as_box, np.minimum(np.maximum(
+                lons, min_lon + half_w + m_lon), max_lon - half_w - m_lon), lons)
+            lats = np.where(as_box, np.minimum(np.maximum(
+                lats, rect.min_lat + half_h + m_lat), rect.max_lat - half_h - m_lat),
+                lats)
+        sources = rng.choice(len(_SOURCES), size=total, p=_SOURCE_WEIGHTS)
 
-            names = [f"u_{i}_{j}_{u}" for u in range(users)]
-            user_ids = [names[u] for u in user_of_tweet.tolist()]
-            tweet_ids = [f"t{s:09d}" for s in range(tweet_seq, tweet_seq + total)]
-            tweet_seq += total
-            a = np.round(lons - half_w, 7).tolist()
-            b = np.round(lats - half_h, 7).tolist()
-            # a column of points only serves as c too (a is c, b is d)
-            c = np.round(lons + half_w, 7).tolist() if np.any(half_w) else a
-            d = np.round(lats + half_h, 7).tolist() if np.any(half_h) else b
-            n_away = int(away.sum())
-            n_t[i, j] += total - n_away
-            if n_away:
-                n_t[i + 1, j] += n_away
-            n_u[i, j] += users
-            yield (tweet_ids, user_ids, a, b, c, d,
-                   [_SOURCES[s] for s in sources.tolist()])
+        names = [f"u_{i}_{j}_{u}" for u in range(users)]
+        user_ids = [names[u] for u in user_of_tweet.tolist()]
+        tweet_ids = ["t%09d" % s for s in range(tweet_seq, tweet_seq + total)]
+        tweet_seq += total
+        a = np.round(lons - half_w, 7).tolist()
+        b = np.round(lats - half_h, 7).tolist()
+        # a column of points only serves as c too (a is c, b is d)
+        c = np.round(lons + half_w, 7).tolist() if np.any(half_w) else a
+        d = np.round(lats + half_h, 7).tolist() if np.any(half_h) else b
+        n_away = int(away.sum())
+        n_t[i, j] += total - n_away
+        if n_away:
+            n_t[i + 1, j] += n_away
+        n_u[i, j] += users
+        yield (tweet_ids, user_ids, a, b, c, d,
+               [_SOURCES[s] for s in sources.tolist()])
 
 
 def gen_activity(config: SynthConfig, gt: GroundTruth) -> list[dict]:
     """Generate tweet records cell by cell, completing the ground truth
-    (see _activity_columns for the draw)."""
-    return _parsed(_activity_columns(config, gt))
+    (see _cell_counts and _activity_columns for the draw)."""
+    return _parsed(_activity_columns(config, gt, _cell_draws(config, gt)))
 
 
 def check_bot_settings(n_bots: int, bot_tweet_fraction: float) -> None:
@@ -318,26 +362,68 @@ def write_jsonl(records: list[dict], path) -> None:
 
 def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
                  bot_tweet_fraction: float) -> int:
-    """Stream the activity corpus, then n_bots bots, to path as JSONL, cell
-    by cell, without holding the records; completes gt like gen_activity.
+    """Write the activity corpus, then n_bots bots, to path as JSONL, without
+    holding the records; completes gt like gen_activity.
 
-    The file equals write_jsonl(gen_activity(config, gt) + gen_bots(config,
-    n_bots, bot_tweet_fraction, len(activity))) byte for byte.  Returns the
-    number of records written.  A draw that raises leaves no file.
+    Every count error is raised first (see _cell_counts), before any byte
+    is written.  The cells are then cut into contiguous blocks of about
+    equal tweets, one per worker of workers.worker_count, and
+    workers.fork_map writes them: this process the first block into path,
+    each worker its own into a part file next to it, which is then
+    appended to path in block order and removed.  The file equals
+    write_jsonl(gen_activity(config, gt) + gen_bots(config, n_bots,
+    bot_tweet_fraction, len(activity))) byte for byte, for any number of
+    workers.  Returns the number of records written.  A write that fails
+    leaves neither the file nor a part file.
     """
     check_bot_settings(n_bots, bot_tweet_fraction)
-    fh = open(path, "w")
+    cells = _cell_draws(config, gt)
+    firsts = np.cumsum([0] + [tweets for _, _, tweets in cells]).tolist()
+    total = firsts[-1]
+    k = workers.worker_count(total * _TWEET_S, workers.MIN_WORK_S)
+    # each block ends before the cell that first reaches its share of tweets
+    ends = np.searchsorted(firsts, np.arange(1, k) * total / k).tolist()
+    cuts = [0, *sorted(set(ends) - {len(cells)}), len(cells)]
+    path = os.fspath(path)
+    parts = [path] + [f"{path}.part{b}" for b in range(1, len(cuts) - 1)]
+
+    def write_block(block):
+        part, start, stop = block
+        with open(part, "w") as fh:
+            for columns in _activity_columns(config, gt, cells[start:stop],
+                                             firsts[start]):
+                fh.writelines(_lines(columns))
+        return gt.n_u, gt.n_t
+
     try:
-        with fh:
-            for columns in _activity_columns(config, gt):
-                fh.write(_lines(columns))
-            total = gt.total_tweets
-            if n_bots > 0:
+        n_u, n_t = zip(*workers.fork_map(write_block, zip(parts, cuts, cuts[1:])))
+        gt.n_u, gt.n_t = sum(n_u), sum(n_t)
+        _append(path, parts[1:])
+        if n_bots > 0:
+            with open(path, "a") as fh:
                 for columns in _bot_columns(config, n_bots, bot_tweet_fraction,
                                             total):
-                    fh.write(_lines(columns))
+                    fh.writelines(_lines(columns))
                     total += len(columns[0])
     except BaseException:
-        os.remove(path)
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
         raise
     return total
+
+
+def _append(path, parts) -> None:
+    """Append the files parts to the file at path, in order, removing each:
+    copied by the kernel (os.copy_file_range) where it can, else through
+    this process."""
+    with open(path, "r+b") as out:
+        out.seek(0, os.SEEK_END)
+        for part in parts:
+            with open(part, "rb") as src:
+                try:
+                    while os.copy_file_range(src.fileno(), out.fileno(), 1 << 30):
+                        pass
+                except (AttributeError, OSError):  # no such copy on this system
+                    shutil.copyfileobj(src, out)
+            os.remove(part)

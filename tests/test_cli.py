@@ -493,6 +493,16 @@ class TestSynthCommand:
                             capsys.readouterr().err)
         assert not out.exists()
 
+    def test_more_users_than_residents_is_a_config_error(self, tmp_path, capsys):
+        """A bare synth, whose default --b-true 1.0 draws more users than
+        residents in a dense cell, is refused before any byte is written."""
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out), "--study=-3.0,50.0,-2.0,51.0",
+                     "--x-gen", "6", "--seed", "7"]) == 1
+        assert re.fullmatch(r"config error: synth cell \(\d+, \d+\) draws \d+ users, "
+                            r"more than its \d+ residents\n", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_outputs_exist_and_are_deterministic(self, tmp_path, corpus):
         again = tmp_path / "again"
         assert main(SMALL_SYNTH + ["--out", str(again)]) == 0

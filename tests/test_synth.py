@@ -13,7 +13,10 @@ from geoscale.gridding import GridSpec, run_grid_pipeline
 from geoscale.ingest import corpus_stats, parse_population, parse_tweets
 from geoscale.scaling import fit_all
 from geoscale.synth import (
+    DEFAULT_STUDY,
     SynthConfig,
+    _cell_counts,
+    _cell_draws,
     gen_activity,
     gen_bots,
     gen_population,
@@ -162,6 +165,24 @@ class TestExponentRecovery:
         # integer rounding of counts is the only noise left
         assert fits["beta"].exponent == pytest.approx(cfg.beta_true, abs=0.02)
         assert fits["gamma"].exponent == pytest.approx(cfg.gamma_true, abs=0.02)
+
+
+class TestCellDraws:
+    @pytest.mark.parametrize("study, x_gen", [
+        (DEFAULT_STUDY, 40),                             # the criterion-1 oracle
+        (LonLatRect(-5.8, 49.9, -4.65, 50.475), 10),    # the bench's tile of it
+    ], ids=["oracle", "bench_tile"])
+    def test_the_oracle_draws_fewer_users_than_residents(self, study, x_gen):
+        """The criterion-1 settings pass every count check, with users well
+        below residents in every cell."""
+        cfg = SynthConfig(study=study, x_gen=x_gen, beta_true=1.2, gamma_true=1.35,
+                          b_true=0.065, c_true=2.0, noise_dex=0.1,
+                          pop_log10_mean=1.0, pop_log10_sigma=0.4, seed=20260823)
+        _, gt = gen_population(cfg)
+        cells = _cell_draws(cfg, gt)
+        assert len(cells) == x_gen * x_gen
+        assert max(_cell_counts(cfg, gt, i, j)[1] / gt.population[i, j]
+                   for i, j, _ in cells) < 0.5
 
 
 class TestGenBots:

@@ -1,5 +1,6 @@
 """workers.fork_map, and the outputs of the commands that split their work
-with it (tweet byte ranges, resampling replicates) on 1 to 6 workers."""
+with it (tweet byte ranges, resampling replicates, synth's generation
+cells) on 1 to 6 workers."""
 
 import gc
 import hashlib
@@ -11,10 +12,15 @@ import time
 
 import pytest
 
-from geoscale import ingest, workers
+from geoscale import ingest, synth, workers
 from geoscale.cli import main
 
 STUDY = "--study=-3.0,50.0,-2.0,51.0"
+# TestOracleBytes' study: points, boxes, commuters and bots
+PINNED_SYNTH = ["synth", STUDY, "--x-gen", "5", "--b-true", "0.005", "--c-true", "2.0",
+                "--pop-log10-mean", "1.0", "--pop-log10-sigma", "0.5", "--seed", "11",
+                "--emit-boxes-fraction", "0.5", "--commuter-fraction", "0.3",
+                "--bots", "2"]
 
 
 def assert_no_child_left():
@@ -182,10 +188,24 @@ def run_outputs(inputs, out, argv, capsys) -> dict:
         "--population", str(inputs / "population.geojson"),
         "--land", str(inputs / "land.geojson"), "--min-user-tweets", "1",
         "--out", str(out)])
+    return outputs(code, out, capsys)
+
+
+def outputs(code, out, capsys) -> dict:
+    """Exit code, printout and output file digests of a command run."""
     printed = capsys.readouterr()
     return {"code": code, "out": printed.out, "err": printed.err,
             **{p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(out.iterdir())}}
+
+
+def counting_forks(monkeypatch) -> list:
+    """The list that each fork of a worker appends to from now on."""
+    forks = []
+    fork = workers._fork
+    monkeypatch.setattr(workers, "_fork",
+                        lambda fn, chunk: forks.append(1) or fork(fn, chunk))
+    return forks
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -194,10 +214,7 @@ def test_outputs_are_the_same_on_1_to_6_workers(synth_inputs, tmp_path, monkeypa
     """Each validate mode and scan writes and prints the same bytes however
     many workers read the tweets and run the replicates; every run with
     more than one worker forks."""
-    forks = []
-    fork = workers._fork
-    monkeypatch.setattr(workers, "_fork",
-                        lambda fn, chunk: forks.append(1) or fork(fn, chunk))
+    forks = counting_forks(monkeypatch)
     results = []
     for k in range(1, 7):
         as_on_cpus(monkeypatch, k)
@@ -207,6 +224,62 @@ def test_outputs_are_the_same_on_1_to_6_workers(synth_inputs, tmp_path, monkeypa
         assert bool(forks) == (k > 1), k
     assert results[0]["code"] == 0
     assert all(result == results[0] for result in results)
+    assert_no_child_left()
+
+
+def test_synth_is_the_same_on_1_to_6_workers(tmp_path, monkeypatch, capsys):
+    """synth writes and prints the same bytes however many workers draw
+    and write its cells, and forks exactly when there is more than one."""
+    forks = counting_forks(monkeypatch)
+    results = []
+    for k in range(1, 7):
+        as_on_cpus(monkeypatch, k)
+        forks.clear()
+        out = tmp_path / str(k)
+        results.append(outputs(main(PINNED_SYNTH + ["--out", str(out)]), out, capsys))
+        assert bool(forks) == (k > 1), k
+    assert results[0]["code"] == 0
+    assert all(result == results[0] for result in results)
+    assert_no_child_left()
+
+
+def test_synth_parts_are_the_same_copied_through_this_process(tmp_path, monkeypatch,
+                                                               capsys):
+    """Where the kernel cannot copy the part files, this process appends
+    them, to the same bytes."""
+    runs = []
+    for copy in (os.copy_file_range, lambda *args: raise_(OSError("no copy"))):
+        monkeypatch.setattr(os, "copy_file_range", copy)
+        as_on_cpus(monkeypatch, 3)
+        out = tmp_path / str(len(runs))
+        runs.append(outputs(main(PINNED_SYNTH + ["--out", str(out)]), out, capsys))
+    assert runs[0]["code"] == 0 and runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("fail, code, error", [
+    (lambda: raise_(OSError("disk full")), 2, "data error: disk full"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), 1,
+     "config error: a worker process was killed"),
+], ids=["raises", "killed"])
+def test_a_failed_synth_worker_leaves_no_file(tmp_path, monkeypatch, capsys, fail,
+                                              code, error):
+    """A synth worker that raises or is killed ends the command with one
+    error line, and leaves no tweets.jsonl, no part file and no worker."""
+    as_on_cpus(monkeypatch, 3)
+    draw, parent = synth._activity_columns, os.getpid()
+
+    def failing_in_a_worker(*args):
+        if os.getpid() != parent:
+            fail()
+        return draw(*args)
+
+    monkeypatch.setattr(synth, "_activity_columns", failing_in_a_worker)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(PINNED_SYNTH + ["--out", str(out)]) == code
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(error)
+    assert list(out.iterdir()) == []
     assert_no_child_left()
 
 
@@ -222,6 +295,7 @@ def test_main_with_argv_leaves_the_collector_alone_and_forks_nothing(
     for command in ("subarea", "scan"):
         assert run_outputs(synth_inputs, tmp_path / command, COMMANDS[command],
                            capsys)["code"] == 0
+    assert main(PINNED_SYNTH + ["--out", str(tmp_path / "synth")]) == 0
     assert gc.get_freeze_count() == frozen
     assert not workers._forking
 
