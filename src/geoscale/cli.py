@@ -6,6 +6,8 @@ with the field names and may hold any setting, and each flag is the field
 name with dashes, taking the same text.  A command takes the flags of just
 the settings it reads (``_COMMANDS``).  All randomness flows from --seed;
 reruns with identical inputs and seed produce byte-identical output files.
+A command writes into a staging directory inside --out, whose files take
+their names in --out only if it succeeds (``_staged_out``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import functools
 import gc
 import json
 import math
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -217,31 +221,6 @@ def load_records(cfg: RunConfig):
     return stats, corpus
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    """--out, made once the command has passed every check that can fail,
-    so that a failed run leaves no directory behind."""
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-@contextlib.contextmanager
-def _streamed_outdir(cfg: RunConfig):
-    """--out for synth, whose corpus streams into it: the directories made
-    for it are removed again if the draw or the write fails (write_corpus
-    has removed its files by then)."""
-    out = Path(cfg.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        yield out
-    except BaseException:
-        for d in made:
-            with contextlib.suppress(OSError):
-                d.rmdir()
-        raise
-
-
 def _write_fits_csv(path, rows) -> None:
     write_csv(path, ["relation", "X", "n_points", "exponent", "exponent_stderr",
                      "log10_prefactor", "prefactor_stderr", "r_squared"],
@@ -256,13 +235,12 @@ def _write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def cmd_stats(cfg: RunConfig, out: Path) -> int:
     """The locate funnel of every parsed record; sources and replies of the
     records of the configured tag kind."""
     stats, corpus = _load_corpus(cfg)
     ranking = ingest.source_ranking(corpus, k=max(len(corpus.sources), 1))
     replies, quotes, either = ingest.reply_quote_counts(corpus)
-    out = _outdir(cfg)
     _write_json(out / "stats.json", dataclasses.asdict(stats) | {
         "per_source": {source: count for source, count, _ in ranking},
         "reply_count": replies, "quote_count": quotes,
@@ -306,9 +284,8 @@ def _load_grid(cfg: RunConfig, fitted: bool = True):
     return run_grid_pipeline(spec, land, records, units), records, land, units
 
 
-def cmd_grid(cfg: RunConfig) -> int:
+def cmd_grid(cfg: RunConfig, out: Path) -> int:
     grid = _load_grid(cfg, fitted=False)[0]
-    out = _outdir(cfg)
     grid_to_csv(grid, out / "grid.csv")
     print(f"grid X={cfg.x}: {int((grid.land_area > 0).sum())} land cells, "
           f"tweet mass {grid.n_t.sum():.3f}, user mass {grid.n_u.sum():.3f}, "
@@ -316,10 +293,9 @@ def cmd_grid(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_fit(cfg: RunConfig) -> int:
+def cmd_fit(cfg: RunConfig, out: Path) -> int:
     grid = _load_grid(cfg)[0]
     fits = scaling.fit_all(grid, cfg.fit_min_tweets, cfg.fit_min_population)
-    out = _outdir(cfg)
     _write_fits_csv(out / "fits.csv", [(cfg.x, fits[n]) for n in scaling.EXPONENTS])
     report = scaling.consistency(fits["alpha"], fits["beta"], fits["gamma"])
     _write_json(out / "consistency.json", {
@@ -337,12 +313,11 @@ def cmd_fit(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: RunConfig, out: Path) -> int:
     specs, land, units = _grid_inputs(cfg, sorted(set(cfg.x_list)))
     _, records = load_records(cfg)
     scan = scaling.scan_resolutions(records, units, land, specs,
                                     cfg.fit_min_tweets, cfg.fit_min_population)
-    out = _outdir(cfg)
     _write_fits_csv(out / "fits.csv", [(x, scan.fits[x][name]) for x in scan.x_values
                                        if x in scan.fits for name in scaling.EXPONENTS])
     write_csv(out / "cell_areas.csv", ["X", "mean_cell_area_km2"],
@@ -361,7 +336,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_anomaly(cfg: RunConfig) -> int:
+def cmd_anomaly(cfg: RunConfig, out: Path) -> int:
     anomaly_mod.check_map_settings(cfg.abs_cap, cfg.rel_cap, cfg.mask_t_density,
                                    cfg.mask_p_density)
     grid = _load_grid(cfg)[0]
@@ -374,7 +349,6 @@ def cmd_anomaly(cfg: RunConfig) -> int:
                                                  cfg.mask_t_density, cfg.mask_p_density)
     corr = ({which: anomaly_mod.anomaly_correlation(made["yp"], made["tu"], which)
              for which in ("abs", "rel")} if len(made) == 2 else {})
-    out = _outdir(cfg)
     for kind, amap in made.items():
         anomaly_mod.anomaly_to_csv(amap, out / f"anomaly_{kind}.csv")
         if cfg.geojson:
@@ -389,7 +363,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig) -> int:
+def cmd_validate(cfg: RunConfig, out: Path) -> int:
     rcfg = validation.ResampleConfig(**{
         f.name: cfg.seed if f.name == "master_seed" else getattr(cfg, f.name)
         for f in dataclasses.fields(validation.ResampleConfig)})
@@ -402,7 +376,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     else:
         dist = validation.subset_resample(
             grid, rcfg, cfg.fit_min_tweets, cfg.fit_min_population)
-    out = _outdir(cfg)
     validation.resample_to_csv(dist, out / "resample.csv")
     _write_json(out / "resample_summary.json",
                 validation.resample_summary(dist, rcfg, reference))
@@ -417,16 +390,15 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_synth(cfg: RunConfig) -> int:
+def cmd_synth(cfg: RunConfig, out: Path) -> int:
     scfg = synth.SynthConfig(**{
         f.name: cfg.study_rect() if f.name == "study" else getattr(cfg, f.name)
         for f in dataclasses.fields(synth.SynthConfig)})
     synth.check_bot_settings(cfg.bots, cfg.bot_fraction)
     try:
         fc, gt = synth.gen_population(scfg)
-        with _streamed_outdir(cfg) as out:
-            n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
-                                           cfg.bots, cfg.bot_fraction)
+        n_records = synth.write_corpus(scfg, gt, out / "tweets.jsonl",
+                                       cfg.bots, cfg.bot_fraction)
     except OverflowError as exc:   # a density or count too large for a float
         raise ConfigError(f"synth settings overflow: {exc}") from exc
     _write_json(out / "population.geojson", fc)
@@ -435,6 +407,32 @@ def cmd_synth(cfg: RunConfig) -> int:
     print(f"synth: {n_records} records, {gt.total_users} users, "
           f"population {int(gt.population.sum())}")
     return EXIT_OK
+
+
+@contextlib.contextmanager
+def _staged_out(path: str):
+    """A new staging directory inside the directory ``path`` (made with its
+    missing parents) for a command's files, each renamed onto its name in
+    ``path`` when the command returns.  On any failure the staging directory
+    and the directories made here are removed instead: ``path`` is left as
+    it was found."""
+    out = Path(path)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    stage = None
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=".geoscale-", dir=out))
+        yield stage
+        for f in stage.iterdir():
+            f.replace(out / f.name)
+        stage.rmdir()
+    except BaseException:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 class _Parser(argparse.ArgumentParser):
@@ -511,7 +509,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG
     try:
         cfg = resolve_config(args)
-        return _COMMANDS[args.command][0](cfg)
+        with _staged_out(cfg.out) as out:
+            return _COMMANDS[args.command][0](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,7 @@ between the column's meridians, and each (piece, band) pair between the
 band's parallels, by Sutherland-Hodgman steps done as array operations over
 all pairs at once, with the arithmetic of a ring-by-ring clip, so every cell
 gets the same float.  Clipped pieces below 1e-12 km^2 are dropped, and a
-cell with under 1e-9 km^2 of land counts as open water.
+cell with no more than 1e-9 km^2 of land counts as open water.
 
 Every vertex is a GeoJSON position (see :func:`position`).  Self-intersecting
 rings are not detected; the signed-area result is taken as-is.

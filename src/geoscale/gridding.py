@@ -102,11 +102,11 @@ def check_grid_memory(x: int) -> None:
 def build_grid(spec: GridSpec, land: MultiPolygon) -> DensityGrid:
     """Compute per-cell land area from the land geometry; counts zeroed.
 
-    Cells over open water (including slivers below 1e-9 km^2) get area 0.
+    Cells over open water (no more than MIN_AREA_KM2 of land) get area 0.
     """
     area = np.zeros((spec.x, spec.x))
     _, i, j, a = grid_areas([land], spec.lon_edges, spec.lat_edges)
-    area[i, j] = np.where(a >= MIN_AREA_KM2, a, 0.0)
+    area[i, j] = np.where(a > MIN_AREA_KM2, a, 0.0)
     return DensityGrid(spec, area)
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -242,7 +243,7 @@ class TestExitCodes:
         assert set(GeoscaleError.__subclasses__()) == set(table)
         assert all(cls.__subclasses__() == [] for cls in table)
         for cls, (code, prefix) in table.items():
-            def fail(cfg):
+            def fail(cfg, out):
                 raise cls("the reason")
             monkeypatch.setitem(cli._COMMANDS, "stats", (fail, cli._CORPUS))
             assert main(["stats"]) == code
@@ -270,6 +271,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"data error: cannot read tweets from {tweets}: {error}: '{tweets}'\n")
         assert not out.exists()
+
+    def test_out_that_cannot_be_made_is_refused_before_input_is_read(self, tmp_path,
+                                                                      capsys):
+        """An --out under a file is one data error line naming it, before
+        the missing tweet file is found, and the file stays as it was."""
+        (tmp_path / "file").write_text("kept\n")
+        out = tmp_path / "file" / "out"
+        assert main(["stats", "--tweets", str(tmp_path / "missing.jsonl"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"data error: [Errno 20] Not a directory: '{out}'\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     def test_tweets_line_not_utf8_is_a_counted_skip(self, tmp_path, corpus, capsys):
         first, second = (corpus / "tweets.jsonl").read_bytes().splitlines(True)[:2]
@@ -454,6 +467,76 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:")
         assert err.count("\n") == 1
+
+
+# each command's flags for a run on the shared corpus, and the files it
+# writes in the order it writes them
+OUTPUTS = {
+    "stats": ([], ["stats.json", "sources.csv"]),
+    "grid": (["--x", "6"], ["grid.csv"]),
+    "fit": (["--x", "6"], ["fits.csv", "consistency.json"]),
+    "scan": (["--x-list", "3,6"], ["fits.csv", "cell_areas.csv", "window.json"]),
+    "anomaly": (["--x", "6", "--kind", "both", "--geojson"],
+                ["anomaly_tu.csv", "anomaly_tu.geojson", "anomaly_yp.csv",
+                 "anomaly_yp.geojson", "correlation.json"]),
+    "validate": (["--x", "6", "--mode", "subset", "--subset-fraction", "0.3",
+                  "--replicates", "5"], ["resample.csv", "resample_summary.json"]),
+    "synth": ([], ["tweets.jsonl", "population.geojson", "land.geojson",
+                   "ground_truth.json"]),
+}
+
+
+def run_command(corpus, out, command):
+    extra, _ = OUTPUTS[command]
+    if command == "synth":
+        return main(SMALL_SYNTH + ["--out", str(out)])
+    return run_cmd(corpus, out, command, *extra)
+
+
+def fail_writing(monkeypatch, name):
+    """Have every opening of a file called name for writing make the file
+    and then fail as a full disk does."""
+    real = open
+
+    def fake(file, mode="r", *args, **kwargs):
+        if ("w" in mode and isinstance(file, (str, os.PathLike))
+                and os.path.basename(file) == name):
+            real(file, mode, *args, **kwargs).close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(file))
+        return real(file, mode, *args, **kwargs)
+    monkeypatch.setattr("builtins.open", fake)
+
+
+@pytest.mark.parametrize("command", list(OUTPUTS))
+class TestOutDirectory:
+    def test_success_leaves_just_the_outputs(self, tmp_path, corpus, command):
+        out = tmp_path / "a" / "out"
+        assert run_command(corpus, out, command) == 0
+        assert sorted(os.listdir(out)) == sorted(OUTPUTS[command][1])
+
+    def test_failed_last_write_leaves_no_out(self, tmp_path, corpus, capsys,
+                                             monkeypatch, command):
+        """A run whose last output cannot be written is one data error line,
+        exit 2, and leaves no --out nor the directories made for it."""
+        fail_writing(monkeypatch, OUTPUTS[command][1][-1])
+        capsys.readouterr()
+        assert run_command(corpus, tmp_path / "a" / "out", command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: [Errno 28]") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_an_older_out_as_it_was(self, tmp_path, corpus, capsys,
+                                                      monkeypatch, command):
+        """A failed run into an --out that holds other files and an older
+        copy of its first output changes none of them and adds nothing."""
+        names = OUTPUTS[command][1]
+        (tmp_path / "sentinel").write_text("kept\n")
+        (tmp_path / names[0]).write_text("an older output\n")
+        fail_writing(monkeypatch, names[-1])
+        assert run_command(corpus, tmp_path, command) == 2
+        assert sorted(os.listdir(tmp_path)) == sorted(["sentinel", names[0]])
+        assert (tmp_path / "sentinel").read_text() == "kept\n"
+        assert (tmp_path / names[0]).read_text() == "an older output\n"
 
 
 class TestSynthCommand:

@@ -86,6 +86,18 @@ class TestBuildGrid:
         grid = build_grid(GridSpec(STUDY, x), land)
         assert grid.land_area.sum() == pytest.approx(polygon_area(land), rel=1e-6)
 
+    def test_land_of_exactly_the_area_floor_is_open_water(self, monkeypatch):
+        """A cell with exactly MIN_AREA_KM2 of land has none, as a census
+        unit of exactly that area is skipped; the next float above it is
+        land."""
+        from geoscale import gridding
+        above = np.nextafter(gridding.MIN_AREA_KM2, np.inf)
+        monkeypatch.setattr(gridding, "grid_areas", lambda polys, lons, lats: (
+            None, np.array([0, 1]), np.array([0, 1]),
+            np.array([gridding.MIN_AREA_KM2, above])))
+        grid = build_grid(GridSpec(STUDY, 2), rect_poly(STUDY))
+        assert grid.land_area.tolist() == [[0.0, 0.0], [0.0, above]]
+
 
 class TestAccumulateTweets:
     def test_point_mass_lands_in_one_cell(self):
