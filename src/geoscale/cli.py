@@ -413,9 +413,10 @@ def cmd_synth(cfg: RunConfig, out: Path) -> int:
 def _staged_out(path: str):
     """A new staging directory inside the directory ``path`` (made with its
     missing parents) for a command's files, each renamed onto its name in
-    ``path`` when the command returns.  On any failure the staging directory
-    and the directories made here are removed instead: ``path`` is left as
-    it was found."""
+    ``path`` when the command returns; a name that is a directory in
+    ``path`` is a DataError before any rename.  On any failure the staging
+    directory and the directories made here are removed instead: ``path``
+    is left as it was found."""
     out = Path(path)
     made = [d for d in (out, *out.parents) if not d.exists()]
     stage = None
@@ -423,7 +424,11 @@ def _staged_out(path: str):
         out.mkdir(parents=True, exist_ok=True)
         stage = Path(tempfile.mkdtemp(prefix=".geoscale-", dir=out))
         yield stage
-        for f in stage.iterdir():
+        files = list(stage.iterdir())
+        for f in files:
+            if (out / f.name).is_dir():
+                raise DataError(f"cannot write {out / f.name}: it is a directory")
+        for f in files:
             f.replace(out / f.name)
         stage.rmdir()
     except BaseException:

@@ -510,51 +510,38 @@ def read_corpus(path, study: LonLatRect
     corpus_stats, with the diagnostics, the funnel counts and the Corpus
     they give for the whole file.
 
-    A regular file is cut into byte ranges that each end at a \n, one per
-    worker of workers.worker_count, none shorter than _RANGE_BYTES, and
-    the ranges are parsed by workers.fork_map; the results are merged in
+    A regular file is read in k byte ranges, one per worker of
+    workers.worker_count and none shorter than _RANGE_BYTES, by
+    workers.fork_map: range b reads the lines that start in its
+    workers.share of the file's bytes (the last to the end of the file), so
+    a range with no line start reads nothing.  The results are merged in
     file order, so they equal one pass over the file for any number of
-    ranges.  Any other file (a pipe, say) is read in one pass in this
-    process.
+    ranges.  Any other file (a pipe, say), or one range, is read in one pass
+    in this process.
     """
     with _open_tweets(path) as fh:
         info = os.fstat(fh.fileno())
-        ranges = (workers.worker_count(info.st_size, _RANGE_BYTES)
-                  if stat.S_ISREG(info.st_mode) else 1)
-        cuts = _cuts(fh, info.st_size, ranges)
-        if len(cuts) == 1:
+        k = (workers.worker_count(info.st_size, _RANGE_BYTES)
+             if stat.S_ISREG(info.st_mode) else 1)
+        if k == 1:
             return _read_range(fh, None, study)
     _line_decoder()   # imported once, here, for every worker
 
-    def read(span):
-        start, end = span
+    def read(b):
+        start, end = workers.share(info.st_size, k, b)
         with _open_tweets(path) as fh:   # an offset of its own
-            fh.seek(start)
-            return _read_range(fh, end, study)
+            if start:   # on to the first line that starts at or past start
+                fh.seek(start - 1)
+                fh.readline()
+            return _read_range(fh, end if b < k - 1 else None, study)
 
-    return _merge(workers.fork_map(read, zip(cuts, cuts[1:] + [None])))
-
-
-def _cuts(fh, size: int, ranges: int) -> list:
-    r"""The start offsets of at most ``ranges`` byte ranges that tile a
-    binary file of size bytes: equal ranges, each start moved on past the
-    next \n.  [0] for one range.  Leaves the file at offset 0."""
-    cuts = [0]
-    for k in range(1, ranges):
-        fh.seek(k * size // ranges)
-        fh.readline()
-        start = fh.tell()
-        if cuts[-1] < start < size:
-            cuts.append(start)
-    if ranges > 1:
-        fh.seek(0)
-    return cuts
+    return _merge(workers.fork_map(read, range(k)))
 
 
 def _read_range(fh, end: Optional[int], study: LonLatRect
                 ) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
-    """read_corpus of the lines of a binary file from its position, a line
-    start, up to offset end, another (None: to the end of the file)."""
+    """read_corpus of the lines of a binary file that start at or past its
+    position, a line start, and before offset end (None: to the end)."""
     diags = ParseDiagnostics()
     lines = fh if end is None else _lines_to(fh, end)
     stats, corpus = corpus_stats(iter_tweets(_text_lines(lines, diags), diags), study)

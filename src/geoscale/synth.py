@@ -366,11 +366,12 @@ def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
     holding the records; completes gt like gen_activity.
 
     Every count error is raised first (see _cell_counts), before any byte
-    is written.  The cells are then cut into contiguous blocks of about
-    equal tweets, one per worker of workers.worker_count, and
-    workers.fork_map writes them: this process the first block into path,
-    each worker its own into a part file next to it, which is then
-    appended to path in block order and removed.  The file equals
+    is written.  The cells are then written in k blocks, one per worker of
+    workers.worker_count, by workers.fork_map: block b writes the cells
+    whose first tweet is in its workers.share of the tweets (none, for a
+    share inside one large cell), this process block 0 into path and each
+    worker its own into a part file next to it, which is then appended to
+    path in block order and removed.  The file equals
     write_jsonl(gen_activity(config, gt) + gen_bots(config, n_bots,
     bot_tweet_fraction, len(activity))) byte for byte, for any number of
     workers.  Returns the number of records written.  A write that fails
@@ -381,22 +382,19 @@ def write_corpus(config: SynthConfig, gt: GroundTruth, path, n_bots: int,
     firsts = np.cumsum([0] + [tweets for _, _, tweets in cells]).tolist()
     total = firsts[-1]
     k = workers.worker_count(total * _TWEET_S, workers.MIN_WORK_S)
-    # each block ends before the cell that first reaches its share of tweets
-    ends = np.searchsorted(firsts, np.arange(1, k) * total / k).tolist()
-    cuts = [0, *sorted(set(ends) - {len(cells)}), len(cells)]
     path = os.fspath(path)
-    parts = [path] + [f"{path}.part{b}" for b in range(1, len(cuts) - 1)]
+    parts = [path] + [f"{path}.part{b}" for b in range(1, k)]
 
-    def write_block(block):
-        part, start, stop = block
-        with open(part, "w") as fh:
+    def write_block(b):
+        start, stop = np.searchsorted(firsts[:-1], workers.share(total, k, b))
+        with open(parts[b], "w") as fh:
             for columns in _activity_columns(config, gt, cells[start:stop],
                                              firsts[start]):
                 fh.writelines(_lines(columns))
         return gt.n_u, gt.n_t
 
     try:
-        n_u, n_t = zip(*workers.fork_map(write_block, zip(parts, cuts, cuts[1:])))
+        n_u, n_t = zip(*workers.fork_map(write_block, range(k)))
         gt.n_u, gt.n_t = sum(n_u), sum(n_t)
         _append(path, parts[1:])
         if n_bots > 0:

@@ -6,8 +6,11 @@ it, then sends its result, or the exception it raised, back pickled
 through a pipe.  Results come back in chunk order, so work split into
 chunks that do not depend on each other gives the same result for any
 number of workers.  Where ``os.fork`` is missing the chunks run one after
-another in this process.  ``split_map`` decides the chunks of a list of
-like items from the time the first one took.
+another in this process.  Every job splits its work by one rule, ``share``:
+block b of k owns the items (replicates, lines, generation cells) that
+start in its share of the job's total (replicates, bytes, tweets), and
+finds them itself.  ``split_map`` decides the blocks of a list of like
+items from the time the first one took.
 
 Only the program's own process forks workers for its work (see
 ``allow_forking``); a program that imports geoscale and calls it gets all
@@ -74,12 +77,17 @@ def worker_count(work: float, floor: float) -> int:
     return max(1, min(usable_cpus(), int(work // floor)))
 
 
+def share(total: int, k: int, b: int) -> tuple[int, int]:
+    """Block b of k's share [start, end) of a job of total units: the k
+    shares tile [0, total) in order, and their sizes differ by at most one."""
+    return b * total // k, (b + 1) * total // k
+
+
 def blocks(items: Sequence[T], k: int) -> list[Sequence[T]]:
-    """items cut into k contiguous blocks whose lengths differ by at most
-    one: fewer when there are fewer items, one empty block for none."""
-    n = len(items)
-    k = max(1, min(k, n))
-    return [items[b * n // k:(b + 1) * n // k] for b in range(k)]
+    """items cut into k contiguous blocks by share: fewer when there are
+    fewer items, one empty block for none."""
+    k = max(1, min(k, len(items)))
+    return [items[slice(*share(len(items), k, b))] for b in range(k)]
 
 
 def split_map(fn: Callable[[Sequence[T]], list], items: Sequence[T]) -> list:

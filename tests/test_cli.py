@@ -538,6 +538,23 @@ class TestOutDirectory:
         assert (tmp_path / "sentinel").read_text() == "kept\n"
         assert (tmp_path / names[0]).read_text() == "an older output\n"
 
+    def test_an_output_name_that_is_a_directory_leaves_out_as_it_was(
+            self, tmp_path, corpus, capsys, command):
+        """A run whose first output is a directory in --out is one data error
+        line, exit 2, and renames none of its files: older copies of its
+        other outputs stay as they were, and no staging directory is left."""
+        names = OUTPUTS[command][1]
+        (tmp_path / names[0]).mkdir()
+        for name in names[1:]:
+            (tmp_path / name).write_text("an older output\n")
+        capsys.readouterr()
+        assert run_command(corpus, tmp_path, command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == sorted(names)
+        for name in names[1:]:
+            assert (tmp_path / name).read_text() == "an older output\n"
+
 
 class TestSynthCommand:
     @pytest.mark.parametrize("extra", [["--pop-log10-mean", "400"],

@@ -311,11 +311,30 @@ def read_in_ranges(monkeypatch, path, k):
     return ingest.read_corpus(path, STUDY)
 
 
+def range_starts(monkeypatch, path, k) -> list:
+    """The offsets at which the k ranges of read_in_ranges begin to read,
+    the ranges read one after another in this process."""
+    starts, read_range = [], ingest._read_range
+
+    def read(fh, *args):
+        starts.append(fh.tell())
+        return read_range(fh, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "_read_range", read)
+        patch.setattr(workers, "fork_map", lambda fn, chunks: [fn(c) for c in chunks])
+        read_in_ranges(patch, path, k)
+    assert len(starts) == k
+    return starts
+
+
 def range_files(mutants, tmp_path) -> list:
     r"""Tweet files to read in ranges: the fuzz mutants and sample lines
     with \n, \r\n and \r endings in turn, blank lines, a line that is not
-    UTF-8, lines nested more than 500 deep and a last line with no \n; and
-    an empty file."""
+    UTF-8, lines nested more than 500 deep and a last line with no \n; an
+    empty file; a first line longer than half the file, with no \n at the
+    end; and 60 lines of one length, so that every share of 2 to 6 ranges
+    starts a line."""
     deep = "[" * 600 + "]" * 600
     lines = [line.encode() for line in mutants + sample_lines(600)]
     lines[100:100] = [b"", b"  \t", b'{"id_str":"t9","user":{"id_str":"\xff"}}',
@@ -328,7 +347,13 @@ def range_files(mutants, tmp_path) -> list:
                       + json.dumps(BASES[1]).encode())
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
-    return [mixed, empty]
+    long = tmp_path / "long.jsonl"
+    long.write_text("\n".join([json.dumps(dict(BASES[0], text="x" * 20000))]
+                              + sample_lines(40)))
+    even = tmp_path / "even.jsonl"
+    width = max(map(len, sample_lines(60)))
+    even.write_text("".join(line.ljust(width) + "\n" for line in sample_lines(60)))
+    return [mixed, empty, long, even]
 
 
 @pytest.mark.parametrize("decoder", ["orjson", "json"])
@@ -336,18 +361,24 @@ def test_range_reads_equal_one_pass(mutants, tmp_path, monkeypatch, fresh_decode
                                     decoder):
     """Reading a tweet file in 1 to 6 byte ranges gives the diagnostics
     (their reason order too), the funnel counts, the columns with their
-    dtypes, the user ids and the sources of one pass over it."""
+    dtypes, the user ids and the sources of one pass over it.  A range
+    begins at the first line that starts in its share of the bytes, and
+    reads nothing when none does."""
     if decoder == "orjson":
         pytest.importorskip("orjson")
     else:
         monkeypatch.setitem(sys.modules, "orjson", None)
-    mixed, empty = range_files(mutants, tmp_path)
+    paths = range_files(mutants, tmp_path)
+    mixed, _, long, even = paths
     data = mixed.read_bytes()
-    with open(mixed, "rb") as fh:
-        cuts = [c for k in range(2, 7) for c in ingest._cuts(fh, len(data), k)[1:]]
-    assert all(data[c - 1:c] == b"\n" for c in cuts)
-    assert any(data[c - 2:c] == b"\r\n" for c in cuts)
-    for path in (mixed, empty):
+    starts = [c for k in range(2, 7) for c in range_starts(monkeypatch, mixed, k)[1:]]
+    assert all(data[c - 1:c] == b"\n" for c in starts)
+    assert any(data[c - 2:c] == b"\r\n" for c in starts)
+    assert len(set(range_starts(monkeypatch, long, 6))) < 6   # some read nothing
+    for k in range(1, 7):
+        assert range_starts(monkeypatch, even, k) == [
+            workers.share(even.stat().st_size, k, b)[0] for b in range(k)]
+    for path in paths:
         want = one_pass(path)
         for k in range(1, 7):
             assert_same_read(read_in_ranges(monkeypatch, path, k), want)

@@ -4,6 +4,7 @@ cells) on 1 to 6 workers."""
 
 import gc
 import hashlib
+import json
 import os
 import signal
 import subprocess
@@ -70,6 +71,16 @@ def test_results_come_back_in_chunk_order(monkeypatch, k):
     assert [i for i, _ in pids] == list(range(20))
     assert len({pid for _, pid in pids}) == k
     assert_no_child_left()
+
+
+def test_shares_tile_the_total_in_order():
+    for total in range(51):
+        for k in range(1, 7):
+            shares = [workers.share(total, k, b) for b in range(k)]
+            assert shares[0][0] == 0 and shares[-1][1] == total
+            assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+            sizes = [end - start for start, end in shares]
+            assert min(sizes) >= 0 and max(sizes) - min(sizes) <= 1
 
 
 @pytest.mark.parametrize("error", [ValueError("in a worker"), MemoryError()])
@@ -227,20 +238,36 @@ def test_outputs_are_the_same_on_1_to_6_workers(synth_inputs, tmp_path, monkeypa
     assert_no_child_left()
 
 
-def test_synth_is_the_same_on_1_to_6_workers(tmp_path, monkeypatch, capsys):
-    """synth writes and prints the same bytes however many workers draw
-    and write its cells, and forks exactly when there is more than one."""
+def assert_synth_same_on_1_to_6_workers(argv, tmp_path, monkeypatch, capsys):
+    """synth of argv writes and prints the same bytes however many workers
+    draw and write its cells, and forks exactly when there is more than one."""
     forks = counting_forks(monkeypatch)
     results = []
     for k in range(1, 7):
         as_on_cpus(monkeypatch, k)
         forks.clear()
         out = tmp_path / str(k)
-        results.append(outputs(main(PINNED_SYNTH + ["--out", str(out)]), out, capsys))
+        results.append(outputs(main(argv + ["--out", str(out)]), out, capsys))
         assert bool(forks) == (k > 1), k
     assert results[0]["code"] == 0
     assert all(result == results[0] for result in results)
     assert_no_child_left()
+
+
+def test_synth_is_the_same_on_1_to_6_workers(tmp_path, monkeypatch, capsys):
+    assert_synth_same_on_1_to_6_workers(PINNED_SYNTH, tmp_path, monkeypatch, capsys)
+
+
+def test_synth_with_one_cell_of_most_tweets_is_the_same_on_1_to_6_workers(
+        tmp_path, monkeypatch, capsys):
+    """A generation cell of more than half the tweets takes in whole shares
+    of the tweets, so their blocks write empty part files: the same bytes."""
+    argv = ["synth", STUDY, "--x-gen", "3", "--b-true", "0.005", "--c-true", "2.0",
+            "--pop-log10-mean", "1.0", "--pop-log10-sigma", "1.0", "--seed", "3"]
+    assert_synth_same_on_1_to_6_workers(argv, tmp_path, monkeypatch, capsys)
+    n_t = json.loads((tmp_path / "1" / "ground_truth.json").read_text())["n_t"]
+    tweets = [n for row in n_t for n in row]   # no commuters: one per cell
+    assert max(tweets) > sum(tweets) / 2
 
 
 def test_synth_parts_are_the_same_copied_through_this_process(tmp_path, monkeypatch,
