@@ -7,6 +7,15 @@ the exponents by resampling.  A built-in synthetic-data generator with
 known ground-truth exponents serves as the test oracle.
 """
 
+import os
+import sys
+
+# geoscale splits its work by forking, and its matrix products are small:
+# an OpenBLAS thread pool would only spin beside them.  Set before numpy is
+# first imported, which starts the pool; a count the user set is kept.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .geometry import (
     EARTH_RADIUS_KM,
     LonLatRect,

@@ -31,6 +31,8 @@ from .ingest import Corpus, LocatedRecord, PopulationUnit
 
 # Place boxes binned per batch: bounds the (batch, X) overlap arrays.
 _BOX_BATCH = 1024
+# Points binned per batch: bounds their gathered coordinates and cells.
+_POINT_BATCH = 1 << 13
 # the density of each count: tweets, users, residents and youth
 DENSITY_LETTERS = "TUPY"
 # X-by-X float arrays of a DensityGrid: land area and the four counts
@@ -151,27 +153,33 @@ def _overlaps(lo: np.ndarray, hi: np.ndarray, m_lo: np.ndarray,
 
 
 def _accumulate(target: np.ndarray, spec: GridSpec, corpus: Corpus,
-                weights: np.ndarray) -> None:
-    """Add each row's weight: the boxes first, _BOX_BATCH at a time, then the
-    points, each in row order.  A box's share of a cell factorises as
-    f_lon(i) * f_lat(j), the overlap fractions of its longitude extent and
-    of its extent in sin(lat), so the cell masses are F_lon^T diag(w) F_lat."""
-    box = corpus.is_box
-    boxes, box_w = corpus.take(box), weights[box]
+                weights: np.ndarray, rows: Optional[np.ndarray] = None) -> None:
+    """Add the weight of each row, weights indexed by row, taking the rows
+    in the order of the index array rows (None: row order): the boxes
+    first, _BOX_BATCH at a time, then the points, _POINT_BATCH at a time.
+    A batch gathers only its own rows, and a point batch only their two
+    coordinates, so the corpus is never copied.  A box's share of a cell
+    factorises as f_lon(i) * f_lat(j), the overlap fractions of its
+    longitude extent and of its extent in sin(lat), so the cell masses are
+    F_lon^T diag(w) F_lat."""
+    if rows is None:
+        rows = np.arange(len(corpus))
+    box = corpus.is_box[rows]
+    box_rows, point_rows = rows[box], rows[~box]
+    del rows, box
     sin_edges = np.array([_sin_lat(e) for e in spec.lat_edges])
-    for k in range(0, len(boxes), _BOX_BATCH):
-        b = slice(k, k + _BOX_BATCH)
-        lon0, lon1, lat0, lat1 = boxes.lon0[b], boxes.lon1[b], boxes.lat0[b], boxes.lat1[b]
-        s0, s1 = boxes.sin0[b], boxes.sin1[b]
+    for k in range(0, len(box_rows), _BOX_BATCH):
+        b = box_rows[k:k + _BOX_BATCH]
+        lon0, lon1, s0, s1 = corpus.lon0[b], corpus.lon1[b], corpus.sin0[b], corpus.sin1[b]
+        lat0, lat1 = corpus.lat0[b], corpus.lat1[b]
         f_lon = _overlaps(lon0, lon1, lon0, lon1, spec.lon_edges, spec.lon_edges) \
             / (lon1 - lon0)[:, None]
         f_lat = _overlaps(lat0, lat1, s0, s1, spec.lat_edges, sin_edges) \
             / (s1 - s0)[:, None]
-        target += (f_lon * box_w[b, None]).T @ f_lat
-    point = ~box
-    if point.any():
-        _accumulate_points(target, spec, corpus.lon0[point], corpus.lat0[point],
-                           weights[point])
+        target += (f_lon * weights[b, None]).T @ f_lat
+    for k in range(0, len(point_rows), _POINT_BATCH):
+        p = point_rows[k:k + _POINT_BATCH]
+        _accumulate_points(target, spec, corpus.lon0[p], corpus.lat0[p], weights[p])
 
 
 def accumulate_tweets(grid: DensityGrid, records) -> DensityGrid:
@@ -185,8 +193,8 @@ def accumulate_tweets(grid: DensityGrid, records) -> DensityGrid:
 def _accumulate_user_mass(grid: DensityGrid, corpus: Corpus) -> None:
     """Add one unit of user mass per user, spread as f_jb / N_t(i), with the
     rows in user-id order."""
-    corpus = corpus.take(np.argsort(corpus.user, kind="stable"))
-    _accumulate(grid.n_u, grid.spec, corpus, 1.0 / corpus.user_counts()[corpus.user])
+    _accumulate(grid.n_u, grid.spec, corpus, 1.0 / corpus.user_counts()[corpus.user],
+                np.argsort(corpus.user, kind="stable"))
 
 
 def group_by_user(records: Sequence[LocatedRecord]) -> list[tuple[str, list]]:

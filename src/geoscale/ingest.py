@@ -146,7 +146,10 @@ class Corpus:
                                 self.sources[source], reply, quote)
 
     def take(self, rows) -> "Corpus":
-        """The corpus of the rows selected by a mask or an index array."""
+        """The corpus of the rows selected by a mask or an index array: this
+        corpus itself, not a copy, for a mask that keeps every row."""
+        if rows.dtype == bool and rows.all():
+            return self
         return dataclasses.replace(
             self, **{name: getattr(self, name)[rows] for name in _COLUMNS})
 
@@ -488,10 +491,10 @@ def corpus_stats(rows: Iterable[tuple], study: LonLatRect
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rank = np.empty(len(ids), dtype=np.int32)
     rank[order] = np.arange(len(ids), dtype=np.int32)
-    flags = np.array(flags, dtype=np.int8)
+    flags = np.frombuffer(flags, dtype=np.int8)
     return CorpusStats(sum(reasons), *reasons), Corpus(
-        *np.array(coords, dtype=float).reshape(-1, 6).T.copy(),
-        user=rank[np.array(users, dtype=np.int32)],
+        *np.frombuffer(coords).reshape(-1, 6).T.copy(),
+        user=rank[np.frombuffer(users, dtype=np.intc)],
         source=np.array(sources, dtype=np.int32),
         reply=(flags & 1) != 0, quote=(flags & 2) != 0, place=(flags & 4) != 0,
         user_ids=[ids[k] for k in order], sources=list(source_codes))
@@ -559,29 +562,41 @@ def _lines_to(fh, end: int) -> Iterator[bytes]:
         yield raw
 
 
-def _merge(parts) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
+def _merge(parts: list) -> tuple[ParseDiagnostics, CorpusStats, Corpus]:
     """The diagnostics, funnel counts and Corpus of consecutive ranges, as
     one pass over them gives them: counts add, skip reasons and sources
     keep their first-seen order, and user codes rank the sorted union of
-    the user ids."""
+    the user ids.  Each range's part leaves the list parts, and is let go,
+    once its rows are copied, so no part but the one being copied is held
+    twice."""
+    corpora = [corpus for _, _, corpus in parts]
+    user_ids = sorted(set(chain.from_iterable(c.user_ids for c in corpora)))
+    sources = list(dict.fromkeys(chain.from_iterable(c.sources for c in corpora)))
+    columns = {name: np.empty(sum(map(len, corpora)), getattr(corpora[0], name).dtype)
+               for name in _COLUMNS}
+    del corpora
+    # the code columns, each with its part's values and their merged codes
+    recode = {"user": ("user_ids", {value: k for k, value in enumerate(user_ids)}),
+              "source": ("sources", {value: k for k, value in enumerate(sources)})}
     diags, stats = ParseDiagnostics(), CorpusStats()
-    for part_diags, part_stats, _ in parts:
+    at = 0
+    parts.reverse()
+    while parts:
+        part_diags, part_stats, corpus = parts.pop()
         diags.parsed += part_diags.parsed
         diags.skipped += part_diags.skipped
         diags.reasons.update(part_diags.reasons)
         for f in dataclasses.fields(stats):
             setattr(stats, f.name, getattr(stats, f.name) + getattr(part_stats, f.name))
-    corpora = [corpus for _, _, corpus in parts]
-    user_ids = sorted(set(chain.from_iterable(c.user_ids for c in corpora)))
-    sources = list(dict.fromkeys(chain.from_iterable(c.sources for c in corpora)))
-    columns = {name: np.concatenate([getattr(c, name) for c in corpora])
-               for name in _COLUMNS}
-    for name, names, codes in (("user", "user_ids", user_ids),
-                               ("source", "sources", sources)):
-        index = {value: k for k, value in enumerate(codes)}
-        columns[name] = np.concatenate([
-            np.array([index[v] for v in getattr(c, names)], dtype=np.int32)
-            [getattr(c, name)] for c in corpora])
+        rows = slice(at, at + len(corpus))
+        at += len(corpus)
+        for name in _COLUMNS:
+            column = getattr(corpus, name)
+            if name in recode:
+                values, index = recode[name]
+                column = np.array([index[v] for v in getattr(corpus, values)],
+                                  dtype=np.int32)[column]
+            columns[name][rows] = column
     return diags, stats, Corpus(**columns, user_ids=user_ids, sources=sources)
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import shutil
 from dataclasses import asdict, astuple, dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -163,21 +164,22 @@ def _lines(columns) -> Iterator[str]:
     separators=(",", ":")) + "\n" would write, with the coordinates as
     repr(float), which is how json writes a float; ids and sources are
     plain ASCII that json writes unescaped.  The lines come joined in
-    chunks of _CHUNK_LINES, so that a large cell's text is never held
-    twice."""
+    chunks of _CHUNK_LINES, each formatted as it is yielded, so that no
+    more of a large cell's text is held than one chunk."""
     tids, uids, *coords, sources = columns
+    ids = zip(tids, uids, sources)
     # points share their columns (a is c, b is d): format each column once
-    text = {id(col): list(map(repr, col)) for col in coords}
-    lines = [
-        f'{{"id_str":"{tid}","user":{{"id_str":"{uid}"}},"place":{{'
-        f'"place_type":"city","bounding_box":{{"type":"Polygon","coordinates":'
-        f'[[[{x0},{y0}],[{x1},{y0}],[{x1},{y1}],[{x0},{y1}]]]}}}},'
-        f'"source":"{source}"}}\n'
-        for tid, uid, x0, y0, x1, y1, source
-        in zip(tids, uids, *(text[id(col)] for col in coords), sources)]
-    del text
-    for k in range(0, len(lines), _CHUNK_LINES):
-        yield "".join(lines[k:k + _CHUNK_LINES])
+    reprs = {id(col): map(repr, col) for col in coords}
+    for _ in range(0, len(tids), _CHUNK_LINES):
+        text = {key: list(islice(col, _CHUNK_LINES)) for key, col in reprs.items()}
+        # the chunk's text first: zip stops at its end before it takes an id
+        yield "".join([
+            f'{{"id_str":"{tid}","user":{{"id_str":"{uid}"}},"place":{{'
+            f'"place_type":"city","bounding_box":{{"type":"Polygon","coordinates":'
+            f'[[[{x0},{y0}],[{x1},{y0}],[{x1},{y1}],[{x0},{y1}]]]}}}},'
+            f'"source":"{source}"}}\n'
+            for x0, y0, x1, y1, (tid, uid, source)
+            in zip(*(text[id(col)] for col in coords), ids)])
 
 
 def _parsed(column_batches) -> list[dict]:

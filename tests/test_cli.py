@@ -747,14 +747,16 @@ class TestGridCommand:
         """A grid whose arrays do not fit in the address space left to the
         process is one config error line, not a traceback, and no --out;
         so is a side whose X * X cells take more bytes than an array may
-        hold.  The cap is set in the child alone.  The largest grid is
+        hold.  The cap is set in the child alone, which runs with the BLAS
+        thread count the program sets itself.  The largest grid is
         checked before any tweet is read: the tweet file is missing, which
         reading would report as a data error (exit 2)."""
         cap = 2_000_000 * 1024
         command = "grid" if sides[0] == "--x" else "scan"
         src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = {name: value for name, value in os.environ.items()
+               if name != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "out"
         run = subprocess.run(
             [sys.executable, "-c", "import sys; from geoscale.cli import main; "

@@ -10,12 +10,13 @@ import os
 import random
 import signal
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from geoscale import ingest, workers
-from geoscale.cli import main
+from geoscale import gridding, ingest, workers
+from geoscale.cli import RunConfig, load_records, main
 from geoscale.geometry import LonLatRect, MultiPolygon, PolygonWithHoles, rect_ring
 from geoscale.gridding import (
     GridSpec,
@@ -282,6 +283,55 @@ def test_views_round_trip_and_take_selects_rows():
     place = corpus.take(corpus.place)
     assert len(place) == int(corpus.place.sum())
     assert all(r.tag_kind == "place" for r in place)
+
+
+@pytest.mark.parametrize("x", [4, 10])
+def test_binning_holds_less_than_the_corpus(x):
+    """Each grid bins from the corpus's own columns: what it allocates at
+    its peak, a batch of rows, the user order and the row weights, stays
+    below the bytes of the corpus's columns, which a copy alone takes.
+    The box batch's (1024, X) arrays grow with X and are small at these
+    sides."""
+    _, corpus = corpus_stats(parse_tweets(sample_lines(20_000))[0], STUDY)
+    columns = sum(getattr(corpus, name).nbytes for name in ingest._COLUMNS)
+    land = MultiPolygon.of(PolygonWithHoles(rect_ring(STUDY)))
+    tracemalloc.start()
+    try:
+        run_grid_pipeline(GridSpec(STUDY, x), land, corpus, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < columns
+
+
+def test_point_batches_add_as_one_pass(monkeypatch):
+    """Points are added a batch at a time in row order, which np.add.at
+    sums exactly as one call over all of them."""
+    _, corpus = corpus_stats(parse_tweets(sample_lines())[0], STUDY)
+    land = MultiPolygon.of(PolygonWithHoles(rect_ring(STUDY)))
+    grids = []
+    for batch in (7, len(corpus)):
+        monkeypatch.setattr(gridding, "_POINT_BATCH", batch)
+        grids.append(run_grid_pipeline(GridSpec(STUDY, 10), land, corpus, []))
+    assert np.array_equal(grids[0].n_t, grids[1].n_t)
+    assert np.array_equal(grids[0].n_u, grids[1].n_u)
+
+
+def test_filters_that_keep_every_row_return_the_corpus_itself(monkeypatch):
+    _, corpus = corpus_stats(parse_tweets(sample_lines(600))[0], STUDY)
+    kept, removed = ingest.filter_bots(corpus, 1.0)
+    assert kept is corpus and removed == []
+    assert ingest.filter_min_tweets(corpus, 1) is corpus
+    assert corpus.take(np.ones(len(corpus), dtype=bool)) is corpus
+    assert corpus.take(np.arange(len(corpus))) is not corpus
+    # the command's tag filter, over a corpus of place tags alone
+    place = corpus.take(corpus.place)
+    assert place is not corpus and len(place) < len(corpus)
+    monkeypatch.setattr(ingest, "read_corpus", lambda path, study: (
+        ingest.ParseDiagnostics(), ingest.CorpusStats(), place))
+    _, loaded = load_records(RunConfig(tweets="tweets.jsonl", tag_kind="place",
+                                       bot_threshold=1.0, min_user_tweets=1))
+    assert loaded is place
 
 
 def one_pass(path):

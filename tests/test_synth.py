@@ -13,10 +13,13 @@ from geoscale.gridding import GridSpec, run_grid_pipeline
 from geoscale.ingest import corpus_stats, parse_population, parse_tweets
 from geoscale.scaling import fit_all
 from geoscale.synth import (
+    _CHUNK_LINES,
     DEFAULT_STUDY,
     SynthConfig,
     _cell_counts,
     _cell_draws,
+    _lines,
+    _parsed,
     gen_activity,
     gen_bots,
     gen_population,
@@ -258,6 +261,42 @@ class TestWriteCorpus:
             _, base_gt = gen_population(SMALL)
             gen_activity(SMALL, base_gt)
             assert not np.array_equal(lib_gt.n_t, base_gt.n_t)
+
+
+class TestLines:
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("boxed", [False, True])
+    def test_chunks_hold_the_json_lines_of_their_records(self, n, boxed):
+        """A cell of n records comes out as the lines json.dumps writes for
+        them, _CHUNK_LINES whole lines to a chunk; a point cell shares its
+        columns (a is c, b is d), as _activity_columns makes them."""
+        rng = np.random.default_rng(n)
+        a = np.round(rng.uniform(-5.8, -1.2, n), 7).tolist()
+        b = np.round(rng.uniform(49.9, 52.2, n), 7).tolist()
+        if n:
+            a[0], b[-1] = -3.0, 1e-07   # an integral float and an exponent
+        c, d = a, b
+        if boxed:
+            c = np.round(np.add(a, rng.uniform(0.0, 0.1, n)), 7).tolist()
+            d = np.round(np.add(b, rng.uniform(0.0, 0.1, n)), 7).tolist()
+        tids = ["t%09d" % k for k in range(n)]
+        uids = [f"u_1_2_{k % 7}" for k in range(n)]
+        sources = [("app_alpha", "app_beta", "bot_station")[k % 3] for k in range(n)]
+        columns = (tids, uids, a, b, c, d, sources)
+        records = [
+            {"id_str": tid, "user": {"id_str": uid},
+             "place": {"place_type": "city", "bounding_box": {
+                 "type": "Polygon",
+                 "coordinates": [[[x0, y0], [x1, y0], [x1, y1], [x0, y1]]]}},
+             "source": source}
+            for tid, uid, x0, y0, x1, y1, source in zip(*columns)]
+        chunks = list(_lines(columns))
+        assert "".join(chunks) == "".join(
+            json.dumps(r, separators=(",", ":")) + "\n" for r in records)
+        assert [chunk.count("\n") for chunk in chunks] == [
+            min(_CHUNK_LINES, n - k) for k in range(0, n, _CHUNK_LINES)]
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert _parsed([columns]) == records
 
 
 class TestOracleBytes:

@@ -363,3 +363,27 @@ def test_main_without_argv_freezes_the_heap(synth_inputs, tmp_path, monkeypatch,
         assert workers._forking
     finally:
         gc.unfreeze()
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_import_runs_one_blas_thread_unless_the_user_sets_a_count(preset):
+    """geoscale splits its work by forking, so importing it before numpy
+    asks OpenBLAS for one thread, which leaves the process with no thread
+    but its own on Linux; a count the user set is kept."""
+    src = os.path.dirname(os.path.dirname(workers.__file__))
+    env = {name: value for name, value in os.environ.items()
+           if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os, sys, geoscale.cli\n"
+              "threads = (len(os.listdir('/proc/self/task'))\n"
+              "           if sys.platform == 'linux' else 1)\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    count, threads = run.stdout.split()
+    assert count == (preset or "1")
+    if preset is None:
+        assert threads == "1"
