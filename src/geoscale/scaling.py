@@ -1,8 +1,9 @@
 """Power-law fits between grid densities, resolution scans, scaling-window
 detection and the alpha = beta * gamma consistency check.
 
-Fits are unweighted ordinary least squares of log10(y) on log10(x).  All
-sums use math.fsum, so results are bit-for-bit independent of point order.
+Fits are unweighted ordinary least squares of log10(y) on log10(x) over
+arrays of logs from math.log10; every sum is a math.fsum, so results are
+bit-for-bit independent of point order, and numpy works only elementwise.
 """
 
 from __future__ import annotations
@@ -56,46 +57,32 @@ class ConsistencyReport:
     z_score: float
 
 
-def log10_points(points: Iterable[tuple[float, float]]
-                 ) -> list[tuple[float, float]]:
-    """(log10 x, log10 y) of each point; raises ValueError unless every
-    point is strictly positive."""
-    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
-    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
-    # the bytes of fits.csv.
-    logs = []
-    for px, py in points:
-        if px <= 0 or py <= 0:
-            raise ValueError(f"points must be strictly positive, got ({px}, {py})")
-        logs.append((math.log10(px), math.log10(py)))
-    return logs
-
-
-def fit_logs(logs: Sequence[tuple[float, float]], relation: str = "") -> FitResult:
-    """OLS fit of log10(y) on log10(x) over (log10 x, log10 y) pairs: the
-    one fit every exponent goes through.
+def fit_logs(lx: np.ndarray, ly: np.ndarray, relation: str = "") -> FitResult:
+    """OLS fit of log10(y) on log10(x) over two aligned float64 arrays of
+    logs: the one fit every exponent goes through.
 
     The slope is the scaling exponent, the intercept the log10 prefactor.
     Standard errors are the classical OLS formulas.  When SS_tot and SS_res
     are both zero (all y equal, fitted exactly) R^2 is defined as 1.
     """
-    n = len(logs)
+    n = len(lx)
     if n < 3:
         raise InsufficientDataError(f"need >= 3 points, got {n}")
-    lx = [a for a, _ in logs]
-    ly = [b for _, b in logs]
 
-    mx = math.fsum(lx) / n
-    my = math.fsum(ly) / n
-    sxx = math.fsum((v - mx) ** 2 for v in lx)
+    mx = math.fsum(lx.tolist()) / n
+    my = math.fsum(ly.tolist()) / n
+    dx, dy = lx - mx, ly - my
+    # squares through libm's pow, as a Python float's ** 2 takes them: v * v
+    # differs from it in about 0.1% of float64 inputs, which would change the
+    # bytes of fits.csv
+    sxx = math.fsum(np.float_power(dx, 2.0).tolist())
     if sxx == 0.0:
         raise InsufficientDataError("zero variance in x")
-    sxy = math.fsum((a - mx) * (b - my) for a, b in logs)
-    slope = sxy / sxx
+    slope = math.fsum((dx * dy).tolist()) / sxx
     intercept = my - slope * mx
 
-    ss_res = math.fsum((b - (intercept + slope * a)) ** 2 for a, b in logs)
-    ss_tot = math.fsum((b - my) ** 2 for b in ly)
+    ss_res = math.fsum(np.float_power(ly - (intercept + slope * lx), 2.0).tolist())
+    ss_tot = math.fsum(np.float_power(dy, 2.0).tolist())
     if ss_tot == 0.0:
         r2 = 1.0
     else:
@@ -107,12 +94,25 @@ def fit_logs(logs: Sequence[tuple[float, float]], relation: str = "") -> FitResu
     return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
 
 
+def _log10(values: Iterable[float]) -> np.ndarray:
+    """math.log10 of each value, as a float64 array."""
+    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
+    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
+    # the bytes of fits.csv.
+    return np.array([math.log10(v) for v in values], dtype=float)
+
+
 def fit_power_law(points: Sequence[tuple[float, float]],
                   relation: str = "") -> FitResult:
     """fit_logs over the log10 of strictly positive (x, y) points.  Grid
     fits go through fit_cells; this fit of a plain list of points is the
-    reference that fit_cells is tested against."""
-    return fit_logs(log10_points(points), relation)
+    reference that fit_cells is tested against.  Raises ValueError unless
+    every point is strictly positive."""
+    for px, py in points:
+        if px <= 0 or py <= 0:
+            raise ValueError(f"points must be strictly positive, got ({px}, {py})")
+    return fit_logs(_log10(px for px, _ in points), _log10(py for _, py in points),
+                    relation)
 
 
 def check_fit_thresholds(min_tweets: float, min_population: float) -> None:
@@ -147,35 +147,33 @@ def relation_densities(grid: DensityGrid, relation: str
     return densities(grid, "".join(letters))
 
 
-LogTable = dict[str, list[Optional[tuple[float, float]]]]
+LogTable = dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 def log_table(grid: DensityGrid, cells: Sequence[tuple[int, int]],
               names: Sequence[str] = EXPONENTS) -> LogTable:
-    """For each exponent in names, (log10 x, log10 y) at each (i, j) cell,
-    where its relation "Y_vs_X" in EXPONENT_RELATION pairs density x with
-    density y; None where x or y is not positive, which no fit uses.  The
-    fit rows of every exponent, computed once for fit_rows."""
+    """For each exponent in names, three arrays aligned with the (i, j)
+    cells: lx and ly, the log10 of the densities x and y of its relation
+    "Y_vs_X" in EXPONENT_RELATION, and usable, true where both are
+    positive (the logs are NaN elsewhere).  The rows fit_rows fits."""
     i, j = np.asarray(cells, dtype=np.intp).reshape(-1, 2).T
     table = {}
     for name in names:
-        ys, xs = relation_densities(grid, EXPONENT_RELATION[name])
-        points = [(x, y) if x > 0 and y > 0 else None
-                  for x, y in zip(xs[i, j].tolist(), ys[i, j].tolist())]
-        logs = iter(log10_points(p for p in points if p))
-        table[name] = [next(logs) if p else None for p in points]
+        ys, xs = (d[i, j] for d in relation_densities(grid, EXPONENT_RELATION[name]))
+        usable = (xs > 0) & (ys > 0)
+        lx, ly = (_log10(np.where(usable, d, np.nan).tolist()) for d in (xs, ys))
+        table[name] = lx, ly, usable
     return table
 
 
 def fit_rows(table: LogTable, rows: Optional[Sequence[int]] = None
              ) -> dict[str, FitResult]:
-    """Each exponent of a log_table fitted over the cells at the given row
-    numbers (None: every row), leaving out the rows that are None."""
+    """Each exponent of a log_table fitted over the usable cells at the
+    given row numbers (None: every row)."""
     fits = {}
-    for name, logs in table.items():
-        picked = logs if rows is None else [logs[k] for k in rows]
-        fits[name] = fit_logs([p for p in picked if p is not None],
-                              EXPONENT_RELATION[name])
+    for name, columns in table.items():
+        lx, ly, usable = columns if rows is None else (a[rows] for a in columns)
+        fits[name] = fit_logs(lx[usable], ly[usable], EXPONENT_RELATION[name])
     return fits
 
 

@@ -182,7 +182,7 @@ def subset_resample(grid: DensityGrid, config: ResampleConfig,
 
     def draw(rng):
         if config.mode != "subset_nonadjacent":
-            return fit_rows(table, rng.choice(n, size=m, replace=False).tolist())
+            return fit_rows(table, rng.choice(n, size=m, replace=False))
         pool, chosen = list(range(n)), []   # m <= n, so the pool never runs dry
         blocked = bytearray(side * side)     # nonzero: touches a chosen cell
         while len(chosen) < m:

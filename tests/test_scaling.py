@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -9,6 +10,7 @@ from geoscale.gridding import DensityGrid, GridSpec, densities
 from geoscale.geometry import LonLatRect
 from geoscale.scaling import (
     EXPONENT_RELATION,
+    EXPONENTS,
     FitResult,
     ScanResult,
     cell_indices,
@@ -16,7 +18,10 @@ from geoscale.scaling import (
     detect_window,
     fit_all,
     fit_cells,
+    fit_logs,
     fit_power_law,
+    fit_rows,
+    log_table,
     mean_cell_area,
     relation_densities,
 )
@@ -149,6 +154,119 @@ class TestFitCells:
             assert {name: fit_cells(grid, cells, (name,))[name]
                     for name in names} == want
         assert fit_all(grid) == reference_fits(grid, cell_indices(grid), names[:3])
+
+
+def tuple_ols(logs, relation=""):
+    """The OLS over a list of (log10 x, log10 y) tuples that fit_logs
+    replaced, its body kept whole: the reference fit_logs is held to, bit
+    for bit."""
+    n = len(logs)
+    if n < 3:
+        raise InsufficientDataError(f"need >= 3 points, got {n}")
+    lx = [a for a, _ in logs]
+    ly = [b for _, b in logs]
+
+    mx = math.fsum(lx) / n
+    my = math.fsum(ly) / n
+    sxx = math.fsum((v - mx) ** 2 for v in lx)
+    if sxx == 0.0:
+        raise InsufficientDataError("zero variance in x")
+    sxy = math.fsum((a - mx) * (b - my) for a, b in logs)
+    slope = sxy / sxx
+    intercept = my - slope * mx
+
+    ss_res = math.fsum((b - (intercept + slope * a)) ** 2 for a, b in logs)
+    ss_tot = math.fsum((b - my) ** 2 for b in ly)
+    if ss_tot == 0.0:
+        r2 = 1.0
+    else:
+        r2 = min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
+
+    s2 = ss_res / (n - 2)
+    se_slope = math.sqrt(s2 / sxx)
+    se_intercept = math.sqrt(s2 * (1.0 / n + mx * mx / sxx))
+    return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
+
+
+def assert_same_bits(got, want):
+    """Every FitResult field equal with ==, and of the same type."""
+    for f in dataclasses.fields(FitResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b and type(a) is type(b), (f.name, a, b)
+
+
+class TestArrayFit:
+    @pytest.mark.parametrize("n", [3, 4, 50, 5000])
+    def test_fit_logs_has_the_bits_of_the_tuple_fit(self, n):
+        for seed in range(20):
+            rng = np.random.default_rng([n, seed])
+            lx = rng.uniform(-1.0, 4.0, n)
+            ly = 0.3 + 1.35 * lx + rng.normal(0.0, 0.2, n)
+            want = tuple_ols(list(zip(lx.tolist(), ly.tolist())), "T_vs_U")
+            assert_same_bits(fit_logs(lx, ly, "T_vs_U"), want)
+
+    def test_constant_y_has_the_bits_of_the_tuple_fit(self):
+        lx = np.random.default_rng(3).uniform(0.0, 3.0, 40)
+        ly = np.full(40, math.log10(5.0))
+        fit = fit_logs(lx, ly)
+        assert fit.r_squared == 1.0
+        assert_same_bits(fit, tuple_ols(list(zip(lx.tolist(), ly.tolist()))))
+
+    def test_fit_rows_has_the_bits_of_the_tuple_fit(self):
+        """Random row subsets, as index arrays and as lists, over cells of
+        which some have no users (beta's y and gamma's x are 0) or no
+        tweets: each fit is the tuple fit of the logs of its positive
+        density pairs, and a subset the tuple fit refuses is refused with
+        its message."""
+        x = 12
+        grid = grid_with_law(x=x)
+        rng = np.random.default_rng(5)
+        grid.n_u[rng.random((x, x)) < 0.3] = 0.0
+        grid.n_t[rng.random((x, x)) < 0.1] = 0.0
+        cells = [(i, j) for i in range(x) for j in range(x)]
+        table = log_table(grid, cells)
+
+        def reference(rows):
+            fits = {}
+            for name in EXPONENTS:
+                relation = EXPONENT_RELATION[name]
+                ys, xs = densities(grid, relation.replace("_vs_", ""))
+                pairs = [(xs[cells[k]], ys[cells[k]]) for k in rows]
+                fits[name] = tuple_ols([(math.log10(a), math.log10(b))
+                                        for a, b in pairs if a > 0 and b > 0], relation)
+            return fits
+
+        refused = 0
+        for m in (3, 5, 8, 40, 144):
+            for _ in range(30):
+                rows = rng.choice(len(cells), size=m, replace=False)
+                for picked in (rows, rows.tolist()):
+                    try:
+                        want = reference(rows.tolist())
+                    except InsufficientDataError as exc:
+                        with pytest.raises(InsufficientDataError,
+                                           match=re.escape(str(exc))):
+                            fit_rows(table, picked)
+                        refused += 1
+                        continue
+                    got = fit_rows(table, picked)
+                    for name in EXPONENTS:
+                        assert_same_bits(got[name], want[name])
+        assert refused > 0
+
+    def test_no_usable_row_is_too_few_points(self):
+        x = 4
+        grid = grid_with_law(x=x)
+        grid.n_u[:2] = 0.0
+        cells = [(i, j) for i in range(x) for j in range(x)]
+        no_users = [k for k, c in enumerate(cells) if c[0] < 2]
+        empty = log_table(grid, [])
+        assert all(len(a) == 0 for columns in empty.values() for a in columns)
+        for table, rows in ((empty, None), (log_table(grid, cells), []),
+                            (log_table(grid, cells, ("beta", "gamma")), no_users)):
+            with pytest.raises(InsufficientDataError,
+                               match=re.escape("need >= 3 points, got 0")):
+                fit_rows(table, rows)
 
 
 class TestRelationDensities:
