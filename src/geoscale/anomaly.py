@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
+from .geometry import libm
 from .gridding import DensityGrid, GridSpec, cells_to_csv, cells_to_geojson, densities
 from .scaling import FitResult, cell_indices, fit_cells, relation_densities
 
@@ -20,20 +21,17 @@ def predict(fit: FitResult, x: float) -> float:
     """Trend prediction 10^log10_prefactor * x^exponent."""
     if x <= 0:
         raise DataError(f"prediction needs x > 0, got {x}")
-    # One value at a time through the C library's pow (float and numpy-scalar
-    # ** alike): the vectorised np.power (numpy 2.4, AVX-512) differs from it
-    # in about 5% of float64 inputs, which would change the bytes of
-    # anomaly_*.csv.
     return 10.0 ** fit.log10_prefactor * x ** fit.exponent
 
 
-def anomaly_rel(measured: float, predicted: float) -> float:
+def anomaly_rel(measured, predicted):
     """Difference normalised by the geometric mean of both densities, so a
     rural 4-vs-2 cell is exactly as anomalous as an urban 40000-vs-20000
-    one."""
-    if measured <= 0 or predicted <= 0:
+    one.  Takes floats or aligned arrays; np.sqrt, like math.sqrt, is
+    correctly rounded."""
+    if np.any(np.less_equal(measured, 0)) or np.any(np.less_equal(predicted, 0)):
         raise DataError("relative anomaly needs both values > 0")
-    return (measured - predicted) / math.sqrt(predicted * measured)
+    return (measured - predicted) / np.sqrt(predicted * measured)
 
 
 def check_map_settings(abs_cap: float, rel_cap: float, min_t_density: float,
@@ -82,18 +80,16 @@ def anomaly_map(grid: DensityGrid, fit: FitResult,
     check_map_settings(abs_cap, rel_cap, min_t_density, min_p_density)
     measured_arr, driver_arr = relation_densities(grid, fit.relation)
     t, p = densities(grid, "TP")
-    x = grid.spec.x
     with np.errstate(invalid="ignore"):
         # NaN densities (water cells) compare False and stay masked
         usable = ((t >= min_t_density) & (p >= min_p_density)
                   & (measured_arr > 0) & (driver_arr > 0))
 
     measured = np.where(usable, measured_arr, np.nan)
-    predicted = np.full((x, x), np.nan)
-    a_rel = np.full((x, x), np.nan)
-    for i, j in zip(*np.nonzero(usable)):
-        predicted[i, j] = predict(fit, driver_arr[i, j])
-        a_rel[i, j] = anomaly_rel(measured[i, j], predicted[i, j])
+    predicted = np.full_like(measured, np.nan)
+    a_rel = np.full_like(measured, np.nan)
+    predicted[usable] = libm(lambda v: predict(fit, v), driver_arr[usable])
+    a_rel[usable] = anomaly_rel(measured[usable], predicted[usable])
     return AnomalyGrid(grid.spec, fit.relation, abs_cap, rel_cap, measured, predicted,
                        measured - predicted, a_rel, ~usable)
 
@@ -113,9 +109,11 @@ class CorrelationResult:
 
 def anomaly_correlation(a: AnomalyGrid, b: AnomalyGrid, which: str = "abs"
                         ) -> CorrelationResult:
-    """Pearson correlation between two anomaly grids over cells unmasked in
-    both, using raw (uncapped) values.  ``which`` picks abs-vs-abs or
-    rel-vs-rel pairing."""
+    """Pearson's r = S_xy / sqrt(S_xx * S_yy) between two anomaly grids over
+    cells unmasked in both, using raw (uncapped) values; NaN where either is
+    constant.  ``which`` picks abs-vs-abs or rel-vs-rel pairing.  Every sum
+    is a math.fsum and every square libm's pow, as in scaling.fit_logs, so r
+    has the same bits in any cell order and on any CPU."""
     if a.spec != b.spec:
         raise ValueError("anomaly grids have different specs")
     if which == "abs":
@@ -129,10 +127,17 @@ def anomaly_correlation(a: AnomalyGrid, b: AnomalyGrid, which: str = "abs"
     ys = vb[both]
     ok = np.isfinite(xs) & np.isfinite(ys)
     xs, ys = xs[ok], ys[ok]
-    if len(xs) < 3:
-        raise InsufficientDataError(f"need >= 3 paired cells, got {len(xs)}")
-    r = float(np.corrcoef(xs, ys)[0, 1])
-    return CorrelationResult(r, len(xs))
+    n = len(xs)
+    if n < 3:
+        raise InsufficientDataError(f"need >= 3 paired cells, got {n}")
+    dx = xs - math.fsum(xs.tolist()) / n
+    dy = ys - math.fsum(ys.tolist()) / n
+    sxx = math.fsum(np.float_power(dx, 2.0).tolist())
+    syy = math.fsum(np.float_power(dy, 2.0).tolist())
+    if sxx == 0.0 or syy == 0.0:
+        return CorrelationResult(math.nan, n)
+    r = math.fsum((dx * dy).tolist()) / math.sqrt(sxx * syy)
+    return CorrelationResult(min(max(r, -1.0), 1.0), n)
 
 
 def _exported(a: AnomalyGrid) -> dict:

@@ -26,6 +26,7 @@ from .geometry import (
     LonLatRect,
     MultiPolygon,
     grid_areas,
+    libm,
 )
 from .ingest import Corpus, LocatedRecord, PopulationUnit
 
@@ -137,10 +138,6 @@ def _cell_of(v: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return k
 
 
-def _sin_lat(lat: float) -> float:
-    return math.sin(math.radians(lat))
-
-
 def _overlaps(lo: np.ndarray, hi: np.ndarray, m_lo: np.ndarray,
               m_hi: np.ndarray, edges: np.ndarray, m_edges: np.ndarray
               ) -> np.ndarray:
@@ -167,7 +164,7 @@ def _accumulate(target: np.ndarray, spec: GridSpec, corpus: Corpus,
     box = corpus.is_box[rows]
     box_rows, point_rows = rows[box], rows[~box]
     del rows, box
-    sin_edges = np.array([_sin_lat(e) for e in spec.lat_edges])
+    sin_edges = libm(lambda e: math.sin(math.radians(e)), spec.lat_edges)
     for k in range(0, len(box_rows), _BOX_BATCH):
         b = box_rows[k:k + _BOX_BATCH]
         lon0, lon1, s0, s1 = corpus.lon0[b], corpus.lon1[b], corpus.sin0[b], corpus.sin1[b]

@@ -2,7 +2,7 @@
 detection and the alpha = beta * gamma consistency check.
 
 Fits are unweighted ordinary least squares of log10(y) on log10(x) over
-arrays of logs from math.log10; every sum is a math.fsum, so results are
+logs taken by geometry.libm; every sum is a math.fsum, so results are
 bit-for-bit independent of point order, and numpy works only elementwise.
 """
 
@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientDataError
-from .geometry import MultiPolygon, spherical_rect_area
+from .geometry import MultiPolygon, libm, spherical_rect_area
 from .gridding import DENSITY_LETTERS, DensityGrid, GridSpec, densities, run_grid_pipeline
 
 DEFAULT_X_LIST = (8, 16, 24, 32, 40, 48, 56, 64, 72, 80, 96, 112, 128)
@@ -94,14 +94,6 @@ def fit_logs(lx: np.ndarray, ly: np.ndarray, relation: str = "") -> FitResult:
     return FitResult(relation, slope, se_slope, intercept, se_intercept, r2, n)
 
 
-def _log10(values: Iterable[float]) -> np.ndarray:
-    """math.log10 of each value, as a float64 array."""
-    # math.log10, one value at a time: the vectorised np.log10 (numpy 2.4,
-    # AVX-512) differs from it in 2-20% of float64 inputs, which would change
-    # the bytes of fits.csv.
-    return np.array([math.log10(v) for v in values], dtype=float)
-
-
 def fit_power_law(points: Sequence[tuple[float, float]],
                   relation: str = "") -> FitResult:
     """fit_logs over the log10 of strictly positive (x, y) points.  Grid
@@ -111,8 +103,8 @@ def fit_power_law(points: Sequence[tuple[float, float]],
     for px, py in points:
         if px <= 0 or py <= 0:
             raise ValueError(f"points must be strictly positive, got ({px}, {py})")
-    return fit_logs(_log10(px for px, _ in points), _log10(py for _, py in points),
-                    relation)
+    return fit_logs(libm(math.log10, [px for px, _ in points]),
+                    libm(math.log10, [py for _, py in points]), relation)
 
 
 def check_fit_thresholds(min_tweets: float, min_population: float) -> None:
@@ -161,7 +153,7 @@ def log_table(grid: DensityGrid, cells: Sequence[tuple[int, int]],
     for name in names:
         ys, xs = (d[i, j] for d in relation_densities(grid, EXPONENT_RELATION[name]))
         usable = (xs > 0) & (ys > 0)
-        lx, ly = (_log10(np.where(usable, d, np.nan).tolist()) for d in (xs, ys))
+        lx, ly = (libm(math.log10, np.where(usable, d, np.nan)) for d in (xs, ys))
         table[name] = lx, ly, usable
     return table
 

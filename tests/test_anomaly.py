@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from geoscale.anomaly import (
+    AnomalyGrid,
     anomaly_correlation,
     anomaly_map,
     anomaly_rel,
@@ -189,6 +191,52 @@ class TestCorrelation:
         amap.masked[:, :] = True
         with pytest.raises(InsufficientDataError):
             anomaly_correlation(amap, amap)
+
+
+def map_of(values, masked):
+    """An anomaly map over a square grid whose A_abs and A_rel are values."""
+    return AnomalyGrid(GridSpec(STUDY, values.shape[0]), "T_vs_U", math.inf, math.inf,
+                       values, values, values, values, masked)
+
+
+def random_pair(seed, x=20):
+    """Two correlated random maps of x by x cells, a tenth of them masked,
+    with values spread over several orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3, 3)
+    a = scale * rng.lognormal(0.0, 1.5, (x, x))
+    b = 0.7 * a + scale * rng.normal(0.0, 2.0, (x, x))
+    masked = rng.random((x, x)) < 0.1
+    return map_of(a, masked), map_of(b, masked)
+
+
+class TestPearson:
+    def test_cell_order_leaves_r_bit_identical(self):
+        a, b = random_pair(5)
+        r = anomaly_correlation(a, b).pearson_r
+        for seed in range(10):
+            order = np.random.default_rng(seed).permutation(400)
+            a2, b2 = (map_of(m.a_abs.reshape(-1)[order].reshape(20, 20),
+                             m.masked.reshape(-1)[order].reshape(20, 20)) for m in (a, b))
+            assert anomaly_correlation(a2, b2).pearson_r == r
+
+    @pytest.mark.parametrize("which", ["abs", "rel"])
+    def test_constant_map_gives_nan_without_a_warning(self, which):
+        a, b = random_pair(6)
+        flat = map_of(np.where(a.masked, -5.0, 3.25), a.masked)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((flat, b), (b, flat), (flat, flat)):
+                res = anomaly_correlation(*pair, which=which)
+                assert math.isnan(res.pearson_r)
+                assert res.n == int((~a.masked).sum())
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_r_agrees_with_numpy(self, seed):
+        a, b = random_pair(100 + seed, x=3 + 2 * seed)
+        both = ~(a.masked | b.masked)
+        expected = np.corrcoef(a.a_abs[both], b.a_abs[both])[0, 1]
+        assert anomaly_correlation(a, b).pearson_r == pytest.approx(expected, rel=1e-14)
 
 
 class TestExports:
